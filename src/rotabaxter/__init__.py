@@ -33,6 +33,8 @@ from .algebras import (
     verify_associativity,
 )
 from .checks import (
+    IDENTITIES,
+    check,
     check_idempotent,
     check_image_closure,
     check_lie_modified,
@@ -82,12 +84,11 @@ from .operators import (
     scale_operator,
     sum_operator,
 )
-from .rationals import Rational, format_rational, normalize, parse_rational
+from .rationals import format_rational, normalize, parse_rational
 from .report import CheckReport, Witness, dumps_reports
 from .suite import run_suite
 from .tensor import (
-    Tensor2,
-    Tensor3,
+    TensorAlgebra,
     acybe_residual,
     embed,
     induced_operator,

@@ -207,8 +207,9 @@ class DomainSpec:
             raise InvalidDomainError(f"unknown domain mode {mode!r}")
         if lo > hi:
             raise InvalidDomainError(f"empty exponent range [{lo}, {hi}]")
-        if mode == "random" and samples < 0:
-            raise InvalidDomainError("negative sample count")
+        if mode == "random" and samples < 1:
+            raise InvalidDomainError(
+                f"random mode needs at least one sample, got {samples}")
         self.mode = mode
         self.lo = lo
         self.hi = hi

@@ -38,18 +38,24 @@ def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
             yield tuple(algebra.random_element(dom, rng) for _ in range(arity))
 
 
+def _first_witness(tuples, sides) -> tuple:
+    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` along the stream; returns
+    the witness of the first violating tuple (or None) and the number of
+    tuples evaluated."""
+    count = 0
+    for tup in tuples:
+        count += 1
+        lhs, rhs = sides(*tup)
+        if lhs != rhs:
+            return Witness(tup, lhs, rhs, lhs - rhs), count
+    return None, count
+
+
 def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
                    weight: Fraction | None, dom: DomainSpec, arity: int,
                    sides, notes: tuple = ()) -> CheckReport:
     """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain."""
-    count = 0
-    witness = None
-    for tup in domain_tuples(algebra, dom, arity):
-        count += 1
-        lhs, rhs = sides(*tup)
-        if lhs != rhs:
-            witness = Witness(tup, lhs, rhs, lhs - rhs)
-            break
+    witness, count = _first_witness(domain_tuples(algebra, dom, arity), sides)
     return CheckReport(
         check=check_id,
         algebra=algebra.describe(),
@@ -67,7 +73,7 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
 # Identity residuals
 
 
-def rbr_sides(op: WeightedOperator, lam: Fraction):
+def rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     def sides(x, y):
         rx, ry = op(x), op(y)
         return rx * ry + lam * op(x * y), op(rx * y + x * ry)
@@ -75,7 +81,7 @@ def rbr_sides(op: WeightedOperator, lam: Fraction):
     return sides
 
 
-def modified_rbr_sides(op: WeightedOperator, lam: Fraction):
+def modified_rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """B(x)B(y) = B(B(x)y + xB(y)) − λ²xy."""
 
     def sides(x, y):
@@ -85,7 +91,7 @@ def modified_rbr_sides(op: WeightedOperator, lam: Fraction):
     return sides
 
 
-def nijenhuis_sides(op: WeightedOperator, lam: Fraction):
+def nijenhuis_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """N(x)N(y) + λ·N²(xy) = N(N(x)y + xN(y))."""
 
     def sides(x, y):
@@ -108,48 +114,57 @@ def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     return sides
 
 
-IDENTITY_ARITY = {"rbr": 2, "modified-rbr": 2, "nijenhuis": 2, "lie-modified": 2}
+# name -> (arity, sides factory taking (algebra, op, lam))
+IDENTITIES = {
+    "rbr": (2, rbr_sides),
+    "modified-rbr": (2, modified_rbr_sides),
+    "nijenhuis": (2, nijenhuis_sides),
+    "lie-modified": (2, lie_modified_sides),
+}
+
+
+def _identity(identity: str) -> tuple:
+    try:
+        return IDENTITIES[identity]
+    except KeyError:
+        raise InvalidDomainError(f"unknown identity {identity!r}") from None
 
 
 def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
                    lam: Fraction):
-    if identity == "rbr":
-        return rbr_sides(op, lam)
-    if identity == "modified-rbr":
-        return modified_rbr_sides(op, lam)
-    if identity == "nijenhuis":
-        return nijenhuis_sides(op, lam)
-    if identity == "lie-modified":
-        return lie_modified_sides(algebra, op, lam)
-    raise InvalidDomainError(f"unknown identity {identity!r}")
+    return _identity(identity)[1](algebra, op, lam)
 
 
 # ---------------------------------------------------------------------------
 # Public checks
 
 
+def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
+          dom: DomainSpec) -> CheckReport:
+    """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``."""
+    arity, make_sides = _identity(identity)
+    return sweep_identity(identity, algebra, op.describe(), lam, dom, arity,
+                          make_sides(algebra, op, lam))
+
+
 def check_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
               dom: DomainSpec) -> CheckReport:
-    return sweep_identity("rbr", algebra, op.describe(), lam, dom, 2,
-                          rbr_sides(op, lam))
+    return check("rbr", algebra, op, lam, dom)
 
 
 def check_modified_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
                        dom: DomainSpec) -> CheckReport:
-    return sweep_identity("modified-rbr", algebra, op.describe(), lam, dom, 2,
-                          modified_rbr_sides(op, lam))
+    return check("modified-rbr", algebra, op, lam, dom)
 
 
 def check_nijenhuis(algebra: Algebra, op: WeightedOperator, lam: Fraction,
                     dom: DomainSpec) -> CheckReport:
-    return sweep_identity("nijenhuis", algebra, op.describe(), lam, dom, 2,
-                          nijenhuis_sides(op, lam))
+    return check("nijenhuis", algebra, op, lam, dom)
 
 
 def check_lie_modified(algebra: Algebra, op: WeightedOperator, lam: Fraction,
                        dom: DomainSpec) -> CheckReport:
-    return sweep_identity("lie-modified", algebra, op.describe(), lam, dom, 2,
-                          lie_modified_sides(algebra, op, lam))
+    return check("lie-modified", algebra, op, lam, dom)
 
 
 def check_idempotent(algebra: Algebra, op: WeightedOperator,
@@ -202,9 +217,9 @@ def _reduce_against(basis_rows: list, pivots: list, vec: list) -> list:
     return vec
 
 
-def _closure_of_span(algebra: FiniteAlgebra, image_cols: list, tag: str):
+def _closure_of_span(algebra: FiniteAlgebra, image_cols: list):
     """Check that span(image_cols) is closed under the product; returns
-    (pairs tested, witness or None)."""
+    (pairs tested, witness or None, rank of the span)."""
     basis_rows, pivots = _rref(image_cols)
     basis = [algebra.from_coords(row) for row in basis_rows]
     count = 0
@@ -215,8 +230,47 @@ def _closure_of_span(algebra: FiniteAlgebra, image_cols: list, tag: str):
             remainder = _reduce_against(basis_rows, pivots, list(product.coords()))
             if any(c != 0 for c in remainder):
                 rem = algebra.from_coords(remainder)
-                return count, Witness((u, v), product, product - rem, rem), tag
-    return count, None, tag
+                return count, Witness((u, v), product, product - rem, rem), len(basis)
+    return count, None, len(basis)
+
+
+def _finite_closures(algebra: FiniteAlgebra, op: WeightedOperator):
+    """Per image: (tag, pairs tested, witness or None, rank note)."""
+    lam = op.weight if op.weight is not None else Fraction(0)
+    rows = operator_matrix(algebra, op)
+    n = algebra.dimension
+    opp_rows = [[(lam if i == j else Fraction(0)) - rows[i][j]
+                 for j in range(n)] for i in range(n)]
+    for tag, mat in (("im(R)", rows), ("im(opposite)", opp_rows)):
+        cols = [[mat[i][j] for i in range(n)] for j in range(n)]
+        count, witness, rank = _closure_of_span(algebra, cols)
+        yield tag, count, witness, f"{tag} rank {rank}"
+
+
+def _window_closures(algebra: LaurentAlgebra, op: WeightedOperator, dom):
+    """Per image: (tag, pairs tested, witness or None, rank note).  Both
+    operators are checked to be monomial projectors on the window before
+    any product is tested."""
+    window = algebra.basis_keys(dom.lo, dom.hi)
+    images = []
+    for tag, weighted in (("im(R)", op), ("im(opposite)", opposite_of(op))):
+        kept = []
+        for e in window:
+            mono = algebra.basis_element(e)
+            image = weighted(mono)
+            if image == mono:
+                kept.append(e)
+            elif not image.is_zero:
+                raise UnsupportedDomainError(
+                    f"operator is not an idempotent monomial projector "
+                    f"on the window: maps {mono} to {image}")
+        images.append((tag, weighted, kept))
+    for tag, weighted, kept in images:
+        witness, count = _first_witness(
+            ((algebra.basis_element(e1), algebra.basis_element(e2))
+             for e1 in kept for e2 in kept),
+            lambda x, y: (x * y, weighted(x * y)))
+        yield tag, count, witness, f"{tag} rank {len(kept)} on window"
 
 
 def check_image_closure(algebra: Algebra, op: WeightedOperator,
@@ -229,83 +283,32 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     on the swept monomials; its image is then the fixed subspace, and
     products of image monomials are tested by the fixed-point property.
     """
-    lam = op.weight if op.weight is not None else Fraction(0)
     if isinstance(algebra, FiniteAlgebra):
-        rows = operator_matrix(algebra, op)
-        n = algebra.dimension
-        opp_rows = [[(lam if i == j else Fraction(0)) - rows[i][j]
-                     for j in range(n)] for i in range(n)]
-        total = 0
-        notes = []
-        for tag, mat in (("im(R)", rows), ("im(opposite)", opp_rows)):
-            cols = [[mat[i][j] for i in range(n)] for j in range(n)]
-            count, witness, _ = _closure_of_span(algebra, cols, tag)
-            total += count
-            rank = len(_rref(cols)[0])
-            notes.append(f"{tag} rank {rank}")
-            if witness is not None:
-                return CheckReport(
-                    check="image-closure", algebra=algebra.describe(),
-                    operator=op.describe(), weight=op.weight,
-                    domain={"mode": "image-basis-pairs"},
-                    status="fail", tuples=total, witness=witness,
-                    notes=tuple(notes + [f"{tag} not closed"]))
-        return CheckReport(
-            check="image-closure", algebra=algebra.describe(),
-            operator=op.describe(), weight=op.weight,
-            domain={"mode": "image-basis-pairs"},
-            status="pass", tuples=total, notes=tuple(notes))
-
-    if isinstance(algebra, LaurentAlgebra):
-        if dom is None:
+        domain = {"mode": "image-basis-pairs"}
+        closures = _finite_closures(algebra, op)
+    elif isinstance(algebra, LaurentAlgebra):
+        if dom is None or dom.mode != "basis":
             raise UnsupportedDomainError(
-                "image closure on a Laurent-type algebra needs an exponent window")
-        window = algebra.basis_keys(dom.lo, dom.hi)
-        opp = opposite_of(op)
-        eigen = {}
-        for which, weighted in (("im(R)", op), ("im(opposite)", opp)):
-            coeffs = {}
-            for e in window:
-                mono = algebra.basis_element(e)
-                image = weighted(mono)
-                if image.is_zero:
-                    coeffs[e] = Fraction(0)
-                elif image == mono:
-                    coeffs[e] = Fraction(1)
-                else:
-                    raise UnsupportedDomainError(
-                        f"operator is not an idempotent monomial projector "
-                        f"on the window: maps {mono} to {image}")
-            eigen[which] = coeffs
-
-        total = 0
-        notes = []
-        for which, weighted in (("im(R)", op), ("im(opposite)", opp)):
-            kept = [e for e in window if eigen[which][e] == 1]
-            notes.append(f"{which} rank {len(kept)} on window")
-            for e1 in kept:
-                for e2 in kept:
-                    total += 1
-                    product = algebra.basis_element(e1) * algebra.basis_element(e2)
-                    fixed = weighted(product)
-                    if fixed != product:
-                        return CheckReport(
-                            check="image-closure", algebra=algebra.describe(),
-                            operator=op.describe(), weight=op.weight,
-                            domain=dom.describe(),
-                            status="fail", tuples=total,
-                            witness=Witness(
-                                (algebra.basis_element(e1), algebra.basis_element(e2)),
-                                product, fixed, product - fixed),
-                            notes=tuple(notes + [f"{which} not closed"]))
-        return CheckReport(
-            check="image-closure", algebra=algebra.describe(),
-            operator=op.describe(), weight=op.weight,
-            domain=dom.describe(), status="pass", tuples=total,
-            notes=tuple(notes))
-
-    raise UnsupportedDomainError(
-        f"image closure is not defined on {algebra.describe()}")
+                "image closure on a Laurent-type algebra needs an exponent "
+                "window, not random samples")
+        domain = dom.describe()
+        closures = _window_closures(algebra, op, dom)
+    else:
+        raise UnsupportedDomainError(
+            f"image closure is not defined on {algebra.describe()}")
+    total = 0
+    notes = []
+    for tag, count, witness, rank_note in closures:
+        total += count
+        notes.append(rank_note)
+        if witness is not None:
+            notes.append(f"{tag} not closed")
+            break
+    return CheckReport(
+        check="image-closure", algebra=algebra.describe(),
+        operator=op.describe(), weight=op.weight, domain=domain,
+        status="pass" if witness is None else "fail", tuples=total,
+        witness=witness, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +317,27 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
 
 def _search_violation(algebra, identity, op, lam, max_range, samples, seed,
                       coeff_bound, support_bound):
-    arity = IDENTITY_ARITY[identity]
-    sides = identity_sides(identity, algebra, op, lam)
-    count = 0
+    """First witness and tuple count over the deduplicated basis windows
+    [-k, k] for k = 0..max_range, then ``samples`` seeded random tuples."""
+    if max_range < 0:
+        raise InvalidDomainError(f"negative search range {max_range}")
+    if samples < 0:
+        raise InvalidDomainError("negative sample count")
+    arity, make_sides = _identity(identity)
+    domains = []
     seen_windows = set()
     for k in range(max_range + 1):
         keys = tuple(algebra.basis_keys(-k, k))
-        if keys in seen_windows:
-            continue
-        seen_windows.add(keys)
-        basis = [algebra.basis_element(key) for key in keys]
-        for tup in itertools.product(basis, repeat=arity):
-            count += 1
-            lhs, rhs = sides(*tup)
-            if lhs != rhs:
-                return Witness(tup, lhs, rhs, lhs - rhs), count
+        if keys not in seen_windows:
+            seen_windows.add(keys)
+            domains.append(DomainSpec.basis(-k, k))
     if samples > 0:
-        spec = DomainSpec.random(samples, lo=-max_range, hi=max_range,
-                                 coeff_bound=coeff_bound,
-                                 support_bound=support_bound, seed=seed)
-        rng = random.Random(seed)
-        for _ in range(samples):
-            tup = tuple(algebra.random_element(spec, rng) for _ in range(arity))
-            count += 1
-            lhs, rhs = sides(*tup)
-            if lhs != rhs:
-                return Witness(tup, lhs, rhs, lhs - rhs), count
-    return None, count
+        domains.append(DomainSpec.random(samples, lo=-max_range, hi=max_range,
+                                         coeff_bound=coeff_bound,
+                                         support_bound=support_bound, seed=seed))
+    tuples = itertools.chain.from_iterable(
+        domain_tuples(algebra, dom, arity) for dom in domains)
+    return _first_witness(tuples, make_sides(algebra, op, lam))
 
 
 def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,

@@ -33,12 +33,10 @@ from .algebras import (
     verify_associativity,
 )
 from .checks import (
+    IDENTITIES,
+    check,
     check_idempotent,
     check_image_closure,
-    check_lie_modified,
-    check_modified_rbr,
-    check_nijenhuis,
-    check_rbr,
     violation_report,
 )
 from .dendriform import (
@@ -70,9 +68,9 @@ from .operators import (
     sum_operator,
 )
 from .rationals import format_rational, parse_rational
-from .report import CheckReport, Witness, dumps_reports
-from .suite import dumps_suite, run_suite
-from .tensor import acybe_residual, induced_operator, tensor2_from_json, tensor3
+from .report import CheckReport, dumps_reports
+from .suite import acybe_report, dumps_suite, run_suite
+from .tensor import induced_operator, tensor2_from_json
 
 SEED_ENV_VAR = "ROTABAXTER_SEED"
 
@@ -173,6 +171,19 @@ def _resolve_preset(name: str, params: str | None, algebra: Algebra,
     raise FormatError(f"unknown operator preset {name!r}")
 
 
+# function -> (argument kinds, constructor); kind "e" is an operator
+# expression, "q" a rational
+_FUNCTIONS = {
+    "scale": ("qe", scale_operator),
+    "sum": ("ee", sum_operator),
+    "compose": ("ee", compose_operator),
+    "modified": ("e", modified_of),
+    "opposite": ("e", opposite_of),
+    "nijenhuis": ("eq", nijenhuis_family),
+    "normalize": ("e", normalize_weight),
+}
+
+
 class _ExprParser:
     """Recursive descent over scale/sum/compose/modified/opposite/
     nijenhuis/normalize applied to presets."""
@@ -212,43 +223,16 @@ class _ExprParser:
             raise FormatError(f"expected an operator, got {tok!r}")
         if self.peek() == "(":
             self.take("(")
-            if tok == "scale":
-                mu = self.rational()
-                self.take(",")
-                inner = self.expr()
-                self.take(")")
-                return scale_operator(mu, inner)
-            if tok == "sum":
-                a = self.expr()
-                self.take(",")
-                b = self.expr()
-                self.take(")")
-                return sum_operator(a, b)
-            if tok == "compose":
-                a = self.expr()
-                self.take(",")
-                b = self.expr()
-                self.take(")")
-                return compose_operator(a, b)
-            if tok == "modified":
-                inner = self.expr()
-                self.take(")")
-                return modified_of(inner)
-            if tok == "opposite":
-                inner = self.expr()
-                self.take(")")
-                return opposite_of(inner)
-            if tok == "nijenhuis":
-                inner = self.expr()
-                self.take(",")
-                alpha = self.rational()
-                self.take(")")
-                return nijenhuis_family(inner, alpha)
-            if tok == "normalize":
-                inner = self.expr()
-                self.take(")")
-                return normalize_weight(inner)
-            raise FormatError(f"unknown operator function {tok!r}")
+            if tok not in _FUNCTIONS:
+                raise FormatError(f"unknown operator function {tok!r}")
+            kinds, build = _FUNCTIONS[tok]
+            args = []
+            for n, kind in enumerate(kinds):
+                if n:
+                    self.take(",")
+                args.append(self.expr() if kind == "e" else self.rational())
+            self.take(")")
+            return build(*args)
         m = _PRESET_RE.match(tok)
         if not m:
             raise FormatError(f"bad operator token {tok!r}")
@@ -338,6 +322,15 @@ def _require_weight(config: RunConfig) -> Fraction:
     return config.weight
 
 
+# check command -> identity swept by checks.check
+_IDENTITY_COMMANDS = {
+    "check-rbr": "rbr",
+    "check-modified": "modified-rbr",
+    "check-nijenhuis": "nijenhuis",
+    "check-lie-modified": "lie-modified",
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit code."""
     if config.command == "suite":
@@ -362,39 +355,19 @@ def run(config: RunConfig) -> int:
     if config.command in ("acybe", "induce"):
         r, algebra = load_tensor(config.tensor_path)
         if config.command == "acybe":
-            residual = acybe_residual(r)
-            witness = None if residual.is_zero else \
-                Witness((r,), residual, tensor3(algebra, {}), residual)
-            report = CheckReport(
-                check="acybe", algebra=algebra.describe(),
-                operator=str(r), weight=None,
-                domain={"mode": "exact-residual"},
-                status="pass" if residual.is_zero else "fail",
-                tuples=1, witness=witness)
-            return _emit(report, config.output)
+            return _emit(acybe_report(r, str(r)), config.output)
         op = induced_operator(r)
         lam = config.weight if config.weight is not None else Fraction(0)
         dom = config.domain or DomainSpec.basis(0, 0)
-        return _emit(check_rbr(algebra, op, lam, dom), config.output)
+        return _emit(check("rbr", algebra, op, lam, dom), config.output)
 
     algebra, context = parse_algebra(config.algebra)
     operator = parse_operator(config.operator, algebra, context, config.weight)
     dom = config.domain
 
-    if config.command == "check-rbr":
-        return _emit(check_rbr(algebra, operator, _require_weight(config), dom),
-                     config.output)
-    if config.command == "check-modified":
-        return _emit(check_modified_rbr(algebra, operator,
-                                        _require_weight(config), dom),
-                     config.output)
-    if config.command == "check-nijenhuis":
-        return _emit(check_nijenhuis(algebra, operator,
-                                     _require_weight(config), dom),
-                     config.output)
-    if config.command == "check-lie-modified":
-        return _emit(check_lie_modified(algebra, operator,
-                                        _require_weight(config), dom),
+    if config.command in _IDENTITY_COMMANDS:
+        return _emit(check(_IDENTITY_COMMANDS[config.command], algebra, operator,
+                           _require_weight(config), dom),
                      config.output)
     if config.command == "check-idempotent":
         return _emit(check_idempotent(algebra, operator, dom), config.output)
@@ -484,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("check-rbr", "check-modified", "check-nijenhuis",
-                 "check-lie-modified", "check-idempotent"):
+    for name in (*_IDENTITY_COMMANDS, "check-idempotent"):
         p = sub.add_parser(name)
         _add_common(p)
 
@@ -501,21 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("violate")
     _add_common(p)
-    p.add_argument("--identity", choices=["rbr", "modified-rbr", "nijenhuis",
-                                          "lie-modified"], default="rbr")
+    p.add_argument("--identity", choices=list(IDENTITIES), default="rbr")
     p.add_argument("--max-range", type=int, default=4)
 
-    for name in ("acybe", "induce"):
-        p = sub.add_parser(name)
-        p.add_argument("--tensor", required=True, help="tensor JSON file")
-        p.add_argument("--weight", type=parse_rational, default=None)
-        p.add_argument("--range", nargs=2, type=int, default=[0, 0])
-        p.add_argument("--random", action="store_true")
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--coeff-bound", type=int, default=5)
-        p.add_argument("--support-bound", type=int, default=3)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None)
+    p = sub.add_parser("acybe")
+    p.add_argument("--tensor", required=True, help="tensor JSON file")
+    p.add_argument("--output", default=None)
+
+    p = sub.add_parser("induce")
+    p.add_argument("--tensor", required=True, help="tensor JSON file")
+    p.add_argument("--weight", type=parse_rational, default=None)
+    p.add_argument("--range", nargs=2, type=int, default=[0, 0])
+    p.add_argument("--random", action="store_true")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--coeff-bound", type=int, default=5)
+    p.add_argument("--support-bound", type=int, default=3)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("suite")
     p.add_argument("preset", nargs="?", default="paper-all")

@@ -18,11 +18,6 @@ from fractions import Fraction
 
 from .errors import FormatError, ZeroDenominatorError
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # Optional minus on the numerator only; no signs on the denominator.
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 

@@ -90,10 +90,10 @@ def acybe_report(r, name: str, expected_residual=None) -> CheckReport:
     if expected_residual is not None and residual != expected_residual:
         notes = ("residual differs from the recorded value",)
     witness = None if residual.is_zero else Witness((r,), residual,
-                                                    tensor3(r.algebra, {}),
+                                                    residual.algebra.zero(),
                                                     residual)
     return CheckReport(
-        check="acybe", algebra=r.algebra.describe(), operator=name,
+        check="acybe", algebra=r.algebra.base.describe(), operator=name,
         weight=None, domain={"mode": "exact-residual"},
         status="pass" if residual.is_zero else "fail",
         tuples=1, witness=witness, notes=notes)

@@ -17,75 +17,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Primitive
+from .algebra import Algebra, Element, Primitive
 from .algebras import FiniteAlgebra
-from .errors import AlgebraMismatchError, FormatError, UnsupportedDomainError
+from .errors import FormatError, UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
 
 
-class _Tensor:
-    """Shared sparse representation: keys are index tuples."""
+class TensorAlgebra(Algebra):
+    """A⊗…⊗A (``rank`` factors) with the factor-wise product; basis keys
+    are index tuples, one base index per factor."""
 
-    __slots__ = ("algebra", "terms")
-    rank = 0
+    def __init__(self, base: FiniteAlgebra, rank: int):
+        self.base = base
+        self.rank = rank
 
-    def __init__(self, algebra: FiniteAlgebra, terms):
-        clean = {}
-        for key, coeff in terms.items():
-            key = tuple(key)
-            if len(key) != self.rank:
-                raise FormatError(f"tensor key {key} must have {self.rank} indices")
-            for idx in key:
-                algebra.validate_key(idx)
-            coeff = as_rational(coeff)
-            if coeff != 0:
-                clean[key] = clean.get(key, Fraction(0)) + coeff
-        clean = {k: c for k, c in clean.items() if c != 0}
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", clean)
+    def validate_key(self, key) -> None:
+        if not isinstance(key, tuple) or len(key) != self.rank:
+            raise FormatError(f"tensor key {key} must have {self.rank} indices")
+        for idx in key:
+            self.base.validate_key(idx)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("tensors are immutable")
+    def basis_product(self, i: tuple, j: tuple):
+        out = {(): Fraction(1)}
+        for a, b in zip(i, j):
+            factor = self.base.basis_product(a, b)
+            if not factor:
+                return {}
+            out = {key + (k,): c * ck for key, c in out.items()
+                   for k, ck in factor.items()}
+        return out
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_same(self, other):
-        if self.algebra != other.algebra or self.rank != other.rank:
-            raise AlgebraMismatchError("tensor operands do not match")
-
-    def __add__(self, other):
-        self._check_same(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return type(self)(self.algebra, merged)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, scalar):
-        c = as_rational(scalar)
-        return type(self)(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        if self.is_zero:
+    def format_element(self, x: Element) -> str:
+        if x.is_zero:
             return "0"
         chunks = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
+        for key in sorted(x.terms):
+            coeff = x.terms[key]
             mag = abs(coeff)
             body = f"e[{','.join(str(i) for i in key)}]"
             if mag != 1:
@@ -96,24 +64,23 @@ class _Tensor:
                 chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(chunks)
 
-    def __repr__(self):
-        return f"<{type(self).__name__} {self}>"
+    def describe(self) -> str:
+        return "⊗".join([self.base.describe()] * self.rank)
+
+    def __eq__(self, other):
+        return (isinstance(other, TensorAlgebra) and self.rank == other.rank
+                and self.base == other.base)
+
+    def __hash__(self):
+        return hash(("tensor", self.rank, self.base))
 
 
-class Tensor2(_Tensor):
-    rank = 2
+def tensor2(algebra: FiniteAlgebra, terms) -> Element:
+    return TensorAlgebra(algebra, 2).element(terms)
 
 
-class Tensor3(_Tensor):
-    rank = 3
-
-
-def tensor2(algebra: FiniteAlgebra, terms) -> Tensor2:
-    return Tensor2(algebra, terms)
-
-
-def tensor3(algebra: FiniteAlgebra, terms) -> Tensor3:
-    return Tensor3(algebra, terms)
+def tensor3(algebra: FiniteAlgebra, terms) -> Element:
+    return TensorAlgebra(algebra, 3).element(terms)
 
 
 def _unit_terms(algebra: FiniteAlgebra) -> dict:
@@ -123,52 +90,41 @@ def _unit_terms(algebra: FiniteAlgebra) -> dict:
     return {i: c for i, c in enumerate(algebra.constants.unit) if c != 0}
 
 
-def embed(r: Tensor2, slots: str) -> Tensor3:
+# slot pair -> where (i, j) of r and the unit index u go in A⊗A⊗A
+_EMBEDDINGS = {
+    "12": lambda i, j, u: (i, j, u),
+    "13": lambda i, j, u: (i, u, j),
+    "23": lambda i, j, u: (u, i, j),
+}
+
+
+def embed(r: Element, slots: str) -> Element:
     """Insert the unit in the slot omitted by ``slots`` ("12", "13", "23")."""
-    unit = _unit_terms(r.algebra)
-    out: dict = {}
-    for (i, j), coeff in r.terms.items():
-        for u, cu in unit.items():
-            if slots == "12":
-                key = (i, j, u)
-            elif slots == "13":
-                key = (i, u, j)
-            elif slots == "23":
-                key = (u, i, j)
-            else:
-                raise FormatError(f"slot pair must be 12, 13 or 23, got {slots!r}")
-            out[key] = out.get(key, Fraction(0)) + coeff * cu
-    return Tensor3(r.algebra, out)
+    base = r.algebra.base
+    unit = _unit_terms(base)
+    if slots not in _EMBEDDINGS:
+        raise FormatError(f"slot pair must be 12, 13 or 23, got {slots!r}")
+    place = _EMBEDDINGS[slots]
+    return tensor3(base, {place(i, j, u): c * cu for (i, j), c in r.terms.items()
+                          for u, cu in unit.items()})
 
 
-def mul3(s: Tensor3, t: Tensor3) -> Tensor3:
+def mul3(s: Element, t: Element) -> Element:
     """Slot-wise product in A⊗A⊗A."""
-    s._check_same(t)
-    alg = s.algebra
-    out: dict = {}
-    for (a1, a2, a3), ca in s.terms.items():
-        for (b1, b2, b3), cb in t.terms.items():
-            c = ca * cb
-            for k1, c1 in alg.basis_product(a1, b1).items():
-                for k2, c2 in alg.basis_product(a2, b2).items():
-                    c12 = c1 * c2
-                    for k3, c3 in alg.basis_product(a3, b3).items():
-                        key = (k1, k2, k3)
-                        out[key] = out.get(key, Fraction(0)) + c * c12 * c3
-    return Tensor3(alg, out)
+    return s * t
 
 
-def acybe_residual(r: Tensor2) -> Tensor3:
+def acybe_residual(r: Element) -> Element:
     """Exact residual; r solves the equation iff the residual is zero."""
     r12 = embed(r, "12")
     r13 = embed(r, "13")
     r23 = embed(r, "23")
-    return mul3(r13, r12) - mul3(r12, r23) + mul3(r23, r13)
+    return r13 * r12 - r12 * r23 + r23 * r13
 
 
-def induced_operator(r: Tensor2) -> WeightedOperator:
+def induced_operator(r: Element) -> WeightedOperator:
     """x ↦ Σ c_ij · e_i·x·e_j for r = Σ c_ij e_i⊗e_j; declared weight 0."""
-    alg = r.algebra
+    alg = r.algebra.base
     _unit_terms(alg)
     terms = tuple(sorted(r.terms.items()))
 
@@ -193,7 +149,7 @@ def induced_operator(r: Tensor2) -> WeightedOperator:
 #    "terms": [{"i": p, "j": q, "coeff": "p/q"}, ...]}   (0-based indices)
 
 
-def tensor2_from_json(data, algebra: FiniteAlgebra) -> Tensor2:
+def tensor2_from_json(data, algebra: FiniteAlgebra) -> Element:
     if not isinstance(data, dict):
         raise FormatError("tensor file must be a JSON object")
     raw = data.get("terms")
@@ -208,10 +164,10 @@ def tensor2_from_json(data, algebra: FiniteAlgebra) -> Tensor2:
             raise FormatError(f"field 'terms'[{k}]: indices must be integers")
         key = (i, j)
         terms[key] = terms.get(key, Fraction(0)) + as_rational(entry["coeff"])
-    return Tensor2(algebra, terms)
+    return tensor2(algebra, terms)
 
 
-def tensor2_to_json(r: Tensor2, algebra_name: str) -> dict:
+def tensor2_to_json(r: Element, algebra_name: str) -> dict:
     return {
         "algebra": algebra_name,
         "terms": [{"i": i, "j": j, "coeff": format_rational(c)}

@@ -1,0 +1,38 @@
+"""The hooks the benchmark's tracer (perfbench/tracer.py) relies on.
+
+The tracer wraps package functions by name and counts the tuples of the
+leaf reports that get serialised.  A renamed hook, or a report counted
+twice, would break the traced benchmark run; this test catches both.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import rotabaxter.checks as checks
+from rotabaxter.algebra import DomainSpec
+from rotabaxter.algebras import laurent
+from rotabaxter.operators import make_rms, make_shift_truncation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import Tracer  # noqa: E402
+
+
+def test_traced_tuples_match_reports():
+    L = laurent()
+    tracer = Tracer("full", "hooks")
+    tracer.install()
+    try:
+        # module attributes, so the tracer's replacements are the ones called
+        passing = checks.check_rbr(L, make_rms(), Fraction(1), DomainSpec.basis(-3, 3))
+        failing = checks.violation_report(L, "rbr", make_shift_truncation(1),
+                                          Fraction(1), max_range=4, samples=0)
+        reports = [passing, failing]
+        for report in reports:
+            report.to_json()
+    finally:
+        tracer.uninstall()
+    assert [r.status for r in reports] == ["pass", "fail"]
+    assert passing.tuples == 49
+    assert tracer.output_tuples() == sum(r.tuples for r in reports)
+    assert set(tracer.per_check) == {"rbr", "violate.rbr"}

@@ -363,3 +363,29 @@ def test_random_mode_reports_byte_deterministic():
     a = dumps_reports(check_rbr(L, MS, ONE, dom))
     b = dumps_reports(check_rbr(L, MS, ONE, dom))
     assert a == b
+
+
+def test_identity_table_drives_check():
+    from rotabaxter.checks import IDENTITIES, check
+    from rotabaxter.errors import InvalidDomainError
+
+    assert list(IDENTITIES) == ["rbr", "modified-rbr", "nijenhuis", "lie-modified"]
+    dom = DomainSpec.basis(-3, 3)
+    assert dumps_reports(check("rbr", L, MS, ONE, dom)) == \
+        dumps_reports(check_rbr(L, MS, ONE, dom))
+    with pytest.raises(InvalidDomainError):
+        check("no-such-identity", L, MS, ONE, dom)
+    with pytest.raises(InvalidDomainError):
+        identity_sides("no-such-identity", L, MS, ONE)
+
+
+def test_violation_search_budget_counts():
+    # windows [-k, k] for k = 0..4, then the random samples
+    report = violation_report(L, "rbr", make_shift_truncation(0), ONE,
+                              max_range=4, samples=20)
+    assert report.passed and report.tuples == 165 + 20
+    # a finite algebra's windows all coincide, so the basis is swept once
+    m2 = make_matrix_algebra(2)
+    report = violation_report(m2, "rbr", make_identity_operator(m2), ONE,
+                              max_range=4, samples=5)
+    assert report.passed and report.tuples == 16 + 5

@@ -244,3 +244,39 @@ def test_suite_verdicts_insensitive_to_seed(tmp_path):
     va = [(e["name"], e["status"]) for e in json.loads(a.read_text())["entries"]]
     vb = [(e["name"], e["status"]) for e in json.loads(b.read_text())["entries"]]
     assert va == vb
+
+
+# --- sweeps that would test no tuple are refused -----------------------------
+
+
+def test_random_mode_without_samples_is_refused():
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
+                   "--weight", "1", "--random", "--samples", "0") == 2
+
+
+def test_violate_negative_range_is_refused():
+    assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
+                   "--weight", "1", "--samples", "0", "--max-range", "-1") == 2
+
+
+def test_violate_negative_samples_is_refused():
+    assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
+                   "--weight", "1", "--samples", "-5") == 2
+
+
+def test_image_closure_on_laurent_refuses_random_mode():
+    assert run_cli("check-image-closure", "--algebra", "laurent", "--operator",
+                   "ms", "--weight", "1", "--random", "--samples", "3") == 2
+
+
+def test_acybe_takes_only_tensor_and_output(tmp_path):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({
+        "algebra": "matrix:2",
+        "terms": [{"i": 1, "j": 1, "coeff": "1"}],
+    }))
+    out = tmp_path / "report.json"
+    assert run_cli("acybe", "--tensor", str(solution), "--output", str(out)) == 0
+    assert json.loads(out.read_text())["algebra"] == "matrix(4)"
+    with pytest.raises(SystemExit):
+        run_cli("acybe", "--tensor", str(solution), "--weight", "1")

@@ -143,3 +143,17 @@ def test_componentwise_tensors_also_work():
     r = tensor2(a2, {(0, 0): 1})
     residual = acybe_residual(r)
     assert residual == tensor3(a2, {(0, 0, 0): 1})
+
+
+def test_tensors_are_elements_of_tensor_algebras():
+    from rotabaxter.algebra import Element
+    from rotabaxter.errors import FormatError
+    from rotabaxter.tensor import TensorAlgebra
+
+    r = tensor2(M2, {(E(0, 1), E(1, 0)): 1})
+    assert isinstance(r, Element) and r.algebra == TensorAlgebra(M2, 2)
+    assert acybe_residual(r).algebra == TensorAlgebra(M2, 3)
+    with pytest.raises(FormatError, match="must have 2 indices"):
+        tensor2(M2, {(0,): 1})
+    with pytest.raises(FormatError, match="must have 3 indices"):
+        tensor3(M2, {(0, 0): 1})
