@@ -22,7 +22,7 @@ from .errors import (
     InvalidDomainError,
     OperatorDomainError,
 )
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, normalize, parse_rational
 
 
 class Element:
@@ -34,16 +34,25 @@ class Element:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra, terms: Mapping[int, Fraction]):
+    def __init__(self, algebra, terms: Mapping):
         clean = {}
         for key, coeff in terms.items():
             coeff = as_rational(coeff)
             if coeff != 0:
                 algebra.validate_key(key)
-                clean[key] = clean.get(key, Fraction(0)) + coeff
+                clean[key] = clean.get(key, 0) + coeff
         clean = {k: c for k, c in clean.items() if c != 0}
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, algebra, terms: Mapping) -> "Element":
+        """Build an arithmetic result whose keys are valid for ``algebra``
+        and whose coefficients are already exact; only zeros are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -52,8 +61,8 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
 
     def support(self) -> tuple:
         return tuple(sorted(self.terms))
@@ -63,10 +72,10 @@ class Element:
         n = self.algebra.dimension
         if n is None:
             raise AlgebraMismatchError("coords() needs a finite-dimensional algebra")
-        return tuple(self.terms.get(i, Fraction(0)) for i in range(n))
+        return tuple(self.terms.get(i, 0) for i in range(n))
 
     def _check_same(self, other: "Element") -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatchError(
                 f"operands from different algebras: "
                 f"{self.algebra.describe()} vs {other.algebra.describe()}"
@@ -78,20 +87,26 @@ class Element:
         self._check_same(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return Element(self.algebra, merged)
+            merged[key] = merged.get(key, 0) + coeff
+        return Element._trusted(self.algebra, merged)
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        self._check_same(other)
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            merged[key] = merged.get(key, 0) - coeff
+        return Element._trusted(self.algebra, merged)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {k: -c for k, c in self.terms.items()})
+        return Element._trusted(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar) -> "Element":
         c = as_rational(scalar)
-        return Element(self.algebra, {k: c * v for k, v in self.terms.items()})
+        if c == 1:
+            return self
+        return Element._trusted(self.algebra, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -134,7 +149,8 @@ class Algebra:
         raise NotImplementedError
 
     def basis_product(self, i, j) -> Mapping:
-        """Coefficients of e_i · e_j as a key -> Rational mapping."""
+        """Coefficients of e_i · e_j as a key -> coefficient mapping;
+        callers only read it."""
         raise NotImplementedError
 
     def element(self, terms: Mapping) -> Element:
@@ -144,21 +160,23 @@ class Algebra:
         return Element(self, {})
 
     def basis_element(self, key) -> Element:
-        return Element(self, {key: Fraction(1)})
+        return Element(self, {key: 1})
 
     def unit(self) -> Element:
         raise OperatorDomainError(f"{self.describe()} has no unit")
 
     def multiply(self, a: Element, b: Element) -> Element:
-        if a.algebra != self or b.algebra != self:
+        if ((a.algebra is not self and a.algebra != self)
+                or (b.algebra is not self and b.algebra != self)):
             raise AlgebraMismatchError("operands do not belong to this algebra")
+        basis_product = self.basis_product
         acc: dict = {}
         for i, ci in a.terms.items():
             for j, cj in b.terms.items():
                 cij = ci * cj
-                for k, ck in self.basis_product(i, j).items():
-                    acc[k] = acc.get(k, Fraction(0)) + cij * ck
-        return Element(self, acc)
+                for k, ck in basis_product(i, j).items():
+                    acc[k] = acc.get(k, 0) + cij * ck
+        return Element._trusted(self, acc)
 
     def basis_keys(self, lo: int, hi: int) -> list:
         """Basis keys swept by exhaustive mode; Laurent kinds use the
@@ -181,10 +199,10 @@ class Algebra:
         return f"<algebra {self.describe()}>"
 
 
-def _random_coeff(rng, bound: int) -> Fraction:
+def _random_coeff(rng, bound: int):
     num = rng.randint(-bound, bound) if bound > 0 else 0
     den = rng.randint(1, bound) if bound > 0 else 1
-    return Fraction(num, den)
+    return normalize(num, den)
 
 
 class DomainSpec:
@@ -266,10 +284,10 @@ class OperatorExpr:
         return Sum(self, other)
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return Sum(self, Scale(Fraction(-1), other))
+        return Sum(self, Scale(-1, other))
 
     def __neg__(self) -> "OperatorExpr":
-        return Scale(Fraction(-1), self)
+        return Scale(-1, self)
 
     def __rmul__(self, scalar) -> "OperatorExpr":
         return Scale(as_rational(scalar), self)
@@ -454,7 +472,7 @@ def parse_laurent_literal(algebra: Algebra, text: str) -> Element:
             raise FormatError(f"bad element literal near {text[pos:]!r}")
         if not first and sign is None:
             raise FormatError(f"missing sign before {text[pos:]!r}")
-        value = parse_rational(coeff) if coeff is not None else Fraction(1)
+        value = parse_rational(coeff) if coeff is not None else 1
         if sign == "-":
             value = -value
         if var is not None:
@@ -464,7 +482,7 @@ def parse_laurent_literal(algebra: Algebra, text: str) -> Element:
             exponent = int(exp) if exp is not None else 1
         else:
             exponent = 0
-        terms[exponent] = terms.get(exponent, Fraction(0)) + value
+        terms[exponent] = terms.get(exponent, 0) + value
         pos = m.end()
         first = False
     return algebra.element(terms)

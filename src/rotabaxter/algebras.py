@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     Algebra,
@@ -41,7 +40,7 @@ class LaurentAlgebra(Algebra):
             raise FormatError(f"Laurent exponent must be an integer, got {key!r}")
 
     def basis_product(self, i: int, j: int):
-        return {i + j: Fraction(1)}
+        return {i + j: 1}
 
     def monomial(self, exponent: int, coeff=1) -> Element:
         return self.element({exponent: as_rational(coeff)})
@@ -142,6 +141,11 @@ class FiniteAlgebra(Algebra):
         self.kind = kind
         self.dimension = constants.dim
         self.unital = constants.unit is not None
+        # e_i · e_j as a sparse {k: c_ijk} mapping, built once and handed
+        # out read-only by basis_product
+        self._products = tuple(
+            tuple({k: c for k, c in enumerate(row) if c != 0} for row in plane)
+            for plane in constants.table)
 
     def validate_key(self, key) -> None:
         if not isinstance(key, int) or not 0 <= key < self.dimension:
@@ -149,8 +153,7 @@ class FiniteAlgebra(Algebra):
                 f"basis index {key!r} outside 0..{self.dimension - 1}")
 
     def basis_product(self, i: int, j: int):
-        row = self.constants.table[i][j]
-        return {k: c for k, c in enumerate(row) if c != 0}
+        return self._products[i][j]
 
     def unit(self) -> Element:
         if self.constants.unit is None:
@@ -195,9 +198,9 @@ def make_componentwise(n: int) -> FiniteAlgebra:
     """
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
-    entries = [[[Fraction(1) if i == j == k else Fraction(0) for k in range(n)]
+    entries = [[[1 if i == j == k else 0 for k in range(n)]
                 for j in range(n)] for i in range(n)]
-    unit = [Fraction(1)] * n
+    unit = [1] * n
     return FiniteAlgebra(StructureConstants.build(n, entries, unit), kind="componentwise")
 
 
@@ -212,8 +215,7 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     dim = n * n
-    zero = Fraction(0)
-    entries = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    entries = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for p in range(n):
         for q in range(n):
             for r in range(n):
@@ -222,10 +224,10 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
                         i = matrix_basis_index(n, p, q)
                         j = matrix_basis_index(n, r, s)
                         k = matrix_basis_index(n, p, s)
-                        entries[i][j][k] = Fraction(1)
-    unit = [zero] * dim
+                        entries[i][j][k] = 1
+    unit = [0] * dim
     for p in range(n):
-        unit[matrix_basis_index(n, p, p)] = Fraction(1)
+        unit[matrix_basis_index(n, p, p)] = 1
     return FiniteAlgebra(StructureConstants.build(dim, entries, unit), kind="matrix")
 
 

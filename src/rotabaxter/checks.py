@@ -22,6 +22,7 @@ from .algebra import Algebra, DomainSpec, lie_bracket
 from .algebras import FiniteAlgebra, LaurentAlgebra
 from .errors import InvalidDomainError, UnsupportedDomainError
 from .operators import WeightedOperator, operator_matrix, opposite_of
+from .rationals import div
 from .report import CheckReport, Witness
 
 
@@ -196,7 +197,7 @@ def _rref(rows: list) -> tuple:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
+        rows[r] = [div(v, pv) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -236,10 +237,10 @@ def _closure_of_span(algebra: FiniteAlgebra, image_cols: list):
 
 def _finite_closures(algebra: FiniteAlgebra, op: WeightedOperator):
     """Per image: (tag, pairs tested, witness or None, rank note)."""
-    lam = op.weight if op.weight is not None else Fraction(0)
+    lam = op.weight if op.weight is not None else 0
     rows = operator_matrix(algebra, op)
     n = algebra.dimension
-    opp_rows = [[(lam if i == j else Fraction(0)) - rows[i][j]
+    opp_rows = [[(lam if i == j else 0) - rows[i][j]
                  for j in range(n)] for i in range(n)]
     for tag, mat in (("im(R)", rows), ("im(opposite)", opp_rows)):
         cols = [[mat[i][j] for i in range(n)] for j in range(n)]
@@ -282,15 +283,18 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     window (``dom``) and an operator acting diagonally and idempotently
     on the swept monomials; its image is then the fixed subspace, and
     products of image monomials are tested by the fixed-point property.
+    Random-mode domains are refused for both kinds.
     """
+    if dom is not None and dom.mode != "basis":
+        raise UnsupportedDomainError(
+            "image closure is swept on basis images, not random samples")
     if isinstance(algebra, FiniteAlgebra):
         domain = {"mode": "image-basis-pairs"}
         closures = _finite_closures(algebra, op)
     elif isinstance(algebra, LaurentAlgebra):
-        if dom is None or dom.mode != "basis":
+        if dom is None:
             raise UnsupportedDomainError(
-                "image closure on a Laurent-type algebra needs an exponent "
-                "window, not random samples")
+                "image closure on a Laurent-type algebra needs an exponent window")
         domain = dom.describe()
         closures = _window_closures(algebra, op, dom)
     else:
@@ -354,11 +358,12 @@ def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,
 
 def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                      lam: Fraction, max_range: int = 4, samples: int = 200,
-                     seed: int = 0) -> CheckReport:
+                     seed: int = 0, coeff_bound: int = 3,
+                     support_bound: int = 3) -> CheckReport:
     """Report form of :func:`find_violation`: status "fail" plus witness
     when the search succeeds, "pass" when the budget is exhausted."""
     witness, count = _search_violation(algebra, identity, op, lam, max_range,
-                                       samples, seed, 3, 3)
+                                       samples, seed, coeff_bound, support_bound)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": samples, "seed": seed}
     note = ("witness found by expanding search",) if witness is not None \

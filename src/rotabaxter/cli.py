@@ -49,7 +49,7 @@ from .dendriform import (
     check_star_associative,
     check_trialgebra,
 )
-from .errors import FormatError, RotaBaxterError
+from .errors import FormatError, InvalidDomainError, RotaBaxterError
 from .operators import (
     WeightedOperator,
     compose_operator,
@@ -89,6 +89,9 @@ class RunConfig:
     identity: str = "rbr"
     max_range: int = 4
     samples: int = 200
+    coeff_bound: int = 3
+    support_bound: int = 3
+    range_given: bool = False
     tensor_path: str | None = None
     suite_preset: str | None = None
 
@@ -357,11 +360,14 @@ def run(config: RunConfig) -> int:
         if config.command == "acybe":
             return _emit(acybe_report(r, str(r)), config.output)
         op = induced_operator(r)
-        lam = config.weight if config.weight is not None else Fraction(0)
-        dom = config.domain or DomainSpec.basis(0, 0)
-        return _emit(check("rbr", algebra, op, lam, dom), config.output)
+        lam = config.weight if config.weight is not None else 0
+        return _emit(check("rbr", algebra, op, lam, config.domain), config.output)
 
     algebra, context = parse_algebra(config.algebra)
+    if config.range_given and isinstance(algebra, FiniteAlgebra):
+        raise InvalidDomainError(
+            f"--range is an exponent window; {algebra.describe()} is "
+            f"finite-dimensional and its checks sweep the whole basis")
     operator = parse_operator(config.operator, algebra, context, config.weight)
     dom = config.domain
 
@@ -378,7 +384,9 @@ def run(config: RunConfig) -> int:
         return _emit(violation_report(algebra, config.identity, operator, lam,
                                       max_range=config.max_range,
                                       samples=config.samples,
-                                      seed=config.seed),
+                                      seed=config.seed,
+                                      coeff_bound=config.coeff_bound,
+                                      support_bound=config.support_bound),
                      config.output)
     if config.command == "dendriform":
         return _run_dendriform(config, algebra, operator)
@@ -423,26 +431,38 @@ def _run_dendriform(config: RunConfig, algebra, operator) -> int:
 # Argument parsing
 
 
-def _add_common(parser, needs_algebra=True, needs_operator=True):
-    if needs_algebra:
-        parser.add_argument("--algebra", required=True,
-                            help="laurent | polynomial | miller:s,t | "
-                                 "componentwise:n | matrix:n | file:PATH")
-    if needs_operator:
-        parser.add_argument("--operator", required=True,
-                            help="preset (ms, ms-opp, integration, shift:r, "
-                                 "miller, id, file:PATH) or expression over "
-                                 "scale/sum/compose/modified/opposite/"
-                                 "nijenhuis/normalize")
+# exponent window of a check command without --range
+_DEFAULT_WINDOW = (-4, 4)
+
+
+def _add_common(parser, window=True, random_mode=True, coeff_bound=5):
+    """Algebra and operator selectors plus :func:`_add_check_options`."""
+    parser.add_argument("--algebra", required=True,
+                        help="laurent | polynomial | miller:s,t | "
+                             "componentwise:n | matrix:n | file:PATH")
+    parser.add_argument("--operator", required=True,
+                        help="preset (ms, ms-opp, integration, shift:r, "
+                             "miller, id, file:PATH) or expression over "
+                             "scale/sum/compose/modified/opposite/"
+                             "nijenhuis/normalize")
+    _add_check_options(parser, window, random_mode, coeff_bound)
+
+
+def _add_check_options(parser, window, random_mode, coeff_bound):
+    """Weight, domain and output options; ``window`` adds --range (the
+    Laurent-type exponent window), ``random_mode`` adds --random."""
     parser.add_argument("--weight", type=parse_rational, default=None,
                         help="weight λ used by the check (p/q)")
-    parser.add_argument("--range", nargs=2, type=int, default=[-4, 4],
-                        metavar=("LO", "HI"),
-                        help="exponent window for exhaustive basis mode")
-    parser.add_argument("--random", action="store_true",
-                        help="random elements instead of exhaustive basis tuples")
+    if window:
+        parser.add_argument("--range", nargs=2, type=int, default=None,
+                            metavar=("LO", "HI"),
+                            help="exponent window for exhaustive basis mode "
+                                 "(Laurent-type algebras only; default -4 4)")
+    if random_mode:
+        parser.add_argument("--random", action="store_true",
+                            help="random elements instead of exhaustive basis tuples")
     parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--coeff-bound", type=int, default=5)
+    parser.add_argument("--coeff-bound", type=int, default=coeff_bound)
     parser.add_argument("--support-bound", type=int, default=3)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
@@ -472,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "rbr-compositions"], default=None)
 
     p = sub.add_parser("violate")
-    _add_common(p)
+    _add_common(p, window=False, random_mode=False, coeff_bound=3)
     p.add_argument("--identity", choices=list(IDENTITIES), default="rbr")
     p.add_argument("--max-range", type=int, default=4)
 
@@ -482,14 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("induce")
     p.add_argument("--tensor", required=True, help="tensor JSON file")
-    p.add_argument("--weight", type=parse_rational, default=None)
-    p.add_argument("--range", nargs=2, type=int, default=[0, 0])
-    p.add_argument("--random", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--coeff-bound", type=int, default=5)
-    p.add_argument("--support-bound", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
+    _add_check_options(p, window=False, random_mode=True, coeff_bound=5)
 
     p = sub.add_parser("suite")
     p.add_argument("preset", nargs="?", default="paper-all")
@@ -517,8 +530,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "suite":
         config.suite_preset = args.preset
         return config
-    if hasattr(args, "range"):
-        lo, hi = args.range
+    if hasattr(args, "random"):
+        window = getattr(args, "range", None)
+        config.range_given = window is not None
+        if window is None:
+            # induce has no --range; its reports record the window (0, 0)
+            window = (0, 0) if args.command == "induce" else _DEFAULT_WINDOW
+        lo, hi = window
         if args.random:
             config.domain = DomainSpec.random(
                 args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
@@ -536,6 +554,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config.identity = getattr(args, "identity", "rbr")
     config.max_range = getattr(args, "max_range", 4)
     config.samples = args.samples
+    config.coeff_bound = args.coeff_bound
+    config.support_bound = args.support_bound
     return config
 
 

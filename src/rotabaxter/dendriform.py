@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from .algebra import Algebra, DomainSpec, Element
 from .checks import check_idempotent, check_rbr, sweep_identity
 from .operators import WeightedOperator
-from .rationals import format_rational
+from .rationals import as_rational, format_rational
 from .report import CheckReport
 
 
@@ -79,7 +79,7 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
 
     At λ = 1 the products agree with −2a·R(b) and 2·(id−R)(a)·b.
     """
-    lam = Fraction(lam)
+    lam = as_rational(lam)
     return DendriformStructure(
         algebra=B.algebra,
         prec=lambda a, b: a * B(b) - lam * (a * b),
@@ -93,7 +93,7 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
 
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
-    lam = Fraction(lam)
+    lam = as_rational(lam)
     return DendriformStructure(
         algebra=R.algebra,
         prec=lambda a, b: a * R(b),

@@ -30,7 +30,7 @@ from .errors import (
     InvalidDimensionError,
     OperatorDomainError,
 )
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, div, format_rational
 
 _LAURENT_KINDS = ("laurent", "polynomial")
 
@@ -61,7 +61,8 @@ class WeightedOperator:
 
 def _shift_fn(cutoff: int):
     def apply(algebra, x):
-        return algebra.element({e: c for e, c in x.terms.items() if e <= cutoff})
+        return Element._trusted(algebra,
+                                {e: c for e, c in x.terms.items() if e <= cutoff})
 
     return apply
 
@@ -79,7 +80,7 @@ def make_rms_opposite() -> WeightedOperator:
     """Complementary projector: keep exponents >= 0 (equals id − ms)."""
 
     def apply(algebra, x):
-        return algebra.element({e: c for e, c in x.terms.items() if e >= 0})
+        return Element._trusted(algebra, {e: c for e, c in x.terms.items() if e >= 0})
 
     expr = Primitive("ms-opp", apply, params=("ms-opp",), kinds=_LAURENT_KINDS)
     return WeightedOperator(expr, Fraction(1), laurent(), note="non-pole projector")
@@ -112,8 +113,8 @@ def make_integration() -> WeightedOperator:
             if e < 0:
                 raise OperatorDomainError(
                     f"integration undefined on exponent {e} < 0")
-            out[e + 1] = c / (e + 1)
-        return algebra.element(out)
+            out[e + 1] = div(c, e + 1)
+        return Element._trusted(algebra, out)
 
     expr = Primitive("integration", apply, params=("integration",),
                      kinds=_LAURENT_KINDS)
@@ -138,8 +139,8 @@ def _matvec(rows, x: Element, algebra) -> Element:
         for i in range(n):
             m = rows[i][j]
             if m != 0:
-                out[i] = out.get(i, Fraction(0)) + m * cj
-    return algebra.element(out)
+                out[i] = out.get(i, 0) + m * cj
+    return Element._trusted(algebra, out)
 
 
 def matrix_operator(algebra: FiniteAlgebra, rows, label: str = "matrix",
@@ -165,13 +166,13 @@ def miller_matrix(s: int, t: int) -> list:
     """Block-diagonal matrix diag(S_s, T_t): S is upper triangular of
     ones (diagonal included), T is strictly lower triangular of -1."""
     n = s + t
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(s):
         for j in range(i, s):
-            rows[i][j] = Fraction(1)
+            rows[i][j] = 1
     for i in range(t):
         for j in range(i):
-            rows[s + i][s + j] = Fraction(-1)
+            rows[s + i][s + j] = -1
     return rows
 
 
@@ -227,7 +228,7 @@ def modified_of(op: WeightedOperator) -> WeightedOperator:
     B(x)B(y) = B(B(x)y + xB(y)) − λ²xy.
     """
     lam = op.weight if op.weight is not None else Fraction(0)
-    expr = Sum(Scale(lam, Identity()), Scale(Fraction(-2), op.expr))
+    expr = Sum(Scale(lam, Identity()), Scale(-2, op.expr))
     return WeightedOperator(expr, lam, op.algebra,
                             note=f"modified of ({op.note or op.describe()})")
 
@@ -239,7 +240,7 @@ def opposite_of(op: WeightedOperator) -> WeightedOperator:
     form is the unique affine extension that stays involutive.
     """
     lam = op.weight if op.weight is not None else Fraction(0)
-    expr = Sum(Scale(lam, Identity()), Scale(Fraction(-1), op.expr))
+    expr = Sum(Scale(lam, Identity()), Scale(-1, op.expr))
     return WeightedOperator(expr, op.weight, op.algebra,
                             note=f"opposite of ({op.note or op.describe()})")
 
@@ -252,7 +253,7 @@ def nijenhuis_family(op: WeightedOperator, alpha) -> WeightedOperator:
     this, the constructor does not.
     """
     alpha = as_rational(alpha)
-    expr = Sum(Scale(Fraction(1) + alpha, op.expr),
+    expr = Sum(Scale(1 + alpha, op.expr),
                Scale(-alpha, Identity()))
     return WeightedOperator(expr, Fraction(1), op.algebra,
                             note=f"nijenhuis alpha={format_rational(alpha)} "
@@ -265,7 +266,7 @@ def normalize_weight(op: WeightedOperator) -> WeightedOperator:
         raise CannotNormalizeError("cannot normalize an operator of weight 0")
     if op.weight == 1:
         return op
-    return replace(scale_operator(1 / op.weight, op),
+    return replace(scale_operator(div(1, op.weight), op),
                    note=f"normalized ({op.note or op.describe()})")
 
 

@@ -1,11 +1,18 @@
 """Exact rational coefficients.
 
-The coefficient field is the rationals, represented by the standard
-library's :class:`fractions.Fraction`, which already maintains the
+A coefficient is an ``int`` when it is integral and a
+:class:`fractions.Fraction` otherwise; it is never a ``float``.  Both
+types compare, hash and format alike, and ``Fraction`` keeps the
 canonical form this package relies on everywhere: reduced terms,
-positive denominator, and a unique zero (0/1).  Every identity check in
-the package is an exact-equality check on these values; there is no
+positive denominator.  Integral values stay ``int`` because almost every
+coefficient the checks meet (monomials, 0/1 structure constants, small
+weights) is integral, and ``int`` arithmetic is about a hundred times
+cheaper than ``Fraction`` arithmetic.  Every identity check in the
+package is an exact-equality check on these values; there is no
 tolerance parameter anywhere.
+
+``int / int`` is a ``float`` in Python, so :func:`div` is the only
+division of coefficients in the package.
 
 This module adds the strict textual form "p/q" (or "p" for integers)
 used by all file formats and element literals.
@@ -22,14 +29,28 @@ from .errors import FormatError, ZeroDenominatorError
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def normalize(num: int, den: int = 1) -> Fraction:
-    """Reduced representative of num/den with positive denominator."""
+def _exact(q: Fraction):
+    """``q`` as an ``int`` when integral, else ``q`` itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def normalize(num: int, den: int = 1):
+    """Reduced representative of num/den with positive denominator
+    (an ``int`` when the quotient is integral)."""
     if den == 0:
         raise ZeroDenominatorError(f"zero denominator in {num}/0")
-    return Fraction(num, den)
+    return _exact(Fraction(num, den))
 
 
-def parse_rational(text: str) -> Fraction:
+def div(a, b):
+    """Exact quotient a/b of two coefficients; the only coefficient
+    division in the package."""
+    if b == 0:
+        raise ZeroDenominatorError(f"division of {a} by zero")
+    return _exact(Fraction(a, b))
+
+
+def parse_rational(text: str):
     """Parse the strict "p/q" form (minus sign allowed on p only)."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
@@ -39,23 +60,26 @@ def parse_rational(text: str) -> Fraction:
     return normalize(num, den)
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def as_rational(value) -> Fraction:
-    """Coerce an exact value (int, Fraction, or "p/q" string).
+def as_rational(value):
+    """Coerce an exact value (int, Fraction, or "p/q" string) to a
+    coefficient: an ``int`` when integral, else a ``Fraction``.
 
     Floats are rejected: they would silently break exactness.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return _exact(value)
     if isinstance(value, bool):
         raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise FormatError(f"not a rational: {value!r}")

@@ -39,7 +39,7 @@ class TensorAlgebra(Algebra):
             self.base.validate_key(idx)
 
     def basis_product(self, i: tuple, j: tuple):
-        out = {(): Fraction(1)}
+        out = {(): 1}
         for a, b in zip(i, j):
             factor = self.base.basis_product(a, b)
             if not factor:
@@ -163,7 +163,7 @@ def tensor2_from_json(data, algebra: FiniteAlgebra) -> Element:
         if not isinstance(i, int) or not isinstance(j, int):
             raise FormatError(f"field 'terms'[{k}]: indices must be integers")
         key = (i, j)
-        terms[key] = terms.get(key, Fraction(0)) + as_rational(entry["coeff"])
+        terms[key] = terms.get(key, 0) + as_rational(entry["coeff"])
     return tensor2(algebra, terms)
 
 

@@ -389,3 +389,25 @@ def test_violation_search_budget_counts():
     report = violation_report(m2, "rbr", make_identity_operator(m2), ONE,
                               max_range=4, samples=5)
     assert report.passed and report.tuples == 16 + 5
+
+
+def test_violation_search_honours_sampling_bounds():
+    """The random phase draws within the given bounds.  A deliberately
+    non-linear operator (doubling elements with a coefficient above 2)
+    passes every basis tuple and every sample with coefficients in
+    {-1, 0, 1}, and fails once larger coefficients are drawn."""
+    from rotabaxter.algebra import Primitive
+    from rotabaxter.operators import WeightedOperator
+
+    def apply(algebra, x):
+        return x.scale(2) if any(abs(c) > 2 for c in x.terms.values()) else x
+
+    op = WeightedOperator(Primitive("double-big", apply, params=("double-big",)),
+                          ONE, L)
+    small = violation_report(L, "rbr", op, ONE, max_range=1, samples=50,
+                             coeff_bound=1, support_bound=1)
+    large = violation_report(L, "rbr", op, ONE, max_range=1, samples=50,
+                             coeff_bound=5, support_bound=1)
+    assert small.passed and small.tuples == 1 + 9 + 50
+    assert not large.passed
+    assert small.domain == large.domain

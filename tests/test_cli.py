@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file handling, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -230,11 +231,15 @@ def test_suite_unknown_preset():
     assert run_cli("suite", "nonsense") == 2
 
 
+PAPER_ALL_SHA256 = "7199ad735598acaff8806db86c9a0255c432db188a44d483a71efe8de972e50e"
+
+
 def test_suite_bytes_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("suite", "paper-all", "--output", str(a)) == 0
     assert run_cli("suite", "paper-all", "--output", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == PAPER_ALL_SHA256
 
 
 def test_suite_verdicts_insensitive_to_seed(tmp_path):
@@ -280,3 +285,71 @@ def test_acybe_takes_only_tensor_and_output(tmp_path):
     assert json.loads(out.read_text())["algebra"] == "matrix(4)"
     with pytest.raises(SystemExit):
         run_cli("acybe", "--tensor", str(solution), "--weight", "1")
+
+
+# --- violate takes sampling bounds, not a window ------------------------------
+
+
+@pytest.mark.parametrize("flag", [["--range", "-1", "1"], ["--random"]])
+def test_violate_rejects_window_options(flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
+                "--weight", "1", *flag)
+    assert exc.value.code == 2
+
+
+def test_violate_passes_sampling_bounds(monkeypatch):
+    import rotabaxter.cli as cli
+
+    seen = []
+    real = cli.violation_report
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["coeff_bound"], kwargs["support_bound"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "violation_report", spy)
+    args = ("violate", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
+            "--max-range", "1", "--samples", "3")
+    assert run_cli(*args) == 0
+    assert run_cli(*args, "--coeff-bound", "9", "--support-bound", "1") == 0
+    assert seen == [(3, 3), (9, 1)]
+
+
+# --- a finite algebra has no exponent window ----------------------------------
+
+
+@pytest.mark.parametrize("command", [
+    ["check-rbr", "--weight", "1"],
+    ["check-idempotent"],
+    ["check-image-closure", "--weight", "1"],
+    ["dendriform", "--weight", "1"],
+])
+def test_explicit_range_on_finite_algebra_is_refused(command, capsys):
+    assert run_cli(*command, "--algebra", "miller:2,2", "--operator", "miller",
+                   "--range", "0", "0") == 2
+    assert "--range" in capsys.readouterr().err
+
+
+def test_image_closure_on_finite_algebra_refuses_random_mode():
+    assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
+                   "miller", "--weight", "1", "--random", "--samples", "3") == 2
+
+
+def test_finite_algebra_report_domain_unchanged_without_range(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "miller",
+                   "--weight", "1", "--output", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
+    assert report["tuples"] == 16
+
+
+def test_induce_has_no_window(tmp_path):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({
+        "algebra": "matrix:2",
+        "terms": [{"i": 1, "j": 1, "coeff": "1"}],
+    }))
+    with pytest.raises(SystemExit):
+        run_cli("induce", "--tensor", str(solution), "--range", "0", "3")

@@ -1,0 +1,150 @@
+"""Coefficients are exact: an ``int`` or a ``Fraction``, never a ``float``,
+and integral data stays ``int`` through products."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotabaxter.algebra import Element
+from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
+from rotabaxter.checks import _rref, rbr_sides
+from rotabaxter.operators import (
+    make_identity_operator,
+    make_integration,
+    make_miller,
+    make_rms,
+    make_rms_opposite,
+    make_shift_truncation,
+    matrix_operator,
+    modified_of,
+    nijenhuis_family,
+    normalize_weight,
+    operator_matrix,
+    scale_operator,
+)
+from rotabaxter.tensor import tensor2
+
+L = laurent()
+P = polynomial()
+M2 = make_matrix_algebra(2)
+MILLER = make_miller(2, 2)
+
+# ints, integral Fractions and proper Fractions alike
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(-4, 4).map(Fraction),
+)
+
+
+def assert_exact(x: Element) -> None:
+    for c in x.terms.values():
+        assert type(c) in (int, Fraction), (type(c), x)
+
+
+def _laurent_ops():
+    ms = make_rms()
+    return [ms, make_rms_opposite(), make_shift_truncation(1), modified_of(ms),
+            nijenhuis_family(ms, Fraction(1, 2)),
+            normalize_weight(scale_operator(3, ms)),
+            normalize_weight(scale_operator(Fraction(2, 3), ms))]
+
+
+def _polynomial_ops():
+    integ = make_integration()
+    return [integ, modified_of(integ), scale_operator(Fraction(1, 2), integ),
+            normalize_weight(scale_operator(2, make_identity_operator(P)))]
+
+
+def _finite_ops(draw):
+    rows = [[draw(scalars) for _ in range(4)] for _ in range(4)]
+    op = matrix_operator(M2, rows, weight=draw(scalars.filter(bool)))
+    return [op, normalize_weight(op),
+            normalize_weight(scale_operator(5, make_identity_operator(M2)))]
+
+
+CASES = {
+    "laurent": (L, range(-3, 4), lambda draw: _laurent_ops()),
+    "polynomial": (P, range(0, 5), lambda draw: _polynomial_ops()),
+    "matrix:2": (M2, range(4), _finite_ops),
+    "miller:2,2": (MILLER.algebra, range(4),
+                   lambda draw: [MILLER, modified_of(MILLER)]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_chains_never_produce_floats(data):
+    draw = data.draw
+    algebra, keys, make_ops = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ops = make_ops(draw)
+
+    def element():
+        support = draw(st.lists(st.sampled_from(list(keys)), max_size=3, unique=True))
+        return algebra.element({k: draw(scalars) for k in support})
+
+    pool = [element(), element()]
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        step = draw(st.sampled_from(["add", "sub", "neg", "scale", "mul", "op"]))
+        if step == "add":
+            z = x + y
+        elif step == "sub":
+            z = x - y
+        elif step == "neg":
+            z = -x
+        elif step == "scale":
+            z = draw(scalars) * x
+        elif step == "mul":
+            z = x * y
+        else:
+            z = draw(st.sampled_from(ops))(x)
+        assert_exact(z)
+        pool.append(z)
+    if algebra.dimension is not None:
+        reduced, _ = _rref([list(z.coords()) for z in pool])
+        for row in reduced:
+            assert all(type(c) in (int, Fraction) for c in row), row
+        for op in ops:
+            for row in operator_matrix(algebra, op):
+                assert all(type(c) in (int, Fraction) for c in row), row
+
+
+def assert_int(x: Element) -> None:
+    for c in x.terms.values():
+        assert type(c) is int, (type(c), x)
+
+
+def test_laurent_basis_sweep_keeps_int_coefficients():
+    sides = rbr_sides(L, make_rms(), Fraction(1))
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            x, y = L.basis_element(i), L.basis_element(j)
+            assert_int(x * y)
+            for side in sides(x, y):
+                assert_int(side)
+
+
+def test_matrix_product_keeps_int_coefficients():
+    x = M2.element({0: 1, 1: -2, 3: 3})
+    y = M2.from_coords([2, 0, Fraction(4, 2), -1])
+    assert_int(x * y)
+    assert_int(x * y - y * x)
+    for i in range(4):
+        for j in range(4):
+            assert all(type(c) is int for c in M2.basis_product(i, j).values())
+
+
+def test_tensor_product_keeps_int_coefficients():
+    r = tensor2(M2, {(0, 1): 1, (1, 3): 2})
+    assert_int(r * r)
+
+
+def test_integration_and_normalize_are_exact():
+    x = P.element({0: 1, 1: 1, 3: 4})
+    assert make_integration()(x) == P.element({1: 1, 2: Fraction(1, 2), 4: 1})
+    assert_exact(make_integration()(x))
+    half = normalize_weight(scale_operator(2, make_rms()))
+    assert half.expr.coeff == Fraction(1, 2)
+    assert type(normalize_weight(scale_operator(-1, make_rms())).expr.coeff) is int

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rotabaxter.errors import FormatError, ZeroDenominatorError
 from rotabaxter.rationals import (
     as_rational,
+    div,
     format_rational,
     normalize,
     parse_rational,
@@ -96,3 +97,24 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(0.5)
     with pytest.raises(FormatError):
         as_rational(True)
+
+
+def test_integral_values_are_ints():
+    assert type(as_rational(Fraction(4, 2))) is int and as_rational(Fraction(4, 2)) == 2
+    assert type(normalize(4, 2)) is int
+    assert type(parse_rational("6/3")) is int
+    assert type(as_rational("1/2")) is Fraction
+
+
+def test_div_is_exact():
+    assert div(1, 2) == Fraction(1, 2)
+    assert type(div(4, 2)) is int and div(4, 2) == 2
+    assert div(Fraction(3, 4), Fraction(3, 2)) == Fraction(1, 2)
+    assert type(div(Fraction(3, 2), Fraction(1, 2))) is int
+
+
+def test_div_by_zero():
+    with pytest.raises(ZeroDenominatorError):
+        div(1, 0)
+    with pytest.raises(ZeroDenominatorError):
+        div(Fraction(1, 2), Fraction(0))
