@@ -75,7 +75,7 @@ class Element:
         return tuple(self.terms.get(i, 0) for i in range(n))
 
     def _check_same(self, other: "Element") -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
+        if self.algebra != other.algebra:
             raise AlgebraMismatchError(
                 f"operands from different algebras: "
                 f"{self.algebra.describe()} vs {other.algebra.describe()}"
@@ -93,11 +93,7 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) - coeff
-        return Element._trusted(self.algebra, merged)
+        return self + (-other)
 
     def __neg__(self) -> "Element":
         return Element._trusted(self.algebra, {k: -c for k, c in self.terms.items()})
@@ -166,8 +162,7 @@ class Algebra:
         raise OperatorDomainError(f"{self.describe()} has no unit")
 
     def multiply(self, a: Element, b: Element) -> Element:
-        if ((a.algebra is not self and a.algebra != self)
-                or (b.algebra is not self and b.algebra != self)):
+        if a.algebra != self or b.algebra != self:
             raise AlgebraMismatchError("operands do not belong to this algebra")
         basis_product = self.basis_product
         acc: dict = {}

@@ -358,12 +358,11 @@ def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,
 
 def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                      lam: Fraction, max_range: int = 4, samples: int = 200,
-                     seed: int = 0, coeff_bound: int = 3,
-                     support_bound: int = 3) -> CheckReport:
+                     seed: int = 0) -> CheckReport:
     """Report form of :func:`find_violation`: status "fail" plus witness
     when the search succeeds, "pass" when the budget is exhausted."""
     witness, count = _search_violation(algebra, identity, op, lam, max_range,
-                                       samples, seed, coeff_bound, support_bound)
+                                       samples, seed, 3, 3)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": samples, "seed": seed}
     note = ("witness found by expanding search",) if witness is not None \

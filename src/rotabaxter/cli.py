@@ -89,8 +89,6 @@ class RunConfig:
     identity: str = "rbr"
     max_range: int = 4
     samples: int = 200
-    coeff_bound: int = 3
-    support_bound: int = 3
     range_given: bool = False
     tensor_path: str | None = None
     suite_preset: str | None = None
@@ -384,9 +382,7 @@ def run(config: RunConfig) -> int:
         return _emit(violation_report(algebra, config.identity, operator, lam,
                                       max_range=config.max_range,
                                       samples=config.samples,
-                                      seed=config.seed,
-                                      coeff_bound=config.coeff_bound,
-                                      support_bound=config.support_bound),
+                                      seed=config.seed),
                      config.output)
     if config.command == "dendriform":
         return _run_dendriform(config, algebra, operator)
@@ -431,12 +427,7 @@ def _run_dendriform(config: RunConfig, algebra, operator) -> int:
 # Argument parsing
 
 
-# exponent window of a check command without --range
-_DEFAULT_WINDOW = (-4, 4)
-
-
-def _add_common(parser, window=True, random_mode=True, coeff_bound=5):
-    """Algebra and operator selectors plus :func:`_add_check_options`."""
+def _add_selectors(parser):
     parser.add_argument("--algebra", required=True,
                         help="laurent | polynomial | miller:s,t | "
                              "componentwise:n | matrix:n | file:PATH")
@@ -445,28 +436,34 @@ def _add_common(parser, window=True, random_mode=True, coeff_bound=5):
                              "miller, id, file:PATH) or expression over "
                              "scale/sum/compose/modified/opposite/"
                              "nijenhuis/normalize")
-    _add_check_options(parser, window, random_mode, coeff_bound)
 
 
-def _add_check_options(parser, window, random_mode, coeff_bound):
-    """Weight, domain and output options; ``window`` adds --range (the
-    Laurent-type exponent window), ``random_mode`` adds --random."""
+def _add_run_options(parser):
     parser.add_argument("--weight", type=parse_rational, default=None,
                         help="weight λ used by the check (p/q)")
-    if window:
-        parser.add_argument("--range", nargs=2, type=int, default=None,
-                            metavar=("LO", "HI"),
-                            help="exponent window for exhaustive basis mode "
-                                 "(Laurent-type algebras only; default -4 4)")
-    if random_mode:
-        parser.add_argument("--random", action="store_true",
-                            help="random elements instead of exhaustive basis tuples")
     parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--coeff-bound", type=int, default=coeff_bound)
-    parser.add_argument("--support-bound", type=int, default=3)
     parser.add_argument("--seed", type=int, default=None,
                         help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
     parser.add_argument("--output", default=None, help="write a JSON report here")
+
+
+def _add_random_options(parser):
+    parser.add_argument("--random", action="store_true",
+                        help="random elements instead of exhaustive basis tuples")
+    parser.add_argument("--coeff-bound", type=int, default=5)
+    parser.add_argument("--support-bound", type=int, default=3)
+
+
+def _add_check_options(parser):
+    """Options of the commands that sweep a domain of an algebra."""
+    _add_selectors(parser)
+    _add_run_options(parser)
+    parser.add_argument("--range", nargs=2, type=int, default=None,
+                        metavar=("LO", "HI"),
+                        help="exponent window for exhaustive basis mode "
+                             "(Laurent-type algebras only; default -4 4)")
+    _add_random_options(parser)
+    parser.set_defaults(window=(-4, 4))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,22 +474,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in (*_IDENTITY_COMMANDS, "check-idempotent"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("check-image-closure")
-    _add_common(p)
+    for name in (*_IDENTITY_COMMANDS, "check-idempotent", "check-image-closure"):
+        _add_check_options(sub.add_parser(name))
 
     p = sub.add_parser("dendriform")
-    _add_common(p)
+    _add_check_options(p)
     p.add_argument("--construct", choices=["weight0", "modified", "tri",
                                            "nijenhuis"], default="tri")
     p.add_argument("--axioms", choices=["ddi", "tri", "star",
                                         "rbr-compositions"], default=None)
 
     p = sub.add_parser("violate")
-    _add_common(p, window=False, random_mode=False, coeff_bound=3)
+    _add_selectors(p)
+    _add_run_options(p)
     p.add_argument("--identity", choices=list(IDENTITIES), default="rbr")
     p.add_argument("--max-range", type=int, default=4)
 
@@ -502,7 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("induce")
     p.add_argument("--tensor", required=True, help="tensor JSON file")
-    _add_check_options(p, window=False, random_mode=True, coeff_bound=5)
+    _add_run_options(p)
+    _add_random_options(p)
+    # the sweep covers the whole tensor algebra; reports record the window 0 0
+    p.set_defaults(window=(0, 0))
 
     p = sub.add_parser("suite")
     p.add_argument("preset", nargs="?", default="paper-all")
@@ -531,12 +528,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.suite_preset = args.preset
         return config
     if hasattr(args, "random"):
-        window = getattr(args, "range", None)
-        config.range_given = window is not None
-        if window is None:
-            # induce has no --range; its reports record the window (0, 0)
-            window = (0, 0) if args.command == "induce" else _DEFAULT_WINDOW
-        lo, hi = window
+        config.range_given = getattr(args, "range", None) is not None
+        lo, hi = args.range if config.range_given else args.window
         if args.random:
             config.domain = DomainSpec.random(
                 args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
@@ -554,8 +547,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config.identity = getattr(args, "identity", "rbr")
     config.max_range = getattr(args, "max_range", 4)
     config.samples = args.samples
-    config.coeff_bound = args.coeff_bound
-    config.support_bound = args.support_bound
     return config
 
 

@@ -404,10 +404,7 @@ def test_violation_search_honours_sampling_bounds():
 
     op = WeightedOperator(Primitive("double-big", apply, params=("double-big",)),
                           ONE, L)
-    small = violation_report(L, "rbr", op, ONE, max_range=1, samples=50,
-                             coeff_bound=1, support_bound=1)
-    large = violation_report(L, "rbr", op, ONE, max_range=1, samples=50,
-                             coeff_bound=5, support_bound=1)
-    assert small.passed and small.tuples == 1 + 9 + 50
-    assert not large.passed
-    assert small.domain == large.domain
+    assert find_violation(L, "rbr", op, ONE, max_range=1, samples=50,
+                          coeff_bound=1, support_bound=1) is None
+    assert find_violation(L, "rbr", op, ONE, max_range=1, samples=50,
+                          coeff_bound=5, support_bound=1) is not None

@@ -287,33 +287,16 @@ def test_acybe_takes_only_tensor_and_output(tmp_path):
         run_cli("acybe", "--tensor", str(solution), "--weight", "1")
 
 
-# --- violate takes sampling bounds, not a window ------------------------------
+# --- violate takes neither a window nor sampling bounds ------------------------
 
 
-@pytest.mark.parametrize("flag", [["--range", "-1", "1"], ["--random"]])
-def test_violate_rejects_window_options(flag):
+@pytest.mark.parametrize("flag", [["--range", "-1", "1"], ["--random"],
+                                  ["--coeff-bound", "9"], ["--support-bound", "1"]])
+def test_violate_rejects_domain_options(flag):
     with pytest.raises(SystemExit) as exc:
         run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
                 "--weight", "1", *flag)
     assert exc.value.code == 2
-
-
-def test_violate_passes_sampling_bounds(monkeypatch):
-    import rotabaxter.cli as cli
-
-    seen = []
-    real = cli.violation_report
-
-    def spy(*args, **kwargs):
-        seen.append((kwargs["coeff_bound"], kwargs["support_bound"]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "violation_report", spy)
-    args = ("violate", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
-            "--max-range", "1", "--samples", "3")
-    assert run_cli(*args) == 0
-    assert run_cli(*args, "--coeff-bound", "9", "--support-bound", "1") == 0
-    assert seen == [(3, 3), (9, 1)]
 
 
 # --- a finite algebra has no exponent window ----------------------------------
