@@ -17,8 +17,6 @@ from .algebra import (
     Sum,
     apply_operator,
     lie_bracket,
-    linear_combine,
-    random_element,
 )
 from .algebras import (
     FiniteAlgebra,
@@ -92,7 +90,6 @@ from .tensor import (
     acybe_residual,
     embed,
     induced_operator,
-    mul3,
     tensor2,
     tensor3,
 )

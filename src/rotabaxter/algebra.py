@@ -416,27 +416,9 @@ def apply_operator(algebra: Algebra, op: OperatorExpr, x: Element) -> Element:
 # Module-level vector-space helpers
 
 
-def linear_combine(c1, a: Element, c2, b: Element) -> Element:
-    """Canonical form of c1·a + c2·b."""
-    if a.algebra != b.algebra:
-        raise AlgebraMismatchError("linear_combine needs operands from one algebra")
-    return a.scale(c1) + b.scale(c2)
-
-
 def lie_bracket(algebra: Algebra, a: Element, b: Element) -> Element:
     """Commutator a·b − b·a of the algebra product."""
     return algebra.multiply(a, b) - algebra.multiply(b, a)
-
-
-def random_element(algebra: Algebra, spec: DomainSpec, rng=None) -> Element:
-    """Reproducible random element inside the spec's bounds."""
-    if spec.mode != "random":
-        raise InvalidDomainError("random_element needs a random-mode DomainSpec")
-    if rng is None:
-        import random as _random
-
-        rng = _random.Random(spec.seed)
-    return algebra.random_element(spec, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -314,10 +314,15 @@ def structure_constants_to_json(constants: StructureConstants) -> dict:
     return data
 
 
-def load_structure_constants_file(path) -> StructureConstants:
+def load_json(path):
+    """Contents of a JSON input file; malformed JSON is a FormatError
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return structure_constants_from_json(data)
+
+
+def load_structure_constants_file(path) -> StructureConstants:
+    return structure_constants_from_json(load_json(path))

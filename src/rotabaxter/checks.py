@@ -319,10 +319,24 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
 # Witness search
 
 
-def _search_violation(algebra, identity, op, lam, max_range, samples, seed,
-                      coeff_bound, support_bound):
-    """First witness and tuple count over the deduplicated basis windows
-    [-k, k] for k = 0..max_range, then ``samples`` seeded random tuples."""
+def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,
+                   lam: Fraction, max_range: int = 4, samples: int = 200,
+                   seed: int = 0) -> Witness | None:
+    """Deterministic witness search: basis tuples in expanding windows
+    [-k, k] in lexicographic order, then seeded random elements.
+    Returns the first witness, or None within budget."""
+    return violation_report(algebra, identity, op, lam, max_range, samples,
+                            seed).witness
+
+
+def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
+                     lam: Fraction, max_range: int = 4, samples: int = 200,
+                     seed: int = 0) -> CheckReport:
+    """Report form of :func:`find_violation`: status "fail" plus witness
+    when the search succeeds, "pass" when the budget is exhausted.  The
+    search sweeps the deduplicated basis windows [-k, k] for
+    k = 0..max_range, then ``samples`` random tuples with coefficient and
+    support bounds 3."""
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
     if samples < 0:
@@ -337,32 +351,10 @@ def _search_violation(algebra, identity, op, lam, max_range, samples, seed,
             domains.append(DomainSpec.basis(-k, k))
     if samples > 0:
         domains.append(DomainSpec.random(samples, lo=-max_range, hi=max_range,
-                                         coeff_bound=coeff_bound,
-                                         support_bound=support_bound, seed=seed))
+                                         coeff_bound=3, support_bound=3, seed=seed))
     tuples = itertools.chain.from_iterable(
         domain_tuples(algebra, dom, arity) for dom in domains)
-    return _first_witness(tuples, make_sides(algebra, op, lam))
-
-
-def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,
-                   lam: Fraction, max_range: int = 4, samples: int = 200,
-                   seed: int = 0, coeff_bound: int = 3,
-                   support_bound: int = 3) -> Witness | None:
-    """Deterministic witness search: basis tuples in expanding windows
-    [-k, k] in lexicographic order, then seeded random elements.
-    Returns the first witness, or None within budget."""
-    witness, _ = _search_violation(algebra, identity, op, lam, max_range,
-                                   samples, seed, coeff_bound, support_bound)
-    return witness
-
-
-def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
-                     lam: Fraction, max_range: int = 4, samples: int = 200,
-                     seed: int = 0) -> CheckReport:
-    """Report form of :func:`find_violation`: status "fail" plus witness
-    when the search succeeds, "pass" when the budget is exhausted."""
-    witness, count = _search_violation(algebra, identity, op, lam, max_range,
-                                       samples, seed, 3, 3)
+    witness, count = _first_witness(tuples, make_sides(algebra, op, lam))
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": samples, "seed": seed}
     note = ("witness found by expanding search",) if witness is not None \

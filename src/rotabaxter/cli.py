@@ -3,9 +3,14 @@
 Exit codes: 0 when every requested check passed (no witnesses),
 1 when at least one check failed (the report carries a witness), and
 2 on configuration or file-format errors (the diagnostic names the
-offending field).  The ``suite`` command compares outcomes against expectations
+offending field), malformed option values such as ``--weight 1/0``
+included.  The ``suite`` command compares outcomes against expectations
 instead: 0 means every entry, including the deliberately negative ones,
 matched.
+
+The parsed :class:`argparse.Namespace` is the only form a command line
+takes: :func:`run` reads each option from it directly, and each
+subcommand accepts only the options its path reads (``_COMMANDS``).
 
 The weight is always taken from the command line, never inferred from
 an operator, so the two sign conventions that differ only in λ can
@@ -15,17 +20,17 @@ never drift silently.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import Algebra, DomainSpec
 from .algebras import (
     FiniteAlgebra,
     laurent,
+    load_json,
     load_structure_constants_file,
     make_componentwise,
     make_matrix_algebra,
@@ -75,25 +80,6 @@ from .tensor import induced_operator, tensor2_from_json
 SEED_ENV_VAR = "ROTABAXTER_SEED"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    algebra: str | None = None
-    operator: str | None = None
-    weight: Fraction | None = None
-    domain: DomainSpec | None = None
-    output: str | None = None
-    seed: int = 0
-    axioms: str | None = None
-    construct: str | None = None
-    identity: str = "rbr"
-    max_range: int = 4
-    samples: int = 200
-    range_given: bool = False
-    tensor_path: str | None = None
-    suite_preset: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # Selector parsing
 
@@ -136,7 +122,7 @@ _TOKEN_RE = re.compile(
 
 
 def _resolve_preset(name: str, params: str | None, algebra: Algebra,
-                    context: dict, weight: Fraction | None) -> WeightedOperator:
+                    context: dict) -> WeightedOperator:
     if name == "id":
         return make_identity_operator(algebra)
     if name == "ms":
@@ -189,12 +175,11 @@ class _ExprParser:
     """Recursive descent over scale/sum/compose/modified/opposite/
     nijenhuis/normalize applied to presets."""
 
-    def __init__(self, tokens, algebra, context, weight):
+    def __init__(self, tokens, algebra, context):
         self.tokens = tokens
         self.pos = 0
         self.algebra = algebra
         self.context = context
-        self.weight = weight
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -237,8 +222,7 @@ class _ExprParser:
         m = _PRESET_RE.match(tok)
         if not m:
             raise FormatError(f"bad operator token {tok!r}")
-        return _resolve_preset(m.group(1), m.group(2), self.algebra,
-                               self.context, self.weight)
+        return _resolve_preset(m.group(1), m.group(2), self.algebra, self.context)
 
 
 def parse_operator(spec: str, algebra: Algebra, context: dict,
@@ -249,17 +233,12 @@ def parse_operator(spec: str, algebra: Algebra, context: dict,
         if not isinstance(algebra, FiniteAlgebra):
             raise FormatError(
                 "operator-matrix files need a finite-dimensional algebra")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-        return operator_matrix_from_json(data, algebra, weight=weight)
+        return operator_matrix_from_json(load_json(path), algebra, weight=weight)
     if "(" not in spec:
         m = _PRESET_RE.match(spec)
         if not m:
             raise FormatError(f"bad operator selector {spec!r}")
-        return _resolve_preset(m.group(1), m.group(2), algebra, context, weight)
+        return _resolve_preset(m.group(1), m.group(2), algebra, context)
     tokens = []
     pos = 0
     while pos < len(spec):
@@ -268,15 +247,11 @@ def parse_operator(spec: str, algebra: Algebra, context: dict,
             raise FormatError(f"bad operator expression near {spec[pos:]!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    return _ExprParser(tokens, algebra, context, weight).parse()
+    return _ExprParser(tokens, algebra, context).parse()
 
 
 def load_tensor(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = load_json(path)
     if not isinstance(data, dict) or "algebra" not in data:
         raise FormatError(f"{path}: tensor file needs an 'algebra' field")
     algebra, _ = parse_algebra(data["algebra"])
@@ -317,196 +292,10 @@ def _emit(reports, output: str | None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _require_weight(config: RunConfig) -> Fraction:
-    if config.weight is None:
-        raise FormatError(f"command {config.command!r} needs --weight")
-    return config.weight
-
-
-# check command -> identity swept by checks.check
-_IDENTITY_COMMANDS = {
-    "check-rbr": "rbr",
-    "check-modified": "modified-rbr",
-    "check-nijenhuis": "nijenhuis",
-    "check-lie-modified": "lie-modified",
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit code."""
-    if config.command == "suite":
-        try:
-            result = run_suite(config.suite_preset or "paper-all",
-                               seed=config.seed)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        bad = [e for e in result["entries"] if not e["ok"]]
-        for entry in result["entries"]:
-            marker = "ok " if entry["ok"] else "BAD"
-            print(f"[{marker}] criterion {entry['criterion']:>2} | "
-                  f"expected {entry['expected']:<6} got {entry['status']:<4} | "
-                  f"{entry['name']}")
-        print(f"suite {result['suite']}: {len(result['entries'])} entries, "
-              f"{len(bad)} unexpected")
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(dumps_suite(result))
-        return 0 if result["ok"] else 1
-
-    if config.command in ("acybe", "induce"):
-        r, algebra = load_tensor(config.tensor_path)
-        if config.command == "acybe":
-            return _emit(acybe_report(r, str(r)), config.output)
-        op = induced_operator(r)
-        lam = config.weight if config.weight is not None else 0
-        return _emit(check("rbr", algebra, op, lam, config.domain), config.output)
-
-    algebra, context = parse_algebra(config.algebra)
-    if config.range_given and isinstance(algebra, FiniteAlgebra):
-        raise InvalidDomainError(
-            f"--range is an exponent window; {algebra.describe()} is "
-            f"finite-dimensional and its checks sweep the whole basis")
-    operator = parse_operator(config.operator, algebra, context, config.weight)
-    dom = config.domain
-
-    if config.command in _IDENTITY_COMMANDS:
-        return _emit(check(_IDENTITY_COMMANDS[config.command], algebra, operator,
-                           _require_weight(config), dom),
-                     config.output)
-    if config.command == "check-idempotent":
-        return _emit(check_idempotent(algebra, operator, dom), config.output)
-    if config.command == "check-image-closure":
-        return _emit(check_image_closure(algebra, operator, dom), config.output)
-    if config.command == "violate":
-        lam = _require_weight(config)
-        return _emit(violation_report(algebra, config.identity, operator, lam,
-                                      max_range=config.max_range,
-                                      samples=config.samples,
-                                      seed=config.seed),
-                     config.output)
-    if config.command == "dendriform":
-        return _run_dendriform(config, algebra, operator)
-    raise FormatError(f"unknown command {config.command!r}")
-
-
-def _run_dendriform(config: RunConfig, algebra, operator) -> int:
-    construct = config.construct or "tri"
-    if construct == "weight0":
-        ds = build_weight0_pair(operator)
-    elif construct == "modified":
-        lam = _require_weight(config)
-        ds = build_modified_pair(modified_of(replace(operator, weight=lam)), lam)
-    elif construct == "tri":
-        lam = _require_weight(config)
-        ds = build_tri_from_rbo(operator, lam)
-    elif construct == "nijenhuis":
-        ds = build_from_nijenhuis(operator)
-    else:
-        raise FormatError(f"unknown construction {construct!r}")
-
-    axioms = config.axioms or ("tri" if ds.has_middle else "ddi")
-    dom = config.domain
-    if axioms == "ddi":
-        reports = check_dialgebra(ds, dom)
-    elif axioms == "tri":
-        if not ds.has_middle:
-            raise FormatError(
-                f"construction {construct!r} has no middle product; "
-                f"use --axioms ddi or star")
-        reports = check_trialgebra(ds, dom)
-    elif axioms == "star":
-        reports = [check_star_associative(ds, dom)]
-    elif axioms == "rbr-compositions":
-        reports = check_rbr_on_compositions(ds, operator, dom)
-    else:
-        raise FormatError(f"unknown axiom set {config.axioms!r}")
-    return _emit(reports, config.output)
-
-
-# ---------------------------------------------------------------------------
-# Argument parsing
-
-
-def _add_selectors(parser):
-    parser.add_argument("--algebra", required=True,
-                        help="laurent | polynomial | miller:s,t | "
-                             "componentwise:n | matrix:n | file:PATH")
-    parser.add_argument("--operator", required=True,
-                        help="preset (ms, ms-opp, integration, shift:r, "
-                             "miller, id, file:PATH) or expression over "
-                             "scale/sum/compose/modified/opposite/"
-                             "nijenhuis/normalize")
-
-
-def _add_run_options(parser):
-    parser.add_argument("--weight", type=parse_rational, default=None,
-                        help="weight λ used by the check (p/q)")
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--output", default=None, help="write a JSON report here")
-
-
-def _add_random_options(parser):
-    parser.add_argument("--random", action="store_true",
-                        help="random elements instead of exhaustive basis tuples")
-    parser.add_argument("--coeff-bound", type=int, default=5)
-    parser.add_argument("--support-bound", type=int, default=3)
-
-
-def _add_check_options(parser):
-    """Options of the commands that sweep a domain of an algebra."""
-    _add_selectors(parser)
-    _add_run_options(parser)
-    parser.add_argument("--range", nargs=2, type=int, default=None,
-                        metavar=("LO", "HI"),
-                        help="exponent window for exhaustive basis mode "
-                             "(Laurent-type algebras only; default -4 4)")
-    _add_random_options(parser)
-    parser.set_defaults(window=(-4, 4))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rotabaxter",
-        description="Construct Rota-Baxter operators, derive dendriform "
-                    "structures, and verify or refute their identities "
-                    "exactly.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in (*_IDENTITY_COMMANDS, "check-idempotent", "check-image-closure"):
-        _add_check_options(sub.add_parser(name))
-
-    p = sub.add_parser("dendriform")
-    _add_check_options(p)
-    p.add_argument("--construct", choices=["weight0", "modified", "tri",
-                                           "nijenhuis"], default="tri")
-    p.add_argument("--axioms", choices=["ddi", "tri", "star",
-                                        "rbr-compositions"], default=None)
-
-    p = sub.add_parser("violate")
-    _add_selectors(p)
-    _add_run_options(p)
-    p.add_argument("--identity", choices=list(IDENTITIES), default="rbr")
-    p.add_argument("--max-range", type=int, default=4)
-
-    p = sub.add_parser("acybe")
-    p.add_argument("--tensor", required=True, help="tensor JSON file")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("induce")
-    p.add_argument("--tensor", required=True, help="tensor JSON file")
-    _add_run_options(p)
-    _add_random_options(p)
-    # the sweep covers the whole tensor algebra; reports record the window 0 0
-    p.set_defaults(window=(0, 0))
-
-    p = sub.add_parser("suite")
-    p.add_argument("preset", nargs="?", default="paper-all")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
-
-    return parser
+def _require_weight(args: argparse.Namespace) -> Fraction:
+    if args.weight is None:
+        raise FormatError(f"command {args.command!r} needs --weight")
+    return args.weight
 
 
 def _default_seed() -> int:
@@ -519,47 +308,200 @@ def _default_seed() -> int:
         raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def _domain(args: argparse.Namespace, window, seed: int) -> DomainSpec:
+    """Basis tuples of the window, or ``--samples`` seeded random tuples
+    inside it with ``--random``."""
+    lo, hi = window
+    if not args.random:
+        return DomainSpec.basis(lo, hi)
+    return DomainSpec.random(args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
+                             support_bound=args.support_bound, seed=seed)
+
+
+# check command -> identity swept by checks.check
+_IDENTITY_COMMANDS = {
+    "check-rbr": "rbr",
+    "check-modified": "modified-rbr",
+    "check-nijenhuis": "nijenhuis",
+    "check-lie-modified": "lie-modified",
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
+    # every command refuses a malformed $ROTABAXTER_SEED, whether it samples or not
     seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    config = RunConfig(command=args.command, seed=seed)
-    if hasattr(args, "output"):
-        config.output = args.output
-    if args.command == "suite":
-        config.suite_preset = args.preset
-        return config
-    if hasattr(args, "random"):
-        config.range_given = getattr(args, "range", None) is not None
-        lo, hi = args.range if config.range_given else args.window
-        if args.random:
-            config.domain = DomainSpec.random(
-                args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
-                support_bound=args.support_bound, seed=seed)
-        else:
-            config.domain = DomainSpec.basis(lo, hi)
-    config.weight = getattr(args, "weight", None)
-    if args.command in ("acybe", "induce"):
-        config.tensor_path = args.tensor
-        return config
-    config.algebra = args.algebra
-    config.operator = args.operator
-    config.axioms = getattr(args, "axioms", None)
-    config.construct = getattr(args, "construct", None)
-    config.identity = getattr(args, "identity", "rbr")
-    config.max_range = getattr(args, "max_range", 4)
-    config.samples = args.samples
-    return config
+    command = args.command
+    if command == "suite":
+        try:
+            result = run_suite(args.preset, seed=seed)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        bad = [e for e in result["entries"] if not e["ok"]]
+        for entry in result["entries"]:
+            marker = "ok " if entry["ok"] else "BAD"
+            print(f"[{marker}] criterion {entry['criterion']:>2} | "
+                  f"expected {entry['expected']:<6} got {entry['status']:<4} | "
+                  f"{entry['name']}")
+        print(f"suite {result['suite']}: {len(result['entries'])} entries, "
+              f"{len(bad)} unexpected")
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(dumps_suite(result))
+        return 0 if result["ok"] else 1
+
+    if command == "acybe":
+        r, _ = load_tensor(args.tensor)
+        return _emit(acybe_report(r, str(r)), args.output)
+    if command == "induce":
+        # the sweep covers the whole tensor algebra; reports record the window 0 0
+        dom = _domain(args, (0, 0), seed)
+        r, algebra = load_tensor(args.tensor)
+        lam = args.weight if args.weight is not None else 0
+        return _emit(check("rbr", algebra, induced_operator(r), lam, dom), args.output)
+    if command == "violate":
+        algebra, context = parse_algebra(args.algebra)
+        operator = parse_operator(args.operator, algebra, context, args.weight)
+        return _emit(violation_report(algebra, args.identity, operator,
+                                      _require_weight(args), max_range=args.max_range,
+                                      samples=args.samples, seed=seed),
+                     args.output)
+
+    window = args.range or (-4, 4)
+    dom = (DomainSpec.basis(*window) if command == "check-image-closure"
+           else _domain(args, window, seed))
+    algebra, context = parse_algebra(args.algebra)
+    if args.range is not None and isinstance(algebra, FiniteAlgebra):
+        raise InvalidDomainError(
+            f"--range is an exponent window; {algebra.describe()} is "
+            f"finite-dimensional and its checks sweep the whole basis")
+    # check-idempotent has no --weight: idempotence involves no λ
+    operator = parse_operator(args.operator, algebra, context,
+                              getattr(args, "weight", None))
+    if command in _IDENTITY_COMMANDS:
+        return _emit(check(_IDENTITY_COMMANDS[command], algebra, operator,
+                           _require_weight(args), dom),
+                     args.output)
+    if command == "check-idempotent":
+        return _emit(check_idempotent(algebra, operator, dom), args.output)
+    if command == "check-image-closure":
+        # λ·id − R uses the weight given on the command line
+        operator = replace(operator, weight=_require_weight(args))
+        return _emit(check_image_closure(algebra, operator, dom), args.output)
+    return _run_dendriform(args, algebra, operator, dom)
+
+
+def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
+    # argparse restricts --construct and --axioms to the choices handled here
+    construct = args.construct
+    if construct == "weight0":
+        ds = build_weight0_pair(operator)
+    elif construct == "modified":
+        lam = _require_weight(args)
+        ds = build_modified_pair(modified_of(replace(operator, weight=lam)), lam)
+    elif construct == "tri":
+        ds = build_tri_from_rbo(operator, _require_weight(args))
+    else:
+        ds = build_from_nijenhuis(operator)
+
+    axioms = args.axioms or ("tri" if ds.has_middle else "ddi")
+    if axioms == "ddi":
+        reports = check_dialgebra(ds, dom)
+    elif axioms == "tri":
+        if not ds.has_middle:
+            raise FormatError(
+                f"construction {construct!r} has no middle product; "
+                f"use --axioms ddi or star")
+        reports = check_trialgebra(ds, dom)
+    elif axioms == "star":
+        reports = [check_star_associative(ds, dom)]
+    else:
+        reports = check_rbr_on_compositions(ds, operator, dom)
+    return _emit(reports, args.output)
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing
+
+
+def _rational_arg(text: str):
+    """argparse type of ``--weight``: a malformed value, a zero
+    denominator included, is a usage error (exit 2)."""
+    try:
+        return parse_rational(text)
+    except RotaBaxterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# option -> add_argument keywords
+_OPTIONS = {
+    "preset": dict(nargs="?", default="paper-all"),
+    "--tensor": dict(required=True, help="tensor JSON file"),
+    "--algebra": dict(required=True,
+                      help="laurent | polynomial | miller:s,t | "
+                           "componentwise:n | matrix:n | file:PATH"),
+    "--operator": dict(required=True,
+                       help="preset (ms, ms-opp, integration, shift:r, "
+                            "miller, id, file:PATH) or expression over "
+                            "scale/sum/compose/modified/opposite/"
+                            "nijenhuis/normalize"),
+    "--weight": dict(type=_rational_arg, help="weight λ used by the check (p/q)"),
+    "--samples": dict(type=int, default=200),
+    "--seed": dict(type=int, help=f"sampling seed (default ${SEED_ENV_VAR} or 0)"),
+    "--output": dict(help="write a JSON report here"),
+    "--range": dict(nargs=2, type=int, metavar=("LO", "HI"),
+                    help="exponent window for exhaustive basis mode "
+                         "(Laurent-type algebras only; default -4 4)"),
+    "--random": dict(action="store_true",
+                     help="random elements instead of exhaustive basis tuples"),
+    "--coeff-bound": dict(type=int, default=5),
+    "--support-bound": dict(type=int, default=3),
+    "--construct": dict(choices=["weight0", "modified", "tri", "nijenhuis"],
+                        default="tri"),
+    "--axioms": dict(choices=["ddi", "tri", "star", "rbr-compositions"]),
+    "--identity": dict(choices=list(IDENTITIES), default="rbr"),
+    "--max-range": dict(type=int, default=4),
+}
+
+# the domain options and --output of the sweeping checks, in --help order
+_CHECK_OPTIONS = ("--samples --seed --output --range --random --coeff-bound "
+                  "--support-bound")
+
+# command -> the options its path reads, in --help order
+_COMMANDS = {
+    **dict.fromkeys(_IDENTITY_COMMANDS,
+                    "--algebra --operator --weight " + _CHECK_OPTIONS),
+    "check-idempotent": "--algebra --operator " + _CHECK_OPTIONS,
+    "check-image-closure": "--algebra --operator --weight --output --range",
+    "dendriform": f"--algebra --operator --weight {_CHECK_OPTIONS} --construct --axioms",
+    "violate": "--algebra --operator --weight --samples --seed --output "
+               "--identity --max-range",
+    "acybe": "--tensor --output",
+    "induce": "--tensor --weight --samples --seed --output --random "
+              "--coeff-bound --support-bound",
+    "suite": "preset --seed --output",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rotabaxter",
+        description="Construct Rota-Baxter operators, derive dendriform "
+                    "structures, and verify or refute their identities "
+                    "exactly.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, options in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
-    except RotaBaxterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return run(args)
+    except (RotaBaxterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,13 +61,6 @@ class CheckReport:
         }
 
 
-def passed(report_or_reports) -> bool:
-    """True when a report, or every report in a list, passed."""
-    if isinstance(report_or_reports, CheckReport):
-        return report_or_reports.passed
-    return all(r.passed for r in report_or_reports)
-
-
 def dumps_reports(payload) -> str:
     """Deterministic JSON text for a report, list of reports, or dict."""
     if isinstance(payload, CheckReport):

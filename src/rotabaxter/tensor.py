@@ -109,11 +109,6 @@ def embed(r: Element, slots: str) -> Element:
                           for u, cu in unit.items()})
 
 
-def mul3(s: Element, t: Element) -> Element:
-    """Slot-wise product in A⊗A⊗A."""
-    return s * t
-
-
 def acybe_residual(r: Element) -> Element:
     """Exact residual; r solves the equation iff the residual is zero."""
     r12 = embed(r, "12")

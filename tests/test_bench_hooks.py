@@ -36,3 +36,23 @@ def test_traced_tuples_match_reports():
     assert passing.tuples == 49
     assert tracer.output_tuples() == sum(r.tuples for r in reports)
     assert set(tracer.per_check) == {"rbr", "violate.rbr"}
+
+
+def test_cli_main_runs_through_module_level_run(monkeypatch, capsys):
+    """perfbench/cli_probe.py times a command by replacing ``cli.run`` with
+    a one-argument wrapper, so ``main`` must pass the parsed command line
+    to the module-level ``run``."""
+    import rotabaxter.cli as cli
+
+    seen = []
+    run = cli.run
+
+    def timed_run(args):
+        seen.append(args.command)
+        return run(args)
+
+    monkeypatch.setattr(cli, "run", timed_run)
+    assert cli.main(["check-rbr", "--algebra", "laurent", "--operator", "ms",
+                     "--weight", "1", "--range", "-1", "1"]) == 0
+    assert seen == ["check-rbr"]
+    assert "[PASS] rbr" in capsys.readouterr().out

@@ -270,8 +270,10 @@ def test_violate_negative_samples_is_refused():
 
 
 def test_image_closure_on_laurent_refuses_random_mode():
-    assert run_cli("check-image-closure", "--algebra", "laurent", "--operator",
-                   "ms", "--weight", "1", "--random", "--samples", "3") == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check-image-closure", "--algebra", "laurent", "--operator",
+                "ms", "--weight", "1", "--random", "--samples", "3")
+    assert exc.value.code == 2
 
 
 def test_acybe_takes_only_tensor_and_output(tmp_path):
@@ -315,8 +317,10 @@ def test_explicit_range_on_finite_algebra_is_refused(command, capsys):
 
 
 def test_image_closure_on_finite_algebra_refuses_random_mode():
-    assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
-                   "miller", "--weight", "1", "--random", "--samples", "3") == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
+                "miller", "--weight", "1", "--random", "--samples", "3")
+    assert exc.value.code == 2
 
 
 def test_finite_algebra_report_domain_unchanged_without_range(tmp_path):
@@ -336,3 +340,51 @@ def test_induce_has_no_window(tmp_path):
     }))
     with pytest.raises(SystemExit):
         run_cli("induce", "--tensor", str(solution), "--range", "0", "3")
+
+
+# --- each subcommand takes only the options it reads ---------------------------
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-image-closure", ["--samples", "3"]),
+    ("check-image-closure", ["--seed", "3"]),
+    ("check-image-closure", ["--coeff-bound", "3"]),
+    ("check-image-closure", ["--support-bound", "3"]),
+    ("check-idempotent", ["--weight", "1"]),
+])
+def test_options_a_command_does_not_read_are_rejected(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--algebra", "miller:2,2", "--operator", "miller", *flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_malformed_weight_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
+                "--weight", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "argument --weight" in err
+
+
+# --- image closure uses the weight of the command line -------------------------
+
+
+def test_image_closure_reports_command_line_weight(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
+                   "miller", "--weight", "7", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["weight"] == "7"
+
+
+def test_image_closure_needs_weight():
+    assert run_cli("check-image-closure", "--algebra", "miller:2,2",
+                   "--operator", "miller") == 2
+
+
+def test_image_closure_with_wrong_weight_is_refused(capsys):
+    # 2·id − ms is not a projector, so its image is not swept
+    assert run_cli("check-image-closure", "--algebra", "laurent", "--operator",
+                   "ms", "--weight", "2", "--range", "-2", "2") == 2
+    assert "projector" in capsys.readouterr().err

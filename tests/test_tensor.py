@@ -18,7 +18,6 @@ from rotabaxter.tensor import (
     acybe_residual,
     embed,
     induced_operator,
-    mul3,
     tensor2,
     tensor2_from_json,
     tensor2_to_json,
@@ -52,11 +51,11 @@ def test_embed_requires_unit():
 def test_mul3_matrix_unit_oracle():
     a = tensor3(M2, {(E(0, 1), E(0, 0), E(0, 1)): 1})
     b = tensor3(M2, {(E(0, 1), E(0, 1), E(0, 0)): 1})
-    assert mul3(a, b).is_zero  # first slot: E12 E12 = 0
+    assert (a * b).is_zero  # first slot: E12 E12 = 0
     c = tensor3(M2, {(E(0, 0), E(0, 0), E(0, 0)): 1})
     d = tensor3(M2, {(E(0, 0), E(0, 0), E(0, 0)): 1})
-    assert mul3(c, d) == c
-    assert mul3(a, tensor3(M2, {})).is_zero
+    assert c * d == c
+    assert (a * tensor3(M2, {})).is_zero
 
 
 def test_mul3_bilinear_and_embed_linear():
@@ -66,8 +65,8 @@ def test_mul3_bilinear_and_embed_linear():
     assert embed(r + lam * s, "13") == embed(r, "13") + lam * embed(s, "13")
     a, b = embed(r, "12"), embed(s, "23")
     c = embed(r, "13")
-    assert mul3(a + lam * c, b) == mul3(a, b) + lam * mul3(c, b)
-    assert mul3(b, a + lam * c) == mul3(b, a) + lam * mul3(b, c)
+    assert (a + lam * c) * b == a * b + lam * (c * b)
+    assert b * (a + lam * c) == b * a + lam * (b * c)
 
 
 def test_acybe_residual_examples():
