@@ -8,6 +8,11 @@ coefficients are stored), so equality is syntactic and exact.
 Operator expressions form a small tree closed under identity, scaling,
 sum, and composition.  ``Compose(f, g)`` applies ``g`` first, then
 ``f``, so ``R @ R`` is the usual R².
+
+Linear and bilinear maps are fixed by their values on basis keys:
+:func:`linear_extension` and :func:`bilinear_extension` compute those
+values once per algebra and extend from them, which is how operators
+and dendriform products are evaluated.
 """
 
 from __future__ import annotations
@@ -180,6 +185,10 @@ class Algebra:
 
     def random_element(self, spec: "DomainSpec", rng) -> Element:
         raise NotImplementedError
+
+    def describe_domain(self, dom: "DomainSpec") -> dict:
+        """The report form of a domain swept on this algebra."""
+        return dom.describe()
 
     def format_element(self, x: Element) -> str:
         raise NotImplementedError
@@ -410,6 +419,115 @@ def apply_operator(algebra: Algebra, op: OperatorExpr, x: Element) -> Element:
     if x.algebra != algebra:
         raise AlgebraMismatchError("element does not belong to the given algebra")
     return op.apply(algebra, x)
+
+
+# ---------------------------------------------------------------------------
+# Linear and bilinear maps extended from their values on basis keys
+
+
+class _BasisTables:
+    """One table of basis values per algebra, owned by one map.
+
+    Tables are keyed by the algebra's kind and the algebra itself: finite
+    algebras compare by structure constants only, while an operator's
+    domain also depends on the kind.  ``check(algebra)`` runs before an
+    algebra's table is made and raises where the map is undefined.  The
+    last algebra used is found by identity, since hashing an algebra on
+    every call costs more than the table lookups themselves.
+    """
+
+    __slots__ = ("_check", "_tables", "_last")
+
+    def __init__(self, check: Callable[[Algebra], object] | None = None):
+        self._check = check
+        self._tables: dict = {}
+        self._last = (None, None)
+
+    def table(self, algebra: Algebra) -> dict:
+        last_algebra, table = self._last
+        if algebra is last_algebra:
+            return table
+        key = (algebra.kind, algebra)
+        table = self._tables.get(key)
+        if table is None:
+            if self._check is not None:
+                self._check(algebra)
+            table = self._tables[key] = {}
+        self._last = (algebra, table)
+        return table
+
+
+def _basis(algebra: Algebra, key) -> Element:
+    """e_key for a key taken from an element of ``algebra``."""
+    return Element._trusted(algebra, {key: 1})
+
+
+def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
+    """The linear map x ↦ Σ c_k·fn(e_k) for x = Σ c_k·e_k.
+
+    Each fn(e_k) is computed once per algebra.  ``fn`` of the algebra's
+    zero runs when the algebra is first met, so a map undefined on it
+    raises even for the zero element.
+    """
+    images = _BasisTables(lambda algebra: fn(algebra.zero()))
+
+    def apply(x: Element) -> Element:
+        algebra = x.algebra
+        table = images.table(algebra)
+        acc: dict = {}
+        for k, c in x.terms.items():
+            image = table.get(k)
+            if image is None:
+                image = table[k] = fn(_basis(algebra, k)).terms
+            for j, d in image.items():
+                acc[j] = acc.get(j, 0) + c * d
+        return Element._trusted(algebra, acc)
+
+    return apply
+
+
+def bilinear_extension(fn: Callable[[Element, Element], Element]
+                       ) -> Callable[[Element, Element], Element]:
+    """The bilinear map (a, b) ↦ Σ a_i·b_j·fn(e_i, e_j).
+
+    Each fn(e_i, e_j) is computed once per algebra, after fn of two zeros
+    has run.  A zero operand gives zero, but only once fn has run on each
+    key of the other operand against zero, so its errors there (an
+    operator undefined on that key) are kept.  Operands that are not the
+    same algebra object go to ``fn`` itself.
+    """
+    values = _BasisTables(lambda algebra: fn(algebra.zero(), algebra.zero()))
+    probed = _BasisTables()  # per algebra: (left, key) already run against zero
+
+    def product(a: Element, b: Element) -> Element:
+        algebra = a.algebra
+        if b.algebra is not algebra:
+            return fn(a, b)
+        table = values.table(algebra)
+        if not a.terms or not b.terms:
+            seen = probed.table(algebra)
+            left = bool(a.terms)  # which operand is the nonzero one, if any
+            for k in a.terms or b.terms:
+                if (left, k) not in seen:
+                    e, zero = _basis(algebra, k), Element._trusted(algebra, {})
+                    fn(*((e, zero) if left else (zero, e)))
+                    seen[left, k] = True
+            return Element._trusted(algebra, {})
+        acc: dict = {}
+        for i, ci in a.terms.items():
+            row = table.get(i)
+            if row is None:
+                row = table[i] = {}
+            for j, cj in b.terms.items():
+                value = row.get(j)
+                if value is None:
+                    value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms
+                cij = ci * cj
+                for k, ck in value.items():
+                    acc[k] = acc.get(k, 0) + cij * ck
+        return Element._trusted(algebra, acc)
+
+    return product
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,15 @@ class FiniteAlgebra(Algebra):
         return self.element(
             {i: _random_coeff(rng, spec.coeff_bound) for i in range(self.dimension)})
 
+    def describe_domain(self, dom: DomainSpec) -> dict:
+        """A random draw fills every coordinate, so the exponent window and
+        the support bound, which it ignores, are not recorded."""
+        described = dom.describe()
+        if dom.mode == "random":
+            for unread in ("lo", "hi", "support_bound"):
+                del described[unread]
+        return described
+
     def format_element(self, x: Element) -> str:
         return format_vector_literal(self, x)
 

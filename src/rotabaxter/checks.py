@@ -62,7 +62,7 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
         algebra=algebra.describe(),
         operator=operator_desc,
         weight=weight,
-        domain=dom.describe(),
+        domain=algebra.describe_domain(dom),
         status="pass" if witness is None else "fail",
         tuples=count,
         witness=witness,

@@ -11,6 +11,7 @@ matched.
 The parsed :class:`argparse.Namespace` is the only form a command line
 takes: :func:`run` reads each option from it directly, and each
 subcommand accepts only the options its path reads (``_COMMANDS``).
+``$ROTABAXTER_SEED`` is read only by the commands that take ``--seed``.
 
 The weight is always taken from the command line, never inferred from
 an operator, so the two sign conventions that differ only in λ can
@@ -298,7 +299,13 @@ def _require_weight(args: argparse.Namespace) -> Fraction:
     return args.weight
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int | None:
+    """``--seed``, else ``$ROTABAXTER_SEED``, else 0; None for a command
+    without ``--seed``, which samples nothing and never reads the variable."""
+    if not hasattr(args, "seed"):
+        return None
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
@@ -329,8 +336,9 @@ _IDENTITY_COMMANDS = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
-    # every command refuses a malformed $ROTABAXTER_SEED, whether it samples or not
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
+    # a command with --seed refuses a malformed $ROTABAXTER_SEED, whether
+    # or not this run samples
+    seed = _seed(args)
     command = args.command
     if command == "suite":
         try:
@@ -483,6 +491,13 @@ _COMMANDS = {
 }
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# matches this pattern of negative numbers (its default accepts -1 and
+# -0.5 but not -1/2); widened to rationals, "--weight -1/2" reads like
+# "--weight=-1/2"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotabaxter",
@@ -492,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _COMMANDS.items():
         p = sub.add_parser(command)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for option in options.split():
             p.add_argument(option, **_OPTIONS[option])
     return parser

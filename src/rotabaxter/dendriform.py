@@ -22,15 +22,22 @@ itself.  For the Nijenhuis structure the middle product −N(ab) is
 chosen so that ≺+≻+∘ equals the associative product
 a·N(b) + N(a)·b − N(ab); only axioms 1–4 of the seven are forced by
 the Nijenhuis relation, so the checker reports the rest per case.
+
+Every product is bilinear, so it is fixed by its values on basis pairs:
+the constructors wrap each product in :func:`bilinear_extension`, and
+:meth:`DendriformStructure.star` extends ≺ + ≻ (+ ∘) the same way.  A
+structure's tables are computed once and shared by every axiom checked
+on it.  Products given to :class:`DendriformStructure` directly must be
+bilinear too, because ``star`` is extended from their basis values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Algebra, DomainSpec, Element
+from .algebra import Algebra, DomainSpec, Element, bilinear_extension
 from .checks import check_idempotent, check_rbr, sweep_identity
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
@@ -48,6 +55,21 @@ class DendriformStructure:
     provenance: str
     weight: Fraction | None = None
     source: WeightedOperator | None = None
+    # built from this instance's products, so a replaced product gets a
+    # table of its own
+    _star: Callable[[Element, Element], Element] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        prec, succ, middle = self.prec, self.succ, self.middle
+
+        def star(a, b):
+            total = prec(a, b) + succ(a, b)
+            if middle is not None:
+                total = total + middle(a, b)
+            return total
+
+        object.__setattr__(self, "_star", bilinear_extension(star))
 
     @property
     def has_middle(self) -> bool:
@@ -55,18 +77,15 @@ class DendriformStructure:
 
     def star(self, a: Element, b: Element) -> Element:
         """≺ + ≻ (+ ∘): the recombined associative candidate."""
-        total = self.prec(a, b) + self.succ(a, b)
-        if self.middle is not None:
-            total = total + self.middle(a, b)
-        return total
+        return self._star(a, b)
 
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
     """Two-product splitting for a weight-0 operator."""
     return DendriformStructure(
         algebra=R.algebra,
-        prec=lambda a, b: a * R(b),
-        succ=lambda a, b: R(a) * b,
+        prec=bilinear_extension(lambda a, b: a * R(b)),
+        succ=bilinear_extension(lambda a, b: R(a) * b),
         middle=None,
         provenance=f"weight0({R.describe()})",
         weight=Fraction(0),
@@ -82,8 +101,8 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
     lam = as_rational(lam)
     return DendriformStructure(
         algebra=B.algebra,
-        prec=lambda a, b: a * B(b) - lam * (a * b),
-        succ=lambda a, b: B(a) * b + lam * (a * b),
+        prec=bilinear_extension(lambda a, b: a * B(b) - lam * (a * b)),
+        succ=bilinear_extension(lambda a, b: B(a) * b + lam * (a * b)),
         middle=None,
         provenance=f"modified(weight {format_rational(lam)}; {B.describe()})",
         weight=lam,
@@ -96,9 +115,9 @@ def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     lam = as_rational(lam)
     return DendriformStructure(
         algebra=R.algebra,
-        prec=lambda a, b: a * R(b),
-        succ=lambda a, b: R(a) * b,
-        middle=lambda a, b: (-lam) * (a * b),
+        prec=bilinear_extension(lambda a, b: a * R(b)),
+        succ=bilinear_extension(lambda a, b: R(a) * b),
+        middle=bilinear_extension(lambda a, b: (-lam) * (a * b)),
         provenance=f"tri(weight {format_rational(lam)}; {R.describe()})",
         weight=lam,
         source=R,
@@ -109,9 +128,9 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
     return DendriformStructure(
         algebra=N.algebra,
-        prec=lambda a, b: a * N(b),
-        succ=lambda a, b: N(a) * b,
-        middle=lambda a, b: -N(a * b),
+        prec=bilinear_extension(lambda a, b: a * N(b)),
+        succ=bilinear_extension(lambda a, b: N(a) * b),
+        middle=bilinear_extension(lambda a, b: -N(a * b)),
         provenance=f"nijenhuis({N.describe()})",
         weight=Fraction(1),
         source=N,

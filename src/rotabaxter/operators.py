@@ -5,12 +5,17 @@ expression together with the weight it claims to satisfy the
 Rota-Baxter relation at.  The declared weight is metadata only: the
 checkers re-verify it, and the truncation family is constructed exactly
 so that most of its members fail.
+
+Every operator is linear, so it is fixed by its images of basis keys:
+calling a :class:`WeightedOperator` walks the expression tree once per
+basis key and algebra, and extends linearly from the cached images.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import (
     Algebra,
@@ -22,6 +27,7 @@ from .algebra import (
     Scale,
     Sum,
     apply_operator,
+    linear_extension,
 )
 from .algebras import FiniteAlgebra, laurent, make_componentwise, polynomial
 from .errors import (
@@ -40,16 +46,25 @@ class WeightedOperator:
     """Operator expression plus declared weight and home algebra.
 
     ``weight`` is what the constructor claims; checkers never trust it.
-    ``note`` records how the operator was built.
+    ``note`` records how the operator was built.  Calling the operator
+    applies the linear extension of ``expr``'s basis images, which are
+    cached on the instance, one table per algebra.
     """
 
     expr: OperatorExpr
     weight: Fraction | None
     algebra: Algebra
     note: str = ""
+    _apply: Callable[[Element], Element] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        expr = self.expr  # not self, so the operator and its tables form no cycle
+        object.__setattr__(self, "_apply", linear_extension(
+            lambda x: apply_operator(x.algebra, expr, x)))
 
     def __call__(self, x: Element) -> Element:
-        return apply_operator(x.algebra, self.expr, x)
+        return self._apply(x)
 
     def describe(self) -> str:
         return self.expr.describe()

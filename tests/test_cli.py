@@ -388,3 +388,56 @@ def test_image_closure_with_wrong_weight_is_refused(capsys):
     assert run_cli("check-image-closure", "--algebra", "laurent", "--operator",
                    "ms", "--weight", "2", "--range", "-2", "2") == 2
     assert "projector" in capsys.readouterr().err
+
+
+def test_seed_env_var_ignored_by_commands_that_do_not_sample(tmp_path, monkeypatch):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({
+        "algebra": "matrix:2",
+        "terms": [{"i": 1, "j": 1, "coeff": "1"}],
+    }))
+    monkeypatch.setenv("ROTABAXTER_SEED", "x")
+    assert run_cli("acybe", "--tensor", str(solution)) == 0
+    assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
+                   "miller", "--weight", "1") == 0
+
+
+def test_malformed_seed_env_var_refused_by_commands_with_seed(monkeypatch, capsys):
+    monkeypatch.setenv("ROTABAXTER_SEED", "x")
+    for argv in (["check-rbr", "--algebra", "laurent", "--operator", "ms",
+                  "--weight", "1"],
+                 ["violate", "--algebra", "laurent", "--operator", "ms",
+                  "--weight", "1"],
+                 ["suite"]):
+        assert run_cli(*argv) == 2
+        assert "ROTABAXTER_SEED must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_negative_rational_weight_as_separate_argument(tmp_path, capsys):
+    args = ["check-rbr", "--algebra", "componentwise:3", "--operator",
+            "scale(-1/2,id)"]
+    runs = []
+    for weight in (["--weight", "-1/2"], ["--weight=-1/2"]):
+        out = tmp_path / f"r{len(runs)}.json"
+        code = run_cli(*args, *weight, "--output", str(out))
+        runs.append((code, capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+    code, printed, report = runs[0]
+    assert code == 0 and "weight=-1/2" in printed.out
+    assert json.loads(report)["weight"] == "-1/2"
+
+
+def test_finite_random_domain_records_only_what_the_draw_reads(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "miller",
+                   "--weight", "1", "--random", "--samples", "5", "--coeff-bound", "4",
+                   "--seed", "3", "--output", str(out)) == 0
+    assert json.loads(out.read_text())["domain"] == {
+        "mode": "random", "samples": 5, "coeff_bound": 4, "seed": 3}
+    # a Laurent draw reads the window and the support bound, and records them
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
+                   "--weight", "1", "--random", "--samples", "5", "--range", "-2", "2",
+                   "--output", str(out)) == 0
+    assert json.loads(out.read_text())["domain"] == {
+        "mode": "random", "lo": -2, "hi": 2, "samples": 5, "coeff_bound": 5,
+        "support_bound": 3, "seed": 0}

@@ -1,10 +1,13 @@
 """Dendriform constructions and their axiom checks."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from rotabaxter.algebra import DomainSpec
-from rotabaxter.algebras import laurent, polynomial
+from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_rbr
 from rotabaxter.dendriform import (
     DendriformStructure,
@@ -17,6 +20,7 @@ from rotabaxter.dendriform import (
     check_star_associative,
     check_trialgebra,
 )
+from rotabaxter.errors import OperatorDomainError
 from rotabaxter.operators import (
     make_integration,
     make_miller,
@@ -271,3 +275,50 @@ def test_products_are_bilinear():
     for product in (ds.prec, ds.succ, ds.middle, ds.star):
         assert product(a + lam * b, c) == product(a, c) + lam * product(b, c)
         assert product(c, a + lam * b) == product(c, a) + lam * product(c, b)
+
+
+# --- products are bilinear maps compiled from their basis values --------------
+
+
+def test_structures_built_and_dropped_in_a_loop_never_share_tables():
+    a = L.element({-2: 1, 1: 2})
+    b = L.element({-1: 3, 0: 1, 2: -1})
+    for n in range(200):
+        op = make_shift_truncation(n % 5 - 2)
+        lam = Fraction(n % 3 + 1, 2)
+        ds = build_tri_from_rbo(op, lam)
+        for _ in range(2):
+            assert ds.prec(a, b) == a * op(b)
+            assert ds.succ(a, b) == op(a) * b
+            assert ds.middle(a, b) == (-lam) * (a * b)
+            assert ds.star(a, b) == a * op(b) + op(a) * b - lam * (a * b)
+        del ds, op
+
+
+def test_replaced_product_gets_its_own_star():
+    ds = build_tri_from_rbo(MS, 1)
+    a, b = L.element({-1: 1, 2: 1}), L.element({-2: 2, 1: 1})
+    assert ds.star(a, b) == a * MS(b) + MS(a) * b - a * b
+    wrong = replace(ds, middle=lambda x, y: x * y)
+    assert wrong.star(a, b) == a * MS(b) + MS(a) * b + a * b
+    assert ds.star(a, b) == a * MS(b) + MS(a) * b - a * b
+
+
+def test_product_domain_errors_survive_compiled_tables():
+    m2 = make_matrix_algebra(2)
+    ds = build_tri_from_rbo(MS, 1)
+    undefined = re.escape("operator 'ms' is not defined on matrix(4)")
+    for product in (ds.prec, ds.succ, ds.star):
+        with pytest.raises(OperatorDomainError, match=undefined):
+            product(m2.zero(), m2.zero())
+    # R(b) is undefined, so a≺b is, even for a = 0 and after a≺b was
+    # computed for b in R's domain
+    w0 = build_weight0_pair(INTEG)
+    assert w0.prec(L.zero(), L.monomial(1)).is_zero
+    negative = re.escape("integration undefined on exponent -1 < 0")
+    for a, b in ((L.zero(), L.monomial(-1)), (L.monomial(2), L.monomial(-1))):
+        with pytest.raises(OperatorDomainError, match=negative):
+            w0.prec(a, b)
+        with pytest.raises(OperatorDomainError, match=negative):
+            w0.succ(b, a)
+

@@ -6,9 +6,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotabaxter.algebra import Element
+from rotabaxter.algebra import Element, apply_operator
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import _rref, rbr_sides
+from rotabaxter.dendriform import (
+    build_from_nijenhuis,
+    build_modified_pair,
+    build_tri_from_rbo,
+    build_weight0_pair,
+)
 from rotabaxter.operators import (
     make_identity_operator,
     make_integration,
@@ -109,6 +115,59 @@ def test_random_chains_never_produce_floats(data):
         for op in ops:
             for row in operator_matrix(algebra, op):
                 assert all(type(c) in (int, Fraction) for c in row), row
+
+
+def _structures(algebra, op, lam):
+    """Each construction built from ``op`` with its ≺, ≻ and ∘ written out
+    through the operator's expression walk; ∘ is None for the two-product
+    constructions."""
+    R = lambda v: apply_operator(algebra, op.expr, v)
+    return [
+        (build_weight0_pair(op), (lambda a, b: a * R(b), lambda a, b: R(a) * b, None)),
+        (build_modified_pair(op, lam), (lambda a, b: a * R(b) - lam * (a * b),
+                                        lambda a, b: R(a) * b + lam * (a * b), None)),
+        (build_tri_from_rbo(op, lam), (lambda a, b: a * R(b), lambda a, b: R(a) * b,
+                                       lambda a, b: (-lam) * (a * b))),
+        (build_from_nijenhuis(op), (lambda a, b: a * R(b), lambda a, b: R(a) * b,
+                                    lambda a, b: -R(a * b))),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compiled_maps_match_their_definitions(data):
+    """Operators and products extended from cached basis values agree with
+    their definitions on random elements, zero included, on first use and
+    once their tables are warm."""
+    draw = data.draw
+    algebra, keys, make_ops = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ops = make_ops(draw)
+
+    def element():
+        support = draw(st.lists(st.sampled_from(list(keys)), max_size=3, unique=True))
+        return algebra.element({k: draw(scalars) for k in support})
+
+    xs = [element() for _ in range(3)]
+    for op in ops:
+        for x in xs + xs:
+            z = op(x)
+            assert z == apply_operator(algebra, op.expr, x)
+            assert_exact(z)
+    pairs = [(a, b) for a in xs for b in xs]
+    for ds, formulas in _structures(algebra, draw(st.sampled_from(ops)), draw(scalars)):
+        for a, b in pairs + pairs:
+            star = algebra.zero()
+            for product, formula in zip((ds.prec, ds.succ, ds.middle), formulas):
+                if formula is None:
+                    assert product is None
+                    continue
+                z = product(a, b)
+                assert z == formula(a, b)
+                assert_exact(z)
+                star = star + z
+            z = ds.star(a, b)
+            assert z == star
+            assert_exact(z)
 
 
 def assert_int(x: Element) -> None:

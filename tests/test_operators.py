@@ -1,11 +1,12 @@
 """The operator zoo against independent oracles."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from rotabaxter.algebra import DomainSpec
-from rotabaxter.algebras import laurent, polynomial
+from rotabaxter.algebra import DomainSpec, apply_operator
+from rotabaxter.algebras import FiniteAlgebra, laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_idempotent, check_rbr
 from rotabaxter.errors import (
     CannotNormalizeError,
@@ -18,6 +19,7 @@ from rotabaxter.operators import (
     make_rms,
     make_rms_opposite,
     make_shift_truncation,
+    matrix_operator,
     miller_matrix,
     modified_of,
     nijenhuis_family,
@@ -191,3 +193,50 @@ def test_miller_rbr_all_sizes():
             op = make_miller(s, t)
             assert check_rbr(op.algebra, op, Fraction(1),
                              DomainSpec.basis(0, 0)).passed
+
+
+# --- operators are linear maps compiled from their basis images --------------
+
+
+def test_domain_errors_survive_compiled_images():
+    m2 = make_matrix_algebra(2)
+    undefined = re.escape("operator 'ms' is not defined on matrix(4)")
+    for op in (MS, modified_of(MS)):
+        # twice each: nothing is cached for an algebra the operator rejects
+        for x in (m2.zero(), m2.zero(), m2.basis_element(0), m2.from_coords([1, 0, 0, 2])):
+            with pytest.raises(OperatorDomainError, match=undefined):
+                op(x)
+    integ = make_integration()
+    assert integ(L.element({0: 1, 2: 3})) == L.element({1: 1, 3: 1})
+    for _ in range(2):
+        with pytest.raises(OperatorDomainError,
+                           match=re.escape("integration undefined on exponent -1 < 0")):
+            integ(L.element({2: 1, -1: 3}))
+    assert integ(L.zero()).is_zero
+
+
+def test_image_tables_tell_apart_equal_algebras_of_different_kinds():
+    # the preset and a table loaded from its constants are equal algebras,
+    # but a matrix operator is only defined on the preset's kind
+    m2 = make_matrix_algebra(2)
+    loaded = FiniteAlgebra(m2.constants)
+    assert loaded == m2
+    op = matrix_operator(m2, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    assert op(m2.basis_element(0)) == m2.basis_element(0)
+    with pytest.raises(OperatorDomainError,
+                       match=re.escape("operator 'matrix' is not defined on "
+                                       "structure-constants(4)")):
+        op(loaded.zero())
+
+
+def test_operators_built_and_dropped_in_a_loop_never_share_images():
+    # Structurally different operators built and dropped one after another,
+    # so a new one may take the memory of one just freed: each must answer
+    # from its own images.
+    x = L.element({k: k + 5 for k in range(-4, 5)})
+    for n in range(300):
+        op = make_shift_truncation(n % 7 - 3) if n % 2 else scale_operator(n, MS)
+        assert op(x) == apply_operator(L, op.expr, x)
+        assert op(x) == apply_operator(L, op.expr, x)
+        del op
+
