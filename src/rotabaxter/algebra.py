@@ -430,16 +430,14 @@ class _BasisTables:
 
     Tables are keyed by the algebra's kind and the algebra itself: finite
     algebras compare by structure constants only, while an operator's
-    domain also depends on the kind.  ``check(algebra)`` runs before an
-    algebra's table is made and raises where the map is undefined.  The
-    last algebra used is found by identity, since hashing an algebra on
-    every call costs more than the table lookups themselves.
+    domain also depends on the kind.  The last algebra used is found by
+    identity, since hashing an algebra on every call costs more than the
+    table lookups themselves.
     """
 
-    __slots__ = ("_check", "_tables", "_last")
+    __slots__ = ("_tables", "_last")
 
-    def __init__(self, check: Callable[[Algebra], object] | None = None):
-        self._check = check
+    def __init__(self):
         self._tables: dict = {}
         self._last = (None, None)
 
@@ -447,31 +445,35 @@ class _BasisTables:
         last_algebra, table = self._last
         if algebra is last_algebra:
             return table
-        key = (algebra.kind, algebra)
-        table = self._tables.get(key)
-        if table is None:
-            if self._check is not None:
-                self._check(algebra)
-            table = self._tables[key] = {}
+        table = self._tables.setdefault((algebra.kind, algebra), {})
         self._last = (algebra, table)
         return table
 
 
+# A zero operand of a product is taken as the one pseudo-key None, whose
+# basis element is zero: fn of a key paired with zero is computed once and
+# cached like any other value, so a product that raises there still
+# raises, while the zero operands that nested products often give (a ≺ b
+# is zero whenever R(b) is) cost table lookups instead of calls of fn.
+_ZERO_OPERAND = {None: 0}
+
+
 def _basis(algebra: Algebra, key) -> Element:
-    """e_key for a key taken from an element of ``algebra``."""
-    return Element._trusted(algebra, {key: 1})
+    """e_key for a key taken from an element of ``algebra``; zero for None."""
+    return Element._trusted(algebra, {} if key is None else {key: 1})
 
 
 def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
     """The linear map x ↦ Σ c_k·fn(e_k) for x = Σ c_k·e_k.
 
-    Each fn(e_k) is computed once per algebra.  ``fn`` of the algebra's
-    zero runs when the algebra is first met, so a map undefined on it
-    raises even for the zero element.
+    Each fn(e_k) is computed once per algebra.  The zero element goes to
+    ``fn`` itself, so a map undefined on its algebra raises for it too.
     """
-    images = _BasisTables(lambda algebra: fn(algebra.zero()))
+    images = _BasisTables()
 
     def apply(x: Element) -> Element:
+        if not x.terms:
+            return fn(x)
         algebra = x.algebra
         table = images.table(algebra)
         acc: dict = {}
@@ -490,35 +492,23 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
                        ) -> Callable[[Element, Element], Element]:
     """The bilinear map (a, b) ↦ Σ a_i·b_j·fn(e_i, e_j).
 
-    Each fn(e_i, e_j) is computed once per algebra, after fn of two zeros
-    has run.  A zero operand gives zero, but only once fn has run on each
-    key of the other operand against zero, so its errors there (an
-    operator undefined on that key) are kept.  Operands that are not the
-    same algebra object go to ``fn`` itself.
+    Each fn(e_i, e_j), and fn of a key paired with zero, is computed once
+    per algebra.  Operands that are not the same algebra object go to
+    ``fn`` itself.
     """
-    values = _BasisTables(lambda algebra: fn(algebra.zero(), algebra.zero()))
-    probed = _BasisTables()  # per algebra: (left, key) already run against zero
+    values = _BasisTables()
 
     def product(a: Element, b: Element) -> Element:
         algebra = a.algebra
         if b.algebra is not algebra:
             return fn(a, b)
         table = values.table(algebra)
-        if not a.terms or not b.terms:
-            seen = probed.table(algebra)
-            left = bool(a.terms)  # which operand is the nonzero one, if any
-            for k in a.terms or b.terms:
-                if (left, k) not in seen:
-                    e, zero = _basis(algebra, k), Element._trusted(algebra, {})
-                    fn(*((e, zero) if left else (zero, e)))
-                    seen[left, k] = True
-            return Element._trusted(algebra, {})
         acc: dict = {}
-        for i, ci in a.terms.items():
+        for i, ci in (a.terms or _ZERO_OPERAND).items():
             row = table.get(i)
             if row is None:
                 row = table[i] = {}
-            for j, cj in b.terms.items():
+            for j, cj in (b.terms or _ZERO_OPERAND).items():
                 value = row.get(j)
                 if value is None:
                     value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms

@@ -494,7 +494,10 @@ _COMMANDS = {
 # argparse reads an argument that starts with "-" as an option unless it
 # matches this pattern of negative numbers (its default accepts -1 and
 # -0.5 but not -1/2); widened to rationals, "--weight -1/2" reads like
-# "--weight=-1/2"
+# "--weight=-1/2".  The pattern is set on argparse's private attribute
+# _negative_number_matcher, which is no documented API;
+# tests/test_cli.py::test_negative_rational_weight_as_separate_argument
+# fails by name if a Python release drops it.
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 

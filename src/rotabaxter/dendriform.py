@@ -24,16 +24,14 @@ a·N(b) + N(a)·b − N(ab); only axioms 1–4 of the seven are forced by
 the Nijenhuis relation, so the checker reports the rest per case.
 
 Every product is bilinear, so it is fixed by its values on basis pairs:
-the constructors wrap each product in :func:`bilinear_extension`, and
-:meth:`DendriformStructure.star` extends ≺ + ≻ (+ ∘) the same way.  A
-structure's tables are computed once and shared by every axiom checked
-on it.  Products given to :class:`DendriformStructure` directly must be
-bilinear too, because ``star`` is extended from their basis values.
+the constructors wrap each product in :func:`bilinear_extension`, whose
+tables are computed once and shared by every axiom checked on the
+structure, ``star`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -55,21 +53,6 @@ class DendriformStructure:
     provenance: str
     weight: Fraction | None = None
     source: WeightedOperator | None = None
-    # built from this instance's products, so a replaced product gets a
-    # table of its own
-    _star: Callable[[Element, Element], Element] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        prec, succ, middle = self.prec, self.succ, self.middle
-
-        def star(a, b):
-            total = prec(a, b) + succ(a, b)
-            if middle is not None:
-                total = total + middle(a, b)
-            return total
-
-        object.__setattr__(self, "_star", bilinear_extension(star))
 
     @property
     def has_middle(self) -> bool:
@@ -77,7 +60,10 @@ class DendriformStructure:
 
     def star(self, a: Element, b: Element) -> Element:
         """≺ + ≻ (+ ∘): the recombined associative candidate."""
-        return self._star(a, b)
+        total = self.prec(a, b) + self.succ(a, b)
+        if self.middle is not None:
+            total = total + self.middle(a, b)
+        return total
 
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:

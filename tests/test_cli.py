@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file handling, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -414,6 +415,10 @@ def test_malformed_seed_env_var_refused_by_commands_with_seed(monkeypatch, capsy
 
 
 def test_negative_rational_weight_as_separate_argument(tmp_path, capsys):
+    # build_parser widens this private argparse attribute to rationals
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher"), (
+        "argparse has no _negative_number_matcher: build_parser cannot make "
+        "'--weight -1/2' an option value this way")
     args = ["check-rbr", "--algebra", "componentwise:3", "--operator",
             "scale(-1/2,id)"]
     runs = []

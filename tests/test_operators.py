@@ -223,10 +223,11 @@ def test_image_tables_tell_apart_equal_algebras_of_different_kinds():
     assert loaded == m2
     op = matrix_operator(m2, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
     assert op(m2.basis_element(0)) == m2.basis_element(0)
-    with pytest.raises(OperatorDomainError,
-                       match=re.escape("operator 'matrix' is not defined on "
-                                       "structure-constants(4)")):
-        op(loaded.zero())
+    for x in (loaded.zero(), loaded.basis_element(0)):
+        with pytest.raises(OperatorDomainError,
+                           match=re.escape("operator 'matrix' is not defined on "
+                                           "structure-constants(4)")):
+            op(x)
 
 
 def test_operators_built_and_dropped_in_a_loop_never_share_images():
