@@ -425,29 +425,33 @@ def apply_operator(algebra: Algebra, op: OperatorExpr, x: Element) -> Element:
 # Linear and bilinear maps extended from their values on basis keys
 
 
-class _BasisTables:
-    """One table of basis values per algebra, owned by one map.
+class _PerAlgebra:
+    """One compiled value per algebra, made on first use by ``make``.
 
-    Tables are keyed by the algebra's kind and the algebra itself: finite
+    Values are keyed by the algebra's kind and the algebra itself: finite
     algebras compare by structure constants only, while an operator's
     domain also depends on the kind.  The last algebra used is found by
     identity, since hashing an algebra on every call costs more than the
     table lookups themselves.
     """
 
-    __slots__ = ("_tables", "_last")
+    __slots__ = ("_make", "_values", "_last")
 
-    def __init__(self):
-        self._tables: dict = {}
+    def __init__(self, make: Callable[[Algebra], object]):
+        self._make = make
+        self._values: dict = {}
         self._last = (None, None)
 
-    def table(self, algebra: Algebra) -> dict:
-        last_algebra, table = self._last
+    def __call__(self, algebra: Algebra):
+        last_algebra, value = self._last
         if algebra is last_algebra:
-            return table
-        table = self._tables.setdefault((algebra.kind, algebra), {})
-        self._last = (algebra, table)
-        return table
+            return value
+        key = (algebra.kind, algebra)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._make(algebra)
+        self._last = (algebra, value)
+        return value
 
 
 # A zero operand of a product is taken as the one pseudo-key None, whose
@@ -463,24 +467,31 @@ def _basis(algebra: Algebra, key) -> Element:
     return Element._trusted(algebra, {} if key is None else {key: 1})
 
 
+def _table_value(x: Element) -> dict:
+    """The terms of a basis value, integral ``Fraction``s made ``int``, so
+    that arithmetic extended from the table stays at ``int`` speed."""
+    return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in x.terms.items()}
+
+
 def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
     """The linear map x ↦ Σ c_k·fn(e_k) for x = Σ c_k·e_k.
 
     Each fn(e_k) is computed once per algebra.  The zero element goes to
     ``fn`` itself, so a map undefined on its algebra raises for it too.
     """
-    images = _BasisTables()
+    images = _PerAlgebra(lambda algebra: {})
 
     def apply(x: Element) -> Element:
         if not x.terms:
             return fn(x)
         algebra = x.algebra
-        table = images.table(algebra)
+        table = images(algebra)
         acc: dict = {}
         for k, c in x.terms.items():
             image = table.get(k)
             if image is None:
-                image = table[k] = fn(_basis(algebra, k)).terms
+                image = table[k] = _table_value(fn(_basis(algebra, k)))
             for j, d in image.items():
                 acc[j] = acc.get(j, 0) + c * d
         return Element._trusted(algebra, acc)
@@ -495,28 +506,47 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
     Each fn(e_i, e_j), and fn of a key paired with zero, is computed once
     per algebra.  Operands that are not the same algebra object go to
     ``fn`` itself.
+
+    The returned product has a term-level entry for callers that chain
+    products without building elements: ``product.on_terms(algebra)`` is
+    ``mul(a, b, acc=None)``, which adds the product of the term dicts
+    ``a`` and ``b`` of two elements of ``algebra`` into the dict ``acc``
+    (a new one by default) and returns it.  It reads the same tables.
+    The result may hold zero coefficients, which a caller drops before
+    it compares the dict or uses it as an operand.
     """
-    values = _BasisTables()
+
+    def compile_on(algebra: Algebra):
+        table: dict = {}
+
+        def mul(a: dict, b: dict, acc: dict | None = None) -> dict:
+            if acc is None:
+                acc = {}
+            for i, ci in (a or _ZERO_OPERAND).items():
+                row = table.get(i)
+                if row is None:
+                    row = table[i] = {}
+                for j, cj in (b or _ZERO_OPERAND).items():
+                    value = row.get(j)
+                    if value is None:
+                        value = row[j] = _table_value(
+                            fn(_basis(algebra, i), _basis(algebra, j)))
+                    cij = ci * cj
+                    for k, ck in value.items():
+                        acc[k] = acc.get(k, 0) + cij * ck
+            return acc
+
+        return mul
+
+    on_terms = _PerAlgebra(compile_on)
 
     def product(a: Element, b: Element) -> Element:
         algebra = a.algebra
         if b.algebra is not algebra:
             return fn(a, b)
-        table = values.table(algebra)
-        acc: dict = {}
-        for i, ci in (a.terms or _ZERO_OPERAND).items():
-            row = table.get(i)
-            if row is None:
-                row = table[i] = {}
-            for j, cj in (b.terms or _ZERO_OPERAND).items():
-                value = row.get(j)
-                if value is None:
-                    value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms
-                cij = ci * cj
-                for k, ck in value.items():
-                    acc[k] = acc.get(k, 0) + cij * ck
-        return Element._trusted(algebra, acc)
+        return Element._trusted(algebra, on_terms(algebra)(a.terms, b.terms))
 
+    product.on_terms = on_terms
     return product
 
 

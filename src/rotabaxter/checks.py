@@ -9,7 +9,10 @@ A check sweeps a :class:`DomainSpec`: exhaustive basis tuples (exact
 for all elements supported in the window, by multilinearity) or
 reproducible random tuples.  Sweeps are deterministic, so a failing
 witness is reproducible byte for byte; the first tuple in sweep order
-that violates the identity becomes the witness.
+that violates the identity becomes the witness.  Identities that share
+work per tuple, such as the axioms of one dendriform structure, can be
+decided in one :class:`SharedPass`; each still gets the report of a
+sweep of its own.
 """
 
 from __future__ import annotations
@@ -52,11 +55,60 @@ def _first_witness(tuples, sides) -> tuple:
     return None, count
 
 
+class SharedPass:
+    """One sweep of a domain that decides several identities together.
+
+    ``evaluate(tuple, open_ids)`` is called once per tuple with the ids
+    still undecided and returns ``{id: (lhs, rhs)}`` for those the tuple
+    violates.  An identity is decided at its first witness, or at the end
+    of the domain, and then drops out of the pass.  Each identity still
+    gets its report from its own :func:`sweep_identity` call, which
+    advances the pass until that identity is decided; the identities
+    decided on the way keep their witness and tuple count for their own
+    calls.  So the reports are those of one sweep per identity, while the
+    work shared by the identities of a tuple is done once, and memory
+    does not grow with the domain.
+    """
+
+    def __init__(self, algebra: Algebra, dom: DomainSpec, arity: int,
+                 check_ids, evaluate):
+        self._tuples = domain_tuples(algebra, dom, arity)
+        self._evaluate = evaluate
+        self._open = list(check_ids)
+        self._decided: dict = {}  # id -> (witness or None, tuples swept)
+        self._count = 0
+
+    def outcome(self, check_id: str) -> tuple:
+        """The first witness of ``check_id`` (or None) and the number of
+        tuples swept up to and including it."""
+        decided = self._decided
+        while check_id not in decided:
+            tup = next(self._tuples, None)
+            if tup is None:
+                decided.update((i, (None, self._count)) for i in self._open)
+                self._open = []
+                break
+            self._count += 1
+            failed = self._evaluate(tup, self._open)
+            for i, (lhs, rhs) in failed.items():
+                decided[i] = Witness(tup, lhs, rhs, lhs - rhs), self._count
+            if failed:
+                self._open = [i for i in self._open if i not in failed]
+        return decided[check_id]
+
+
 def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
                    weight: Fraction | None, dom: DomainSpec, arity: int,
                    sides, notes: tuple = ()) -> CheckReport:
-    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain."""
-    witness, count = _first_witness(domain_tuples(algebra, dom, arity), sides)
+    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain.
+
+    ``sides`` may instead be a :class:`SharedPass` over the same domain
+    that decides ``check_id`` together with other identities.
+    """
+    if isinstance(sides, SharedPass):
+        witness, count = sides.outcome(check_id)
+    else:
+        witness, count = _first_witness(domain_tuples(algebra, dom, arity), sides)
     return CheckReport(
         check=check_id,
         algebra=algebra.describe(),

@@ -321,8 +321,11 @@ def _domain(args: argparse.Namespace, window, seed: int) -> DomainSpec:
     lo, hi = window
     if not args.random:
         return DomainSpec.basis(lo, hi)
+    # induce has no --support-bound; where it is not given, the default holds
+    support_bound = getattr(args, "support_bound", None)
+    bounds = {} if support_bound is None else {"support_bound": support_bound}
     return DomainSpec.random(args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
-                             support_bound=args.support_bound, seed=seed)
+                             seed=seed, **bounds)
 
 
 # check command -> identity swept by checks.check
@@ -379,10 +382,16 @@ def run(args: argparse.Namespace) -> int:
     dom = (DomainSpec.basis(*window) if command == "check-image-closure"
            else _domain(args, window, seed))
     algebra, context = parse_algebra(args.algebra)
-    if args.range is not None and isinstance(algebra, FiniteAlgebra):
-        raise InvalidDomainError(
-            f"--range is an exponent window; {algebra.describe()} is "
-            f"finite-dimensional and its checks sweep the whole basis")
+    if isinstance(algebra, FiniteAlgebra):
+        if args.range is not None:
+            raise InvalidDomainError(
+                f"--range is an exponent window; {algebra.describe()} is "
+                f"finite-dimensional and its checks sweep the whole basis")
+        if getattr(args, "support_bound", None) is not None:
+            raise InvalidDomainError(
+                f"--support-bound bounds the terms of a Laurent draw; "
+                f"{algebra.describe()} is finite-dimensional and its random "
+                f"elements fill every coordinate")
     # check-idempotent has no --weight: idempotence involves no λ
     operator = parse_operator(args.operator, algebra, context,
                               getattr(args, "weight", None))
@@ -463,7 +472,9 @@ _OPTIONS = {
     "--random": dict(action="store_true",
                      help="random elements instead of exhaustive basis tuples"),
     "--coeff-bound": dict(type=int, default=5),
-    "--support-bound": dict(type=int, default=3),
+    "--support-bound": dict(type=int,
+                            help="most terms of a random element (Laurent-type "
+                                 "algebras only; default 3)"),
     "--construct": dict(choices=["weight0", "modified", "tri", "nijenhuis"],
                         default="tri"),
     "--axioms": dict(choices=["ddi", "tri", "star", "rbr-compositions"]),
@@ -486,7 +497,7 @@ _COMMANDS = {
                "--identity --max-range",
     "acybe": "--tensor --output",
     "induce": "--tensor --weight --samples --seed --output --random "
-              "--coeff-bound --support-bound",
+              "--coeff-bound",
     "suite": "preset --seed --output",
 }
 

@@ -27,6 +27,12 @@ Every product is bilinear, so it is fixed by its values on basis pairs:
 the constructors wrap each product in :func:`bilinear_extension`, whose
 tables are computed once and shared by every axiom checked on the
 structure, ``star`` included.
+
+The axioms of a structure are decided in one pass over the domain: the
+products of (a, b) and (b, c) are computed once per tuple, on term
+dicts through the products' term-level entry, and every axiom still
+open is evaluated from them (see :class:`checks.SharedPass`).  Each
+axiom still gets the report of a sweep of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Algebra, DomainSpec, Element, bilinear_extension
-from .checks import check_idempotent, check_rbr, sweep_identity
+from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
 from .report import CheckReport
@@ -125,57 +131,129 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
 
 # ---------------------------------------------------------------------------
 # Axiom checks
+#
+# Each axiom maps (a, c, ab, bc) to its two sides on term dicts: ab and bc
+# hold the products of (a, b) and of (b, c) in the order ≺, ≻, ∘, and each
+# product is mul(x, y, acc=None) (see bilinear_extension).  A side may
+# hold zero coefficients; the pass drops them before it compares.
 
 
-def _axiom_report(ds: DendriformStructure, dom: DomainSpec, axiom_id: str,
-                  sides, notes=()) -> CheckReport:
-    return sweep_identity(axiom_id, ds.algebra, ds.provenance, ds.weight,
-                          dom, 3, sides, notes=notes)
+def _clean(acc: dict) -> dict:
+    return {k: c for k, c in acc.items() if c}
+
+
+def _sum(terms) -> dict:
+    acc: dict = {}
+    for t in terms:
+        for k, c in t.items():
+            acc[k] = acc.get(k, 0) + c
+    return _clean(acc)
+
+
+def _term_product(product, algebra):
+    """``product`` on term dicts: the term-level entry of a product built
+    by :func:`bilinear_extension`, else an adapter through elements."""
+    on_terms = getattr(product, "on_terms", None)
+    if on_terms is not None:
+        return on_terms(algebra)
+
+    def mul(a, b, acc=None):
+        acc = {} if acc is None else acc
+        value = product(Element._trusted(algebra, a), Element._trusted(algebra, b))
+        for k, c in value.terms.items():
+            acc[k] = acc.get(k, 0) + c
+        return acc
+
+    return mul
+
+
+def _dialgebra_axioms(lt, gt):
+    return {
+        "ddi.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, bc[1], lt(a, bc[0]))),
+        "ddi.2": lambda a, c, ab, bc: (gt(a, bc[0]), lt(ab[1], c)),
+        "ddi.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(ab[1], c, gt(ab[0], c))),
+    }
+
+
+def _trialgebra_axioms(lt, gt, mid):
+    return {
+        "tri.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, _sum(bc))),
+        "tri.2": lambda a, c, ab, bc: (lt(ab[1], c), gt(a, bc[0])),
+        "tri.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(_sum(ab), c)),
+        "tri.4": lambda a, c, ab, bc: (mid(ab[0], c), mid(a, bc[1])),
+        "tri.5": lambda a, c, ab, bc: (mid(ab[1], c), gt(a, bc[2])),
+        "tri.6": lambda a, c, ab, bc: (lt(ab[2], c), mid(a, bc[0])),
+        "tri.7": lambda a, c, ab, bc: (mid(ab[2], c), mid(a, bc[2])),
+    }
+
+
+def _star_axiom(axiom_id: str):
+    def axioms(*products):
+        def star(x, y):
+            acc: dict = {}
+            for mul in products:
+                mul(x, y, acc)
+            return acc
+
+        return {axiom_id: lambda a, c, ab, bc: (star(_sum(ab), c), star(a, _sum(bc)))}
+
+    return axioms
+
+
+def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
+                   products) -> list:
+    """One report per axiom, all decided in one shared pass."""
+    algebra = ds.algebra
+    muls = [_term_product(product, algebra) for product in products]
+    axioms = make_axioms(*muls)
+
+    def evaluate(tup, open_ids):
+        a, b, c = (x.terms for x in tup)
+        ab = [_clean(mul(a, b)) for mul in muls]
+        bc = [_clean(mul(b, c)) for mul in muls]
+        failed = {}
+        for axiom_id in open_ids:
+            lhs, rhs = axioms[axiom_id](a, c, ab, bc)
+            # equal dicts stay equal without their zeros; others are compared
+            # without them
+            if lhs != rhs:
+                lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
+                if lhs != rhs:
+                    failed[axiom_id] = lhs, rhs
+        return failed
+
+    shared = SharedPass(algebra, dom, 3, axioms, evaluate)
+    return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)
+            for axiom_id in axioms]
 
 
 def check_dialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
-    """The three two-product axioms; their sum makes ≺+≻ associative."""
-    lt, gt = ds.prec, ds.succ
-    axioms = [
-        ("ddi.1", lambda a, b, c: (lt(lt(a, b), c),
-                                   lt(a, lt(b, c)) + lt(a, gt(b, c)))),
-        ("ddi.2", lambda a, b, c: (gt(a, lt(b, c)),
-                                   lt(gt(a, b), c))),
-        ("ddi.3", lambda a, b, c: (gt(a, gt(b, c)),
-                                   gt(lt(a, b), c) + gt(gt(a, b), c))),
-    ]
-    return [_axiom_report(ds, dom, axiom_id, sides) for axiom_id, sides in axioms]
+    """The three two-product axioms; their sum makes ≺+≻ associative:
+
+        (a≺b)≺c = a≺(b≺c) + a≺(b≻c)
+        a≻(b≺c) = (a≻b)≺c
+        a≻(b≻c) = (a≺b)≻c + (a≻b)≻c
+    """
+    return _axiom_reports(ds, dom, _dialgebra_axioms, (ds.prec, ds.succ))
 
 
 def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
-    """The seven three-product axioms."""
-    lt, gt, mid = ds.prec, ds.succ, ds.middle
-    axioms = [
-        ("tri.1", lambda a, b, c: (lt(lt(a, b), c),
-                                   lt(a, lt(b, c) + gt(b, c) + mid(b, c)))),
-        ("tri.2", lambda a, b, c: (lt(gt(a, b), c),
-                                   gt(a, lt(b, c)))),
-        ("tri.3", lambda a, b, c: (gt(a, gt(b, c)),
-                                   gt(lt(a, b) + gt(a, b) + mid(a, b), c))),
-        ("tri.4", lambda a, b, c: (mid(lt(a, b), c),
-                                   mid(a, gt(b, c)))),
-        ("tri.5", lambda a, b, c: (mid(gt(a, b), c),
-                                   gt(a, mid(b, c)))),
-        ("tri.6", lambda a, b, c: (lt(mid(a, b), c),
-                                   mid(a, lt(b, c)))),
-        ("tri.7", lambda a, b, c: (mid(mid(a, b), c),
-                                   mid(a, mid(b, c)))),
-    ]
-    return [_axiom_report(ds, dom, axiom_id, sides) for axiom_id, sides in axioms]
+    """The seven three-product axioms, with a*b = a≺b + a≻b + a∘b:
+
+        (a≺b)≺c = a≺(b*c)     (a≻b)≺c = a≻(b≺c)     a≻(b≻c) = (a*b)≻c
+        (a≺b)∘c = a∘(b≻c)     (a≻b)∘c = a≻(b∘c)     (a∘b)≺c = a∘(b≺c)
+        (a∘b)∘c = a∘(b∘c)
+    """
+    return _axiom_reports(ds, dom, _trialgebra_axioms, (ds.prec, ds.succ, ds.middle))
 
 
 def check_star_associative(ds: DendriformStructure, dom: DomainSpec) -> CheckReport:
     """(a*b)*c = a*(b*c) for the recombined product."""
     axiom_id = "nij.star.assoc" if ds.provenance.startswith("nijenhuis") \
         else "star.assoc"
-    return _axiom_report(
-        ds, dom, axiom_id,
-        lambda a, b, c: (ds.star(ds.star(a, b), c), ds.star(a, ds.star(b, c))))
+    products = [p for p in (ds.prec, ds.succ, ds.middle) if p is not None]
+    [report] = _axiom_reports(ds, dom, _star_axiom(axiom_id), products)
+    return report
 
 
 def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import rotabaxter.checks as checks
+import rotabaxter.dendriform as dendriform
 from rotabaxter.algebra import DomainSpec
 from rotabaxter.algebras import laurent
 from rotabaxter.operators import make_rms, make_shift_truncation
@@ -36,6 +37,30 @@ def test_traced_tuples_match_reports():
     assert passing.tuples == 49
     assert tracer.output_tuples() == sum(r.tuples for r in reports)
     assert set(tracer.per_check) == {"rbr", "violate.rbr"}
+
+
+def test_each_axiom_report_is_returned_by_its_own_sweep():
+    """The axioms of a structure are decided in one shared pass, yet the
+    tracer sees every report come back from its own ``sweep_identity``
+    call, also where axioms drop out of the pass at different tuples."""
+    tri = dendriform.build_tri_from_rbo(make_shift_truncation(2), 1)
+    pair = dendriform.build_weight0_pair(make_shift_truncation(1))
+    dom = DomainSpec.basis(-3, 3)
+    tracer = Tracer("coarse", "hooks")
+    tracer.install()
+    try:
+        groups = [dendriform.check_trialgebra(tri, dom),
+                  dendriform.check_dialgebra(pair, dom),
+                  [dendriform.check_star_associative(tri, dom)]]
+        reports = [r for group in groups for r in group]
+        for report in reports:
+            report.to_json()
+    finally:
+        tracer.uninstall()
+    assert [len(group) for group in groups] == [7, 3, 1]
+    assert len({r.tuples for r in reports}) > 2
+    assert tracer.count("checks.sweep") == len(reports)
+    assert tracer.output_tuples() == sum(r.tuples for r in reports)
 
 
 def test_cli_main_runs_through_module_level_run(monkeypatch, capsys):

@@ -317,6 +317,30 @@ def test_explicit_range_on_finite_algebra_is_refused(command, capsys):
     assert "--range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["check-rbr", "--weight", "1"],
+    ["check-idempotent"],
+    ["dendriform", "--weight", "1"],
+])
+def test_support_bound_on_finite_algebra_is_refused(command, capsys):
+    """A random element of a finite-dimensional algebra fills every
+    coordinate, so a support bound would be ignored: it is refused."""
+    assert run_cli(*command, "--algebra", "miller:2,2", "--operator", "miller",
+                   "--random", "--samples", "3", "--support-bound", "1") == 2
+    assert "--support-bound" in capsys.readouterr().err
+
+
+def test_induce_takes_no_support_bound(tmp_path):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({
+        "algebra": "matrix:2",
+        "terms": [{"i": 1, "j": 1, "coeff": "1"}],
+    }))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("induce", "--tensor", str(solution), "--random", "--support-bound", "1")
+    assert exc.value.code == 2
+
+
 def test_image_closure_on_finite_algebra_refuses_random_mode():
     with pytest.raises(SystemExit) as exc:
         run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
@@ -446,3 +470,7 @@ def test_finite_random_domain_records_only_what_the_draw_reads(tmp_path):
     assert json.loads(out.read_text())["domain"] == {
         "mode": "random", "lo": -2, "hi": 2, "samples": 5, "coeff_bound": 5,
         "support_bound": 3, "seed": 0}
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
+                   "--weight", "1", "--random", "--samples", "5", "--support-bound", "2",
+                   "--output", str(out)) == 0
+    assert json.loads(out.read_text())["domain"]["support_bound"] == 2

@@ -8,7 +8,7 @@ import pytest
 
 from rotabaxter.algebra import DomainSpec
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
-from rotabaxter.checks import check_rbr
+from rotabaxter.checks import check_rbr, sweep_identity
 from rotabaxter.dendriform import (
     DendriformStructure,
     build_from_nijenhuis,
@@ -323,3 +323,108 @@ def test_product_domain_errors_survive_compiled_tables():
         with pytest.raises(OperatorDomainError, match=negative):
             w0.succ(b, a)
 
+
+
+# --- one shared pass per structure gives the reports of one sweep per axiom ----
+
+
+def element_axioms(ds):
+    """The axioms written on elements, each to be swept on its own: the
+    reference for the shared pass on term dicts."""
+    lt, gt, mid, star = ds.prec, ds.succ, ds.middle, ds.star
+    return {
+        "ddi.1": lambda a, b, c: (lt(lt(a, b), c), lt(a, lt(b, c)) + lt(a, gt(b, c))),
+        "ddi.2": lambda a, b, c: (gt(a, lt(b, c)), lt(gt(a, b), c)),
+        "ddi.3": lambda a, b, c: (gt(a, gt(b, c)), gt(lt(a, b), c) + gt(gt(a, b), c)),
+        "tri.1": lambda a, b, c: (lt(lt(a, b), c), lt(a, lt(b, c) + gt(b, c) + mid(b, c))),
+        "tri.2": lambda a, b, c: (lt(gt(a, b), c), gt(a, lt(b, c))),
+        "tri.3": lambda a, b, c: (gt(a, gt(b, c)), gt(lt(a, b) + gt(a, b) + mid(a, b), c)),
+        "tri.4": lambda a, b, c: (mid(lt(a, b), c), mid(a, gt(b, c))),
+        "tri.5": lambda a, b, c: (mid(gt(a, b), c), gt(a, mid(b, c))),
+        "tri.6": lambda a, b, c: (lt(mid(a, b), c), mid(a, lt(b, c))),
+        "tri.7": lambda a, b, c: (mid(mid(a, b), c), mid(a, mid(b, c))),
+        "star.assoc": lambda a, b, c: (star(star(a, b), c), star(a, star(b, c))),
+    }
+
+
+def assert_reports_match_one_sweep_per_axiom(ds, dom, reports):
+    axioms = element_axioms(ds)
+    axioms["nij.star.assoc"] = axioms["star.assoc"]
+    for report in reports:
+        alone = sweep_identity(report.check, ds.algebra, ds.provenance, ds.weight,
+                               dom, 3, axioms[report.check])
+        assert report == alone
+        assert report.to_json() == alone.to_json()
+
+
+def outcomes(reports):
+    return [(r.check, r.status, r.tuples) for r in reports]
+
+
+def test_shared_pass_drops_axioms_at_their_first_witness():
+    ds = build_tri_from_rbo(make_shift_truncation(2), 1)
+    dom = DomainSpec.basis(-3, 3)
+    reports = check_trialgebra(ds, dom) + [check_star_associative(ds, dom)]
+    assert outcomes(reports) == [
+        ("tri.1", "fail", 34), ("tri.2", "pass", 343), ("tri.3", "fail", 232),
+        ("tri.4", "pass", 343), ("tri.5", "pass", 343), ("tri.6", "pass", 343),
+        ("tri.7", "pass", 343), ("star.assoc", "fail", 34)]
+    assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
+
+
+def test_shared_pass_dialgebra_of_a_wrong_weight():
+    ds = build_weight0_pair(make_shift_truncation(1))
+    dom = DomainSpec.basis(-3, 3)
+    reports = check_dialgebra(ds, dom) + [check_star_associative(ds, dom)]
+    assert outcomes(reports)[:3] == [
+        ("ddi.1", "fail", 1), ("ddi.2", "pass", 343), ("ddi.3", "fail", 1)]
+    assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
+
+
+def test_shared_pass_adapts_a_product_given_as_a_function_of_elements():
+    wrong = replace(build_tri_from_rbo(MS, 1), middle=lambda a, b: a * b,
+                    provenance="tri-wrong-sign(ms)")
+    dom = DomainSpec.basis(-3, 3)
+    reports = check_trialgebra(wrong, dom) + [check_star_associative(wrong, dom)]
+    assert [r.status for r in reports] == ["fail", "pass", "fail"] + ["pass"] * 4 + ["fail"]
+    assert_reports_match_one_sweep_per_axiom(wrong, dom, reports)
+
+
+def test_shared_pass_in_random_mode():
+    ds = build_from_nijenhuis(nijenhuis_family(MS, 1))
+    dom = DomainSpec.random(20, seed=1)
+    reports = check_trialgebra(ds, dom) + [check_star_associative(ds, dom)]
+    assert outcomes(reports) == [(f"tri.{i}", "pass", 20) for i in range(1, 5)] + [
+        (f"tri.{i}", "fail", 1) for i in range(5, 8)] + [("nij.star.assoc", "pass", 20)]
+    assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
+
+
+# --- domain errors of the axiom checks -----------------------------------------
+
+
+def test_axiom_checks_keep_basis_mode_domain_errors():
+    ms_on_matrices = replace(MS, algebra=make_matrix_algebra(2))
+    integration_on_laurent = replace(INTEG, algebra=L)
+    cases = [
+        (build_tri_from_rbo(ms_on_matrices, 1), DomainSpec.basis(0, 0),
+         "operator 'ms' is not defined on matrix(4)"),
+        (build_weight0_pair(integration_on_laurent), DomainSpec.basis(-3, 2),
+         "integration undefined on exponent -3 < 0"),
+    ]
+    for ds, dom, message in cases:
+        for check in (check_dialgebra, check_trialgebra, check_star_associative):
+            if check is check_trialgebra and not ds.has_middle:
+                continue
+            with pytest.raises(OperatorDomainError, match=re.escape(message)):
+                check(ds, dom)
+
+
+def test_random_mode_error_comes_from_the_first_base_product_that_raises():
+    """A pass computes a tuple's base products before any nested product,
+    and each axiom's before the next one's.  When several products raise,
+    the error is that of the first in this order: here exponent -1, where
+    one sweep per axiom raised on exponent -3 from lt(lt(a, b), c)."""
+    ds = build_weight0_pair(replace(INTEG, algebra=L))
+    dom = DomainSpec.random(20, lo=-3, hi=3, seed=5)
+    with pytest.raises(OperatorDomainError, match="exponent -1 < 0"):
+        check_dialgebra(ds, dom)

@@ -207,3 +207,17 @@ def test_integration_and_normalize_are_exact():
     half = normalize_weight(scale_operator(2, make_rms()))
     assert half.expr.coeff == Fraction(1, 2)
     assert type(normalize_weight(scale_operator(-1, make_rms())).expr.coeff) is int
+
+
+def test_integral_basis_values_enter_tables_as_int():
+    """2·∫z = z² is computed as 2·(1/2)·z², a Fraction(1, 1) coefficient;
+    compiled operators and products store it, and what is extended from
+    it, as an int."""
+    double_integral = scale_operator(2, make_integration())
+    z = P.monomial(1)
+    assert double_integral(z) == P.monomial(2)
+    assert_int(double_integral(z))
+    ds = build_weight0_pair(double_integral)
+    assert ds.prec(P.monomial(0), z) == P.monomial(2)
+    assert_int(ds.prec(P.monomial(0), z))
+    assert_int(ds.star(z, z))
