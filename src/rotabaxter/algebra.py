@@ -603,24 +603,32 @@ def parse_laurent_literal(algebra: Algebra, text: str) -> Element:
     return algebra.element(terms)
 
 
-def format_laurent_literal(algebra: Algebra, x: Element) -> str:
+def format_signed_terms(x: Element, monomial: Callable[[object], str]) -> str:
+    """``x`` as a signed sum in sorted key order, such as "-z^-1 + 3/2 z";
+    ``monomial(key)`` names a basis element, with "" for the unit, whose
+    coefficient is always written."""
     if x.is_zero:
         return "0"
-    var = algebra.variable
     chunks = []
-    for exponent in sorted(x.terms):
-        coeff = x.terms[exponent]
+    for key in sorted(x.terms):
+        coeff = x.terms[key]
         mag = abs(coeff)
-        if exponent == 0:
+        mono = monomial(key)
+        if not mono:
             body = format_rational(mag)
         else:
-            mono = var if exponent == 1 else f"{var}^{exponent}"
             body = mono if mag == 1 else f"{format_rational(mag)} {mono}"
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+def format_laurent_literal(algebra: Algebra, x: Element) -> str:
+    var = algebra.variable
+    return format_signed_terms(
+        x, lambda e: "" if e == 0 else var if e == 1 else f"{var}^{e}")
 
 
 def parse_vector_literal(algebra: Algebra, text: str) -> Element:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Algebra, DomainSpec, lie_bracket
 from .algebras import FiniteAlgebra, LaurentAlgebra
 from .errors import InvalidDomainError, UnsupportedDomainError
-from .operators import WeightedOperator, operator_matrix, opposite_of
+from .operators import WeightedOperator, opposite_of
 from .rationals import div
 from .report import CheckReport, Witness
 
@@ -50,7 +50,7 @@ def _first_witness(tuples, sides) -> tuple:
     for tup in tuples:
         count += 1
         lhs, rhs = sides(*tup)
-        if lhs != rhs:
+        if lhs is not rhs and lhs != rhs:
             return Witness(tup, lhs, rhs, lhs - rhs), count
     return None, count
 
@@ -270,93 +270,73 @@ def _reduce_against(basis_rows: list, pivots: list, vec: list) -> list:
     return vec
 
 
-def _closure_of_span(algebra: FiniteAlgebra, image_cols: list):
-    """Check that span(image_cols) is closed under the product; returns
-    (pairs tested, witness or None, rank of the span)."""
-    basis_rows, pivots = _rref(image_cols)
-    basis = [algebra.from_coords(row) for row in basis_rows]
-    count = 0
-    for u in basis:
-        for v in basis:
-            count += 1
-            product = algebra.multiply(u, v)
-            remainder = _reduce_against(basis_rows, pivots, list(product.coords()))
-            if any(c != 0 for c in remainder):
-                rem = algebra.from_coords(remainder)
-                return count, Witness((u, v), product, product - rem, rem), len(basis)
-    return count, None, len(basis)
+def _span_image(algebra: FiniteAlgebra, weighted: WeightedOperator) -> tuple:
+    """A basis of the span of the weighted(e_j), and sides that reduce a
+    product of two of them against that span."""
+    rows, pivots = _rref([weighted(algebra.basis_element(j)).coords()
+                          for j in range(algebra.dimension)])
+
+    def sides(x, y):
+        xy = algebra.multiply(x, y)
+        remainder = _reduce_against(rows, pivots, xy.coords())
+        if any(remainder):
+            return xy, xy - algebra.from_coords(remainder)
+        return xy, xy
+
+    return [algebra.from_coords(row) for row in rows], sides, f"rank {len(rows)}"
 
 
-def _finite_closures(algebra: FiniteAlgebra, op: WeightedOperator):
-    """Per image: (tag, pairs tested, witness or None, rank note)."""
-    lam = op.weight if op.weight is not None else 0
-    rows = operator_matrix(algebra, op)
-    n = algebra.dimension
-    opp_rows = [[(lam if i == j else 0) - rows[i][j]
-                 for j in range(n)] for i in range(n)]
-    for tag, mat in (("im(R)", rows), ("im(opposite)", opp_rows)):
-        cols = [[mat[i][j] for i in range(n)] for j in range(n)]
-        count, witness, rank = _closure_of_span(algebra, cols)
-        yield tag, count, witness, f"{tag} rank {rank}"
-
-
-def _window_closures(algebra: LaurentAlgebra, op: WeightedOperator, dom):
-    """Per image: (tag, pairs tested, witness or None, rank note).  Both
-    operators are checked to be monomial projectors on the window before
-    any product is tested."""
-    window = algebra.basis_keys(dom.lo, dom.hi)
-    images = []
-    for tag, weighted in (("im(R)", op), ("im(opposite)", opposite_of(op))):
-        kept = []
-        for e in window:
-            mono = algebra.basis_element(e)
-            image = weighted(mono)
-            if image == mono:
-                kept.append(e)
-            elif not image.is_zero:
-                raise UnsupportedDomainError(
-                    f"operator is not an idempotent monomial projector "
-                    f"on the window: maps {mono} to {image}")
-        images.append((tag, weighted, kept))
-    for tag, weighted, kept in images:
-        witness, count = _first_witness(
-            ((algebra.basis_element(e1), algebra.basis_element(e2))
-             for e1 in kept for e2 in kept),
-            lambda x, y: (x * y, weighted(x * y)))
-        yield tag, count, witness, f"{tag} rank {len(kept)} on window"
+def _fixed_image(algebra: LaurentAlgebra, weighted: WeightedOperator,
+                 dom: DomainSpec) -> tuple:
+    """The window monomials fixed by ``weighted``, which must map every
+    other window monomial to zero, and the fixed-point sides."""
+    kept = []
+    for e in algebra.basis_keys(dom.lo, dom.hi):
+        mono = algebra.basis_element(e)
+        image = weighted(mono)
+        if image == mono:
+            kept.append(mono)
+        elif not image.is_zero:
+            raise UnsupportedDomainError(
+                f"operator is not an idempotent monomial projector "
+                f"on the window: maps {mono} to {image}")
+    return kept, lambda x, y: (x * y, weighted(x * y)), f"rank {len(kept)} on window"
 
 
 def check_image_closure(algebra: Algebra, op: WeightedOperator,
                         dom: DomainSpec | None = None) -> CheckReport:
     """im(R) and im(λ·id − R) are closed under multiplication.
 
-    Finite-dimensional algebras: image bases come from exact column
-    reduction of the operator matrices.  Laurent-type algebras need a
-    window (``dom``) and an operator acting diagonally and idempotently
-    on the swept monomials; its image is then the fixed subspace, and
-    products of image monomials are tested by the fixed-point property.
-    Random-mode domains are refused for both kinds.
+    Both images are found before any product is tested, each as a basis
+    and the sides of a product of two basis elements, which must agree.
+    Finite-dimensional algebras: the basis is the exact row reduction of
+    the images of the basis elements, and a product must have no
+    remainder against it.  Laurent-type algebras need a window (``dom``)
+    and an operator acting diagonally and idempotently on the swept
+    monomials; its image is then the fixed subspace, and a product must
+    be fixed.  Random-mode domains are refused for both kinds.
     """
     if dom is not None and dom.mode != "basis":
         raise UnsupportedDomainError(
             "image closure is swept on basis images, not random samples")
     if isinstance(algebra, FiniteAlgebra):
         domain = {"mode": "image-basis-pairs"}
-        closures = _finite_closures(algebra, op)
+        images = [_span_image(algebra, w) for w in (op, opposite_of(op))]
     elif isinstance(algebra, LaurentAlgebra):
         if dom is None:
             raise UnsupportedDomainError(
                 "image closure on a Laurent-type algebra needs an exponent window")
         domain = dom.describe()
-        closures = _window_closures(algebra, op, dom)
+        images = [_fixed_image(algebra, w, dom) for w in (op, opposite_of(op))]
     else:
         raise UnsupportedDomainError(
             f"image closure is not defined on {algebra.describe()}")
     total = 0
     notes = []
-    for tag, count, witness, rank_note in closures:
+    for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
+        witness, count = _first_witness(itertools.product(basis, repeat=2), sides)
         total += count
-        notes.append(rank_note)
+        notes.append(f"{tag} {rank}")
         if witness is not None:
             notes.append(f"{tag} not closed")
             break

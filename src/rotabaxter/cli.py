@@ -425,10 +425,6 @@ def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
     if axioms == "ddi":
         reports = check_dialgebra(ds, dom)
     elif axioms == "tri":
-        if not ds.has_middle:
-            raise FormatError(
-                f"construction {construct!r} has no middle product; "
-                f"use --axioms ddi or star")
         reports = check_trialgebra(ds, dom)
     elif axioms == "star":
         reports = [check_star_associative(ds, dom)]

@@ -26,7 +26,8 @@ the Nijenhuis relation, so the checker reports the rest per case.
 Every product is bilinear, so it is fixed by its values on basis pairs:
 the constructors wrap each product in :func:`bilinear_extension`, whose
 tables are computed once and shared by every axiom checked on the
-structure, ``star`` included.
+structure, ``star`` included.  The axiom checks extend a product given
+as a plain function of elements from its basis values the same way.
 
 The axioms of a structure are decided in one pass over the domain: the
 products of (a, b) and (b, c) are computed once per tuple, on term
@@ -43,6 +44,7 @@ from typing import Callable, Optional
 
 from .algebra import Algebra, DomainSpec, Element, bilinear_extension
 from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
+from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
 from .report import CheckReport
@@ -150,23 +152,6 @@ def _sum(terms) -> dict:
     return _clean(acc)
 
 
-def _term_product(product, algebra):
-    """``product`` on term dicts: the term-level entry of a product built
-    by :func:`bilinear_extension`, else an adapter through elements."""
-    on_terms = getattr(product, "on_terms", None)
-    if on_terms is not None:
-        return on_terms(algebra)
-
-    def mul(a, b, acc=None):
-        acc = {} if acc is None else acc
-        value = product(Element._trusted(algebra, a), Element._trusted(algebra, b))
-        for k, c in value.terms.items():
-            acc[k] = acc.get(k, 0) + c
-        return acc
-
-    return mul
-
-
 def _dialgebra_axioms(lt, gt):
     return {
         "ddi.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, bc[1], lt(a, bc[0]))),
@@ -204,7 +189,8 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
                    products) -> list:
     """One report per axiom, all decided in one shared pass."""
     algebra = ds.algebra
-    muls = [_term_product(product, algebra) for product in products]
+    muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(algebra)
+            for p in products]
     axioms = make_axioms(*muls)
 
     def evaluate(tup, open_ids):
@@ -244,6 +230,10 @@ def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
         (a≺b)∘c = a∘(b≻c)     (a≻b)∘c = a≻(b∘c)     (a∘b)≺c = a∘(b≺c)
         (a∘b)∘c = a∘(b∘c)
     """
+    if ds.middle is None:
+        raise UnsupportedDomainError(
+            f"{ds.provenance} has no middle product ∘; the trialgebra axioms "
+            f"need ≺, ≻ and ∘, the dialgebra axioms only ≺ and ≻")
     return _axiom_reports(ds, dom, _trialgebra_axioms, (ds.prec, ds.succ, ds.middle))
 
 

@@ -34,4 +34,4 @@ class CannotNormalizeError(RotaBaxterError):
 
 
 class UnsupportedDomainError(RotaBaxterError):
-    """The check is not defined for this kind of algebra."""
+    """The check is not defined for this algebra, operator or structure."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, Element, Primitive
+from .algebra import Algebra, Element, Primitive, format_signed_terms
 from .algebras import FiniteAlgebra
 from .errors import FormatError, UnsupportedDomainError
 from .operators import WeightedOperator
@@ -49,20 +49,7 @@ class TensorAlgebra(Algebra):
         return out
 
     def format_element(self, x: Element) -> str:
-        if x.is_zero:
-            return "0"
-        chunks = []
-        for key in sorted(x.terms):
-            coeff = x.terms[key]
-            mag = abs(coeff)
-            body = f"e[{','.join(str(i) for i in key)}]"
-            if mag != 1:
-                body = f"{format_rational(mag)} {body}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        return format_signed_terms(x, lambda key: f"e[{','.join(map(str, key))}]")
 
     def describe(self) -> str:
         return "⊗".join([self.base.describe()] * self.rank)

@@ -1,5 +1,6 @@
 """Identity checkers: positives, refutations, witness soundness."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,23 @@ def test_image_closure_truncation_above_zero_not_closed():
     r1 = make_shift_truncation(1)
     report = check_image_closure(L, r1, DomainSpec.basis(-2, 2))
     assert not report.passed  # z^1 * z^1 = z^2 escapes
+    assert "im(R) not closed" in report.notes
+    # replay: the sides are the product and its image under R
+    w = report.witness
+    x, y = w.inputs
+    assert (x, y) == (L.monomial(1), L.monomial(1))
+    assert w.lhs == x * y == L.monomial(2)
+    assert w.rhs == r1(x * y) and w.rhs.is_zero
+    assert w.diff == w.lhs - w.rhs
+
+
+def test_image_closure_vets_both_images_before_any_product():
+    # im(R) is not closed on this window (previous test), but at weight 2
+    # the opposite 2·id − R doubles z^2, so it is no projector; that is
+    # found before the product of any two image elements is tested
+    r1 = replace(make_shift_truncation(1), weight=2)
+    with pytest.raises(UnsupportedDomainError, match="maps z\\^2 to 2 z\\^2"):
+        check_image_closure(L, r1, DomainSpec.basis(-2, 2))
 
 
 # --- violation search -------------------------------------------------------

@@ -183,6 +183,13 @@ def test_dendriform_commands():
                    "rbr-compositions", "--range", "-3", "3") == 0
 
 
+def test_dendriform_trialgebra_axioms_need_a_middle_product(capsys):
+    assert run_cli("dendriform", "--algebra", "laurent", "--operator", "ms",
+                   "--construct", "weight0", "--axioms", "tri",
+                   "--range", "-1", "1") == 2
+    assert "weight0(ms) has no middle product" in capsys.readouterr().err
+
+
 def test_violate_command(capsys):
     assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
                    "--identity", "rbr", "--weight", "1") == 1

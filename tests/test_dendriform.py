@@ -20,7 +20,7 @@ from rotabaxter.dendriform import (
     check_star_associative,
     check_trialgebra,
 )
-from rotabaxter.errors import OperatorDomainError
+from rotabaxter.errors import OperatorDomainError, UnsupportedDomainError
 from rotabaxter.operators import (
     make_integration,
     make_miller,
@@ -417,6 +417,13 @@ def test_axiom_checks_keep_basis_mode_domain_errors():
                 continue
             with pytest.raises(OperatorDomainError, match=re.escape(message)):
                 check(ds, dom)
+
+
+def test_trialgebra_axioms_refuse_a_structure_without_middle_product():
+    for ds in (build_weight0_pair(INTEG), build_modified_pair(modified_of(MS), 1)):
+        with pytest.raises(UnsupportedDomainError,
+                           match=re.escape(f"{ds.provenance} has no middle product ∘")):
+            check_trialgebra(ds, DomainSpec.basis(0, 2))
 
 
 def test_random_mode_error_comes_from_the_first_base_product_that_raises():
