@@ -27,7 +27,7 @@ from .errors import (
     InvalidDomainError,
     OperatorDomainError,
 )
-from .rationals import as_rational, format_rational, normalize, parse_rational
+from .rationals import as_rational, div, format_rational, integral, normalize, parse_rational
 
 
 class Element:
@@ -167,16 +167,21 @@ class Algebra:
         raise OperatorDomainError(f"{self.describe()} has no unit")
 
     def multiply(self, a: Element, b: Element) -> Element:
-        if a.algebra != self or b.algebra != self:
+        if ((a.algebra is not self and a.algebra != self)
+                or (b.algebra is not self and b.algebra != self)):
             raise AlgebraMismatchError("operands do not belong to this algebra")
+        return Element._trusted(self, self.multiply_terms(a.terms, b.terms))
+
+    def multiply_terms(self, a: Mapping, b: Mapping) -> dict:
+        """Product of two term dicts from ``basis_product``; may hold zeros."""
         basis_product = self.basis_product
         acc: dict = {}
-        for i, ci in a.terms.items():
-            for j, cj in b.terms.items():
+        for i, ci in a.items():
+            for j, cj in b.items():
                 cij = ci * cj
                 for k, ck in basis_product(i, j).items():
                     acc[k] = acc.get(k, 0) + cij * ck
-        return Element._trusted(self, acc)
+        return acc
 
     def basis_keys(self, lo: int, hi: int) -> list:
         """Basis keys swept by exhaustive mode; Laurent kinds use the
@@ -479,22 +484,37 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
 
     Each fn(e_k) is computed once per algebra.  The zero element goes to
     ``fn`` itself, so a map undefined on its algebra raises for it too.
+    On a finite-dimensional algebra the sum runs on the integer numerators
+    of x, divided once per coordinate; on sparse, mostly integral Laurent
+    elements those extra passes cost more than they save.
     """
-    images = _PerAlgebra(lambda algebra: {})
+
+    def compile_on(algebra: Algebra):
+        table: dict = {}
+
+        def combine(terms: Mapping) -> dict:
+            acc: dict = {}
+            for k, c in terms.items():
+                image = table.get(k)
+                if image is None:
+                    image = table[k] = _table_value(fn(_basis(algebra, k)))
+                for j, d in image.items():
+                    acc[j] = acc.get(j, 0) + c * d
+            return acc
+
+        def combine_numerators(terms: Mapping) -> dict:
+            numerators, d = integral(terms)
+            return {j: div(v, d) for j, v in combine(numerators).items()}
+
+        return combine if algebra.dimension is None else combine_numerators
+
+    images = _PerAlgebra(compile_on)
 
     def apply(x: Element) -> Element:
         if not x.terms:
             return fn(x)
         algebra = x.algebra
-        table = images(algebra)
-        acc: dict = {}
-        for k, c in x.terms.items():
-            image = table.get(k)
-            if image is None:
-                image = table[k] = _table_value(fn(_basis(algebra, k)))
-            for j, d in image.items():
-                acc[j] = acc.get(j, 0) + c * d
-        return Element._trusted(algebra, acc)
+        return Element._trusted(algebra, images(algebra)(x.terms))
 
     return apply
 

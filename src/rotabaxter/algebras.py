@@ -18,7 +18,7 @@ from .algebra import (
     parse_vector_literal,
 )
 from .errors import FormatError, InvalidDimensionError, ZeroDenominatorError
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, div, format_rational, integral
 from .report import CheckReport, Witness
 
 
@@ -141,11 +141,11 @@ class FiniteAlgebra(Algebra):
         self.kind = kind
         self.dimension = constants.dim
         self.unital = constants.unit is not None
-        # e_i · e_j as a sparse {k: c_ijk} mapping, built once and handed
-        # out read-only by basis_product
-        self._products = tuple(
-            tuple({k: c for k, c in enumerate(row) if c != 0} for row in plane)
-            for plane in constants.table)
+        # _rows[i][j] is e_i · e_j as a sparse {k: c_ijk} mapping, for the
+        # nonzero products only; built once and handed out read-only
+        products = ([{k: c for k, c in enumerate(row) if c != 0} for row in plane]
+                    for plane in constants.table)
+        self._rows = tuple({j: p for j, p in enumerate(plane) if p} for plane in products)
 
     def validate_key(self, key) -> None:
         if not isinstance(key, int) or not 0 <= key < self.dimension:
@@ -153,7 +153,25 @@ class FiniteAlgebra(Algebra):
                 f"basis index {key!r} outside 0..{self.dimension - 1}")
 
     def basis_product(self, i: int, j: int):
-        return self._products[i][j]
+        return self._rows[i].get(j, {})
+
+    def multiply_terms(self, a, b) -> dict:
+        """Only the pairs (i, j) with e_i · e_j ≠ 0 are visited, and their
+        sum runs on the integer numerators of ``a`` and ``b``, divided
+        once per coordinate of the result."""
+        a, da = integral(a)
+        b, db = integral(b)
+        rows = self._rows
+        acc: dict = {}
+        for i, ci in a.items():
+            for j, product in rows[i].items():
+                cj = b.get(j)
+                if cj is not None:
+                    cij = ci * cj
+                    for k, ck in product.items():
+                        acc[k] = acc.get(k, 0) + cij * ck
+        d = da * db
+        return {k: div(v, d) for k, v in acc.items()}
 
     def unit(self) -> Element:
         if self.constants.unit is None:
@@ -243,30 +261,33 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
 def verify_associativity(constants: StructureConstants) -> CheckReport:
     """Exhaustively test (e_i e_j) e_k = e_i (e_j e_k) on all basis triples.
 
-    This is the quartic structure-constant identity, one output
-    coordinate at a time; the first violating (i, j, k) is reported as a
-    witness.
+    This is the quartic structure-constant identity, compared on the term
+    dicts of both sides; the first violating (i, j, k) is reported as a
+    witness, and only its sides are built as elements.
     """
     alg = FiniteAlgebra(constants)
-    basis = [alg.basis_element(i) for i in range(constants.dim)]
+    dim = constants.dim
+    mul = lambda a, b: {k: c for k, c in alg.multiply_terms(a, b).items() if c}
+    products = [[alg.basis_product(i, j) for j in range(dim)] for i in range(dim)]
     count = 0
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            left_ij = alg.multiply(ei, ej)
-            for k, ek in enumerate(basis):
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
                 count += 1
-                lhs = alg.multiply(left_ij, ek)
-                rhs = alg.multiply(ei, alg.multiply(ej, ek))
+                lhs = mul(products[i][j], {k: 1})
+                rhs = mul({i: 1}, products[j][k])
                 if lhs != rhs:
+                    lhs, rhs = Element._trusted(alg, lhs), Element._trusted(alg, rhs)
                     return CheckReport(
                         check="associativity",
                         algebra=alg.describe(),
                         operator="product",
                         weight=None,
-                        domain={"mode": "basis-triples", "dim": constants.dim},
+                        domain={"mode": "basis-triples", "dim": dim},
                         status="fail",
                         tuples=count,
-                        witness=Witness((ei, ej, ek), lhs, rhs, lhs - rhs),
+                        witness=Witness(tuple(map(alg.basis_element, (i, j, k))),
+                                        lhs, rhs, lhs - rhs),
                         notes=(f"violating basis triple (i,j,k)=({i},{j},{k})",),
                     )
     return CheckReport(

@@ -12,7 +12,8 @@ package is an exact-equality check on these values; there is no
 tolerance parameter anywhere.
 
 ``int / int`` is a ``float`` in Python, so :func:`div` is the only
-division of coefficients in the package.
+division of coefficients in the package.  A sum of many products can run
+on the integer numerators that :func:`integral` gives, then divide once.
 
 This module adds the strict textual form "p/q" (or "p" for integers)
 used by all file formats and element literals.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import FormatError, ZeroDenominatorError
 
@@ -45,9 +47,26 @@ def normalize(num: int, den: int = 1):
 def div(a, b):
     """Exact quotient a/b of two coefficients; the only coefficient
     division in the package."""
+    if type(a) is int and b == 1:
+        return a
     if b == 0:
         raise ZeroDenominatorError(f"division of {a} by zero")
     return _exact(Fraction(a, b))
+
+
+def integral(terms):
+    """``(numerators, d)`` with ``terms[k] == numerators[k] / d`` for every
+    key, every numerator an ``int`` and ``d`` the lcm of the coefficients'
+    denominators; ``terms`` itself when its coefficients are all ``int``."""
+    d = 1
+    plain = True
+    for c in terms.values():
+        if type(c) is not int:
+            plain = False
+            d = lcm(d, c.denominator)
+    if plain:
+        return terms, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
 
 
 def parse_rational(text: str):

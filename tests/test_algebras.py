@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotabaxter.algebra import DomainSpec
 from rotabaxter.algebras import (
@@ -20,7 +22,13 @@ from rotabaxter.algebras import (
     structure_constants_to_json,
     verify_associativity,
 )
-from rotabaxter.errors import FormatError, InvalidDimensionError, ZeroDenominatorError
+from rotabaxter.errors import (
+    AlgebraMismatchError,
+    FormatError,
+    InvalidDimensionError,
+    ZeroDenominatorError,
+)
+from rotabaxter.operators import matrix_operator, operator_matrix
 
 L = laurent()
 P = polynomial()
@@ -154,3 +162,92 @@ def test_finite_algebra_equality_ignores_kind_label():
     a2 = make_componentwise(2)
     clone = FiniteAlgebra(a2.constants)  # kind defaults to structure-constants
     assert clone == a2
+
+
+# ---------------------------------------------------------------------------
+# The finite product kernel against the structure constants
+
+# The non-associative table of test_verify_associativity_failure_with_witness
+# scaled by 3/2: e1e1 = 3/2 e2, e1e2 = 3/2 e1.
+HALVES = FiniteAlgebra(StructureConstants.build(
+    2, [[[0, Fraction(3, 2)], [Fraction(3, 2), 0]], [[0, 0], [0, 0]]]))
+KERNEL_CASES = {"matrix:3": make_matrix_algebra(3), "componentwise:5": make_componentwise(5),
+                "3/2 non-associative": HALVES}
+
+# ints, integral Fractions, proper Fractions and zero alike
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-4, 4).map(Fraction),
+)
+
+
+def finite_elements(alg):
+    coords = st.lists(coefficients, min_size=alg.dimension, max_size=alg.dimension)
+    return coords.map(lambda cs: alg.element(dict(enumerate(cs))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_finite_product_is_the_structure_constant_sum(data):
+    """x·y = Σ_ijk x_i·y_j·c_ijk e_k on dense, sparse and zero operands."""
+    alg = KERNEL_CASES[data.draw(st.sampled_from(sorted(KERNEL_CASES)))]
+    x, y = data.draw(finite_elements(alg)), data.draw(finite_elements(alg))
+    n, c = alg.dimension, alg.constants.table
+    expected = [sum(x.coefficient(i) * y.coefficient(j) * c[i][j][k]
+                    for i in range(n) for j in range(n)) for k in range(n)]
+    product = alg.multiply(x, y)
+    assert product.coords() == tuple(expected)
+    assert all(type(v) is int or v.denominator != 1 for v in product.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_matrix_operator_image_is_matrix_times_coords(data):
+    alg = make_matrix_algebra(2)
+    entries = st.lists(coefficients, min_size=4, max_size=4)
+    op = matrix_operator(alg, data.draw(st.lists(entries, min_size=4, max_size=4)))
+    x = data.draw(finite_elements(alg))
+    rows = operator_matrix(alg, op)
+    assert op(x).coords() == tuple(sum(m * v for m, v in zip(row, x.coords()))
+                                   for row in rows)
+
+
+def test_equal_algebras_multiply_and_different_ones_refuse(tmp_path):
+    m2 = make_matrix_algebra(2)
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(structure_constants_to_json(m2.constants)), encoding="utf-8")
+    loaded = FiniteAlgebra(load_structure_constants_file(path))
+    assert loaded is not m2 and loaded == m2
+    x = m2.from_coords([1, Fraction(1, 2), 0, -3])
+    y = loaded.from_coords([Fraction(2, 3), 0, 1, 1])
+    assert m2.multiply(x, y) == loaded.multiply(x, y) == x * y
+    assert (x * y).coords() == (Fraction(7, 6), Fraction(1, 2), -3, -3)
+    with pytest.raises(AlgebraMismatchError):
+        m2.multiply(x, make_componentwise(4).from_coords([1, 1, 1, 1]))
+    with pytest.raises(AlgebraMismatchError):
+        x * make_componentwise(4).from_coords([1, 1, 1, 1])
+
+
+def test_verify_associativity_fraction_table_report_is_pinned():
+    """The full report of a Fraction table that first fails at (1,1,1):
+    e0e0 = e0, e1e1 = 3/2 e2, e1e2 = 1/3 e1 + 2/5 e2, e2e1 = -e1 + 5/4 e2."""
+    entries = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    entries[0][0][0] = 1
+    entries[1][1][2] = Fraction(3, 2)
+    entries[1][2][1], entries[1][2][2] = Fraction(1, 3), Fraction(2, 5)
+    entries[2][1][1], entries[2][1][2] = -1, Fraction(5, 4)
+    report = verify_associativity(StructureConstants.build(3, entries))
+    assert report.to_json() == {
+        "check": "associativity",
+        "algebra": "structure-constants(3)",
+        "operator": "product",
+        "weight": None,
+        "domain": {"mode": "basis-triples", "dim": 3},
+        "status": "fail",
+        "tuples": 14,
+        "witness": {"inputs": ["[0, 1, 0]", "[0, 1, 0]", "[0, 1, 0]"],
+                    "lhs": "[0, -3/2, 15/8]", "rhs": "[0, 1/2, 3/5]",
+                    "diff": "[0, -2, 51/40]"},
+        "notes": ["violating basis triple (i,j,k)=(1,1,1)"],
+    }

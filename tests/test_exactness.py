@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotabaxter.algebra import Element, apply_operator
-from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
+from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
 from rotabaxter.checks import _rref, rbr_sides
 from rotabaxter.dendriform import (
     build_from_nijenhuis,
@@ -193,6 +193,22 @@ def test_matrix_product_keeps_int_coefficients():
     for i in range(4):
         for j in range(4):
             assert all(type(c) is int for c in M2.basis_product(i, j).values())
+
+
+def test_integral_finite_results_of_fraction_operands_are_int():
+    """Finite products and operator images add up integer numerators and
+    divide once, so an integral coordinate comes back an ``int``, not a
+    ``Fraction(n, 1)``."""
+    h = Fraction(1, 2)
+    M3 = make_matrix_algebra(3)
+    x = M3.from_coords([h, h, 1, 3 * h, -h, 2, -h, 3 * h, 1])
+    y = M3.from_coords([h, h, -h, 3 * h, 3 * h, 5 * h, 1, 2, -1])
+    assert x * y == M3.from_coords([2, 3, 0, 2, 4, -4, 3, 4, 3])
+    assert_int(x * y)
+    half_miller = scale_operator(h, make_miller(3, 2))
+    z = make_componentwise(5).from_coords([2, -4, 6, -2, Fraction(1, 3)])
+    assert half_miller(z) == z.algebra.from_coords([2, 1, 3, 0, 1])
+    assert_int(half_miller(z))
 
 
 def test_tensor_product_keeps_int_coefficients():
