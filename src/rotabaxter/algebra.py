@@ -487,6 +487,9 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
     On a finite-dimensional algebra the sum runs on the integer numerators
     of x, divided once per coordinate; on sparse, mostly integral Laurent
     elements those extra passes cost more than they save.
+
+    ``apply.on_terms(algebra)`` is the map on term dicts of ``algebra``,
+    whose images hold no zero coefficients; an empty dict goes to ``fn``.
     """
 
     def compile_on(algebra: Algebra):
@@ -506,7 +509,9 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
             numerators, d = integral(terms)
             return {j: div(v, d) for j, v in combine(numerators).items()}
 
-        return combine if algebra.dimension is None else combine_numerators
+        combined = combine if algebra.dimension is None else combine_numerators
+        return lambda terms: (clean_terms(combined(terms)) if terms
+                              else fn(_basis(algebra, None)).terms)
 
     images = _PerAlgebra(compile_on)
 
@@ -516,6 +521,7 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
         algebra = x.algebra
         return Element._trusted(algebra, images(algebra)(x.terms))
 
+    apply.on_terms = images
     return apply
 
 
@@ -572,6 +578,29 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
 
 # ---------------------------------------------------------------------------
 # Module-level vector-space helpers
+
+
+def clean_terms(terms: Mapping) -> dict:
+    """``terms`` without its zero coefficients."""
+    return {k: c for k, c in terms.items() if c}
+
+
+def add_terms(first: Mapping, *rest: Mapping) -> dict:
+    """Σ terms without zeros; a key's first coefficient is not added to 0."""
+    acc = dict(first)
+    for terms in rest:
+        for k, c in terms.items():
+            acc[k] = acc[k] + c if k in acc else c
+    return clean_terms(acc)
+
+
+def scale_terms(c, terms: Mapping) -> Mapping:
+    """c·terms, with no products for c = ±1; holds zeros for c = 0."""
+    if c == 1:
+        return terms
+    if c == -1:
+        return {k: -v for k, v in terms.items()}
+    return {k: c * v for k, v in terms.items()}
 
 
 def lie_bracket(algebra: Algebra, a: Element, b: Element) -> Element:

@@ -12,6 +12,7 @@ from .algebra import (
     DomainSpec,
     Element,
     _random_coeff,
+    clean_terms,
     format_laurent_literal,
     format_vector_literal,
     parse_laurent_literal,
@@ -41,6 +42,14 @@ class LaurentAlgebra(Algebra):
 
     def basis_product(self, i: int, j: int):
         return {i + j: 1}
+
+    def multiply_terms(self, a, b) -> dict:
+        """z^i · z^j = z^(i+j), added without ``basis_product`` calls."""
+        acc: dict = {}
+        for i, ci in a.items():
+            for j, cj in b.items():
+                acc[i + j] = acc.get(i + j, 0) + ci * cj
+        return acc
 
     def monomial(self, exponent: int, coeff=1) -> Element:
         return self.element({exponent: as_rational(coeff)})
@@ -267,7 +276,7 @@ def verify_associativity(constants: StructureConstants) -> CheckReport:
     """
     alg = FiniteAlgebra(constants)
     dim = constants.dim
-    mul = lambda a, b: {k: c for k, c in alg.multiply_terms(a, b).items() if c}
+    mul = lambda a, b: clean_terms(alg.multiply_terms(a, b))
     products = [[alg.basis_product(i, j) for j in range(dim)] for i in range(dim)]
     count = 0
     for i in range(dim):

@@ -9,10 +9,11 @@ A check sweeps a :class:`DomainSpec`: exhaustive basis tuples (exact
 for all elements supported in the window, by multilinearity) or
 reproducible random tuples.  Sweeps are deterministic, so a failing
 witness is reproducible byte for byte; the first tuple in sweep order
-that violates the identity becomes the witness.  Identities that share
-work per tuple, such as the axioms of one dendriform structure, can be
-decided in one :class:`SharedPass`; each still gets the report of a
-sweep of its own.
+that violates the identity becomes the witness.  The pair identities
+are evaluated on term dicts, and elements are built only for a witness.
+Identities that share work per tuple, such as the axioms of one
+dendriform structure, can be decided in one :class:`SharedPass`; each
+still gets the report of a sweep of its own.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import Algebra, DomainSpec, lie_bracket
+from .algebra import Algebra, DomainSpec, Element, add_terms, clean_terms, scale_terms
 from .algebras import FiniteAlgebra, LaurentAlgebra
-from .errors import InvalidDomainError, UnsupportedDomainError
+from .errors import AlgebraMismatchError, InvalidDomainError, UnsupportedDomainError
 from .operators import WeightedOperator, opposite_of
-from .rationals import div
+from .rationals import as_rational, div
 from .report import CheckReport, Witness
 
 
@@ -45,12 +46,16 @@ def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
 def _first_witness(tuples, sides) -> tuple:
     """Evaluate ``sides(*tuple) -> (lhs, rhs)`` along the stream; returns
     the witness of the first violating tuple (or None) and the number of
-    tuples evaluated."""
+    tuples evaluated.  Sides are two elements, or two term dicts without
+    zeros that only a witness turns into elements of the tuple's algebra."""
     count = 0
     for tup in tuples:
         count += 1
         lhs, rhs = sides(*tup)
         if lhs is not rhs and lhs != rhs:
+            if isinstance(lhs, dict):
+                algebra = tup[0].algebra
+                lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
             return Witness(tup, lhs, rhs, lhs - rhs), count
     return None, count
 
@@ -66,8 +71,10 @@ class SharedPass:
     advances the pass until that identity is decided; the identities
     decided on the way keep their witness and tuple count for their own
     calls.  So the reports are those of one sweep per identity, while the
-    work shared by the identities of a tuple is done once, and memory
-    does not grow with the domain.
+    work shared by the identities of a tuple is done once.  ``evaluate``
+    may keep work between tuples too: the dendriform passes keep the
+    products of each pair of tuple elements, |B|² pairs for a basis B and
+    at most 2·samples in random mode.
     """
 
     def __init__(self, algebra: Algebra, dom: DomainSpec, arity: int,
@@ -123,46 +130,59 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
 
 
 # ---------------------------------------------------------------------------
-# Identity residuals
+# Identity residuals, as sides(x, y) -> (lhs, rhs) on the term dicts of two
+# elements; no dict that is a side or goes to the operator holds a zero.
 
 
 def rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
+    """R(x)R(y) + λ·R(xy) = R(R(x)y + xR(y))."""
+    mul, R = algebra.multiply_terms, op.on_terms(algebra)
+
     def sides(x, y):
-        rx, ry = op(x), op(y)
-        return rx * ry + lam * op(x * y), op(rx * y + x * ry)
+        rx, ry = R(x), R(y)
+        return (add_terms(mul(rx, ry), scale_terms(lam, R(clean_terms(mul(x, y))))),
+                R(add_terms(mul(rx, y), mul(x, ry))))
 
     return sides
 
 
 def modified_rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """B(x)B(y) = B(B(x)y + xB(y)) − λ²xy."""
+    mul, B = algebra.multiply_terms, op.on_terms(algebra)
 
     def sides(x, y):
-        bx, by = op(x), op(y)
-        return bx * by, op(bx * y + x * by) - (lam * lam) * (x * y)
+        bx, by = B(x), B(y)
+        return (clean_terms(mul(bx, by)),
+                add_terms(B(add_terms(mul(bx, y), mul(x, by))),
+                          scale_terms(-lam * lam, mul(x, y))))
 
     return sides
 
 
 def nijenhuis_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """N(x)N(y) + λ·N²(xy) = N(N(x)y + xN(y))."""
+    mul, N = algebra.multiply_terms, op.on_terms(algebra)
 
     def sides(x, y):
-        nx, ny = op(x), op(y)
-        return nx * ny + lam * op(op(x * y)), op(nx * y + x * ny)
+        nx, ny = N(x), N(y)
+        return (add_terms(mul(nx, ny), scale_terms(lam, N(N(clean_terms(mul(x, y)))))),
+                N(add_terms(mul(nx, y), mul(x, ny))))
 
     return sides
 
 
 def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """[B(x),B(y)] = B([B(x),y] + [x,B(y)]) − λ²[x,y]."""
+    mul, B = algebra.multiply_terms, op.on_terms(algebra)
+
+    def bracket(a, b):
+        return add_terms(mul(a, b), scale_terms(-1, mul(b, a)))
 
     def sides(x, y):
-        bx, by = op(x), op(y)
-        lhs = lie_bracket(algebra, bx, by)
-        rhs = op(lie_bracket(algebra, bx, y) + lie_bracket(algebra, x, by)) \
-            - (lam * lam) * lie_bracket(algebra, x, y)
-        return lhs, rhs
+        bx, by = B(x), B(y)
+        return (bracket(bx, by),
+                add_terms(B(add_terms(bracket(bx, y), bracket(x, by))),
+                          scale_terms(-lam * lam, bracket(x, y))))
 
     return sides
 
@@ -176,16 +196,26 @@ IDENTITIES = {
 }
 
 
-def _identity(identity: str) -> tuple:
-    try:
-        return IDENTITIES[identity]
-    except KeyError:
-        raise InvalidDomainError(f"unknown identity {identity!r}") from None
+def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam) -> tuple:
+    """The arity of an identity and its sides on the terms of a tuple's elements."""
+    if identity not in IDENTITIES:
+        raise InvalidDomainError(f"unknown identity {identity!r}")
+    arity, make_sides = IDENTITIES[identity]
+    sides = make_sides(algebra, op, as_rational(lam))
+    return arity, lambda x, y: sides(x.terms, y.terms)
 
 
 def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
                    lam: Fraction):
-    return _identity(identity)[1](algebra, op, lam)
+    """The sides of an identity as elements of ``algebra``."""
+    sides = _term_sides(identity, algebra, op, lam)[1]
+
+    def on_elements(x: Element, y: Element) -> tuple:
+        if x.algebra != algebra or y.algebra != algebra:
+            raise AlgebraMismatchError("operands do not belong to this algebra")
+        return tuple(Element._trusted(algebra, side) for side in sides(x, y))
+
+    return on_elements
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +225,8 @@ def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
 def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
     """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``."""
-    arity, make_sides = _identity(identity)
-    return sweep_identity(identity, algebra, op.describe(), lam, dom, arity,
-                          make_sides(algebra, op, lam))
+    arity, sides = _term_sides(identity, algebra, op, lam)
+    return sweep_identity(identity, algebra, op.describe(), lam, dom, arity, sides)
 
 
 def check_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
@@ -373,7 +402,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
         raise InvalidDomainError(f"negative search range {max_range}")
     if samples < 0:
         raise InvalidDomainError("negative sample count")
-    arity, make_sides = _identity(identity)
+    arity, sides = _term_sides(identity, algebra, op, lam)
     domains = []
     seen_windows = set()
     for k in range(max_range + 1):
@@ -386,7 +415,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                                          coeff_bound=3, support_bound=3, seed=seed))
     tuples = itertools.chain.from_iterable(
         domain_tuples(algebra, dom, arity) for dom in domains)
-    witness, count = _first_witness(tuples, make_sides(algebra, op, lam))
+    witness, count = _first_witness(tuples, sides)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": samples, "seed": seed}
     note = ("witness found by expanding search",) if witness is not None \

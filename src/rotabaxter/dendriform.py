@@ -30,10 +30,11 @@ structure, ``star`` included.  The axiom checks extend a product given
 as a plain function of elements from its basis values the same way.
 
 The axioms of a structure are decided in one pass over the domain: the
-products of (a, b) and (b, c) are computed once per tuple, on term
+products of a pair of elements are computed once per pass, on term
 dicts through the products' term-level entry, and every axiom still
-open is evaluated from them (see :class:`checks.SharedPass`).  Each
-axiom still gets the report of a sweep of its own.
+open at (a, b, c) is evaluated from those of (a, b) and (b, c) (see
+:class:`checks.SharedPass`).  Each axiom still gets the report of a
+sweep of its own.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Algebra, DomainSpec, Element, bilinear_extension
+from .algebra import Algebra, DomainSpec, Element, add_terms, bilinear_extension, clean_terms
 from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
 from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
@@ -135,21 +136,9 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
 # Axiom checks
 #
 # Each axiom maps (a, c, ab, bc) to its two sides on term dicts: ab and bc
-# hold the products of (a, b) and of (b, c) in the order ≺, ≻, ∘, and each
-# product is mul(x, y, acc=None) (see bilinear_extension).  A side may
-# hold zero coefficients; the pass drops them before it compares.
-
-
-def _clean(acc: dict) -> dict:
-    return {k: c for k, c in acc.items() if c}
-
-
-def _sum(terms) -> dict:
-    acc: dict = {}
-    for t in terms:
-        for k, c in t.items():
-            acc[k] = acc.get(k, 0) + c
-    return _clean(acc)
+# hold the products of (a, b) and of (b, c) in the order ≺, ≻ (, ∘), then
+# their sum; each product is mul(x, y, acc=None) (see bilinear_extension).
+# A side may hold zero coefficients; the pass drops them before it compares.
 
 
 def _dialgebra_axioms(lt, gt):
@@ -162,9 +151,9 @@ def _dialgebra_axioms(lt, gt):
 
 def _trialgebra_axioms(lt, gt, mid):
     return {
-        "tri.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, _sum(bc))),
+        "tri.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, bc[3])),
         "tri.2": lambda a, c, ab, bc: (lt(ab[1], c), gt(a, bc[0])),
-        "tri.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(_sum(ab), c)),
+        "tri.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(ab[3], c)),
         "tri.4": lambda a, c, ab, bc: (mid(ab[0], c), mid(a, bc[1])),
         "tri.5": lambda a, c, ab, bc: (mid(ab[1], c), gt(a, bc[2])),
         "tri.6": lambda a, c, ab, bc: (lt(ab[2], c), mid(a, bc[0])),
@@ -180,26 +169,36 @@ def _star_axiom(axiom_id: str):
                 mul(x, y, acc)
             return acc
 
-        return {axiom_id: lambda a, c, ab, bc: (star(_sum(ab), c), star(a, _sum(bc)))}
+        return {axiom_id: lambda a, c, ab, bc: (star(ab[-1], c), star(a, bc[-1]))}
 
     return axioms
 
 
 def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
                    products) -> list:
-    """One report per axiom, all decided in one shared pass."""
+    """One report per axiom, all decided in one shared pass.  The products
+    of a pair of tuple elements are computed once per pass and kept by the
+    pair: |B|² pairs for a basis B, at most 2·samples in random mode."""
     algebra = ds.algebra
     muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(algebra)
             for p in products]
     axioms = make_axioms(*muls)
+    pairs: dict = {}
+
+    def pair_products(x: Element, y: Element) -> list:
+        found = pairs.get((x, y))
+        if found is None:
+            found = [clean_terms(mul(x.terms, y.terms)) for mul in muls]
+            found.append(add_terms(*found))
+            pairs[x, y] = found
+        return found
 
     def evaluate(tup, open_ids):
-        a, b, c = (x.terms for x in tup)
-        ab = [_clean(mul(a, b)) for mul in muls]
-        bc = [_clean(mul(b, c)) for mul in muls]
+        a, b, c = tup
+        ab, bc = pair_products(a, b), pair_products(b, c)
         failed = {}
         for axiom_id in open_ids:
-            lhs, rhs = axioms[axiom_id](a, c, ab, bc)
+            lhs, rhs = axioms[axiom_id](a.terms, c.terms, ab, bc)
             # equal dicts stay equal without their zeros; others are compared
             # without them
             if lhs != rhs:

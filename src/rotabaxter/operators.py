@@ -66,6 +66,10 @@ class WeightedOperator:
     def __call__(self, x: Element) -> Element:
         return self._apply(x)
 
+    def on_terms(self, algebra: Algebra) -> Callable[[dict], dict]:
+        """The operator on term dicts of ``algebra`` (see :func:`linear_extension`)."""
+        return self._apply.on_terms(algebra)
+
     def describe(self) -> str:
         return self.expr.describe()
 

@@ -1,11 +1,15 @@
 """Identity checkers: positives, refutations, witness soundness."""
 
+import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotabaxter.algebra import DomainSpec
+from rotabaxter.algebra import DomainSpec, lie_bracket
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import (
     check_idempotent,
@@ -18,7 +22,7 @@ from rotabaxter.checks import (
     identity_sides,
     violation_report,
 )
-from rotabaxter.errors import UnsupportedDomainError
+from rotabaxter.errors import AlgebraMismatchError, OperatorDomainError, UnsupportedDomainError
 from rotabaxter.operators import (
     make_identity_operator,
     make_integration,
@@ -407,3 +411,100 @@ def test_violation_search_budget_counts():
     report = violation_report(m2, "rbr", make_identity_operator(m2), ONE,
                               max_range=4, samples=5)
     assert report.passed and report.tuples == 16 + 5
+
+
+# --- the identities on term dicts --------------------------------------------
+
+M3 = make_matrix_algebra(3)
+# not a Rota-Baxter operator at any weight, with proper fractions
+M3_OP = matrix_operator(M3, [
+    [Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0, 0], [0] * 9,
+    [0, 0, 1, 0, 0, 0, 0, 0, Fraction(-2, 3)], [0] * 9,
+    [0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 9, [0] * 9, [0] * 9,
+    [0, 0, 0, 0, 0, 0, 0, 0, 1]], label="frac")
+MILLER = make_miller(2, 2)
+
+# (algebra, keys of its elements, operators)
+ELEMENT_CASES = [
+    (L, range(-3, 4), [MS, nijenhuis_family(MS, Fraction(3, 2))]),
+    (P, range(0, 5), [INTEG]),
+    (M3, range(9), [M3_OP]),
+    (MILLER.algebra, range(4), [MILLER]),
+]
+
+# the identities as written on elements, the reference for the term dicts
+ELEMENT_FORMULAS = {
+    "rbr": lambda A, op, lam, x, y: (
+        op(x) * op(y) + lam * op(x * y), op(op(x) * y + x * op(y))),
+    "modified-rbr": lambda A, op, lam, x, y: (
+        op(x) * op(y), op(op(x) * y + x * op(y)) - (lam * lam) * (x * y)),
+    "nijenhuis": lambda A, op, lam, x, y: (
+        op(x) * op(y) + lam * op(op(x * y)), op(op(x) * y + x * op(y))),
+    "lie-modified": lambda A, op, lam, x, y: (
+        lie_bracket(A, op(x), op(y)),
+        op(lie_bracket(A, op(x), y) + lie_bracket(A, x, op(y)))
+        - (lam * lam) * lie_bracket(A, x, y)),
+}
+
+coefficients = st.one_of(st.integers(-3, 3).filter(bool),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                         .filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_identity_sides_match_the_element_formulas(data):
+    algebra, keys, ops = data.draw(st.sampled_from(ELEMENT_CASES))
+    op = data.draw(st.sampled_from(ops))
+    lam = data.draw(st.sampled_from([Fraction(0), ONE, Fraction(-1), Fraction(3, 2)]))
+    identity = data.draw(st.sampled_from(list(ELEMENT_FORMULAS)))
+    # empty dicts give zero elements
+    x, y = (algebra.element(data.draw(st.dictionaries(st.sampled_from(keys),
+                                                      coefficients, max_size=4)))
+            for _ in range(2))
+    assert identity_sides(identity, algebra, op, lam)(x, y) == \
+        ELEMENT_FORMULAS[identity](algebra, op, lam, x, y)
+
+
+def test_term_sides_raise_where_the_element_formulas_raise():
+    integ_on_laurent = replace(INTEG, algebra=L)
+    x, y = L.element({1: 2, -2: 1}), L.monomial(0)
+    for identity, formula in ELEMENT_FORMULAS.items():
+        with pytest.raises(OperatorDomainError, match="exponent -2 < 0"):
+            formula(L, integ_on_laurent, ONE, x, y)
+        with pytest.raises(OperatorDomainError, match="exponent -2 < 0"):
+            identity_sides(identity, L, integ_on_laurent, ONE)(x, y)
+    with pytest.raises(AlgebraMismatchError):
+        identity_sides("rbr", L, MS, ONE)(P.monomial(1), P.monomial(2))
+    m2 = make_matrix_algebra(2)
+    for dom in (DomainSpec.basis(0, 0), DomainSpec.random(5, seed=1)):
+        with pytest.raises(OperatorDomainError,
+                           match=re.escape("operator 'ms' is not defined on matrix(4)")):
+            check_rbr(m2, MS, ONE, dom)
+    with pytest.raises(OperatorDomainError, match="exponent -2 < 0"):
+        check_rbr(L, INTEG, Fraction(0), DomainSpec.basis(-2, 2))
+    with pytest.raises(OperatorDomainError, match="exponent -3 < 0"):
+        check_lie_modified(L, INTEG, Fraction(0), DomainSpec.random(5, seed=3))
+
+
+def digest(reports) -> str:
+    return hashlib.sha256(dumps_reports(reports).encode()).hexdigest()
+
+
+def test_pair_identity_reports_are_pinned():
+    """The serialised reports of failing pair-identity sweeps, recorded
+    while the identities were still evaluated on elements."""
+    lie = check_lie_modified(M3, M3_OP, ONE,
+                             DomainSpec.random(12, coeff_bound=3, seed=4))
+    assert (lie.status, lie.tuples) == ("fail", 1)
+    assert lie.witness.to_json()["lhs"] == "[0, 0, 7/2, 0, 0, 0, 0, 0, 0]"
+    assert digest(lie) == \
+        "1b7db9bf041c0a490f6fc9f7bfc9b805d780371eb3124683428d9d49bfbd1012"
+    modified = check_modified_rbr(L, modified_of(MS), Fraction(2), DomainSpec.basis(-2, 3))
+    assert (modified.status, modified.tuples) == ("fail", 1)
+    assert digest(modified) == \
+        "014476b5046cea00c62c59b1c74930d3a2706897c17de57fdc03d6cbbb14a898"
+    search = violation_report(L, "nijenhuis", make_shift_truncation(2), ONE)
+    assert (search.status, search.tuples) == ("fail", 30)
+    assert digest(search) == \
+        "4dca84332234b69e010ed63ac566598b2b823061bee0dc8a83d9edf99853faa1"

@@ -1,5 +1,6 @@
 """Dendriform constructions and their axiom checks."""
 
+import hashlib
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -31,6 +32,7 @@ from rotabaxter.operators import (
     nijenhuis_family,
     scale_operator,
 )
+from rotabaxter.report import dumps_reports
 
 L = laurent()
 P = polynomial()
@@ -435,3 +437,25 @@ def test_random_mode_error_comes_from_the_first_base_product_that_raises():
     dom = DomainSpec.random(20, lo=-3, hi=3, seed=5)
     with pytest.raises(OperatorDomainError, match="exponent -1 < 0"):
         check_dialgebra(ds, dom)
+
+
+def test_random_mode_pass_reports_are_pinned():
+    """Serialised reports of random-mode passes, recorded while the pass
+    still computed the products of (a, b) and (b, c) for every tuple; a
+    random pass meets distinct pairs at every tuple."""
+    digest = lambda reports: hashlib.sha256(dumps_reports(reports).encode()).hexdigest()
+    wrong = replace(build_tri_from_rbo(MS, 1), middle=lambda a, b: a * b,
+                    provenance="tri-wrong-sign(ms)")
+    reports = check_trialgebra(wrong, DomainSpec.random(40, lo=-3, hi=3, coeff_bound=3,
+                                                        seed=9))
+    assert outcomes(reports) == [("tri.1", "fail", 14), ("tri.2", "pass", 40),
+                                 ("tri.3", "fail", 10)] + [
+        (f"tri.{i}", "pass", 40) for i in range(4, 8)]
+    assert digest(reports) == \
+        "c2608ff5f0814f3566aa14141029cfeb759f20a4b121af52cdeb0dec5056cfa1"
+    ds = build_from_nijenhuis(nijenhuis_family(make_shift_truncation(1), HALF))
+    star = check_star_associative(ds, DomainSpec.random(25, lo=-3, hi=3, coeff_bound=3,
+                                                        seed=2))
+    assert (star.check, star.status, star.tuples) == ("nij.star.assoc", "fail", 4)
+    assert digest(star) == \
+        "ec3354b24b085354e82e9678803c8b4eaeb42a204b48054bc4861d6b2380cfc5"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rotabaxter.algebra import Element, apply_operator
 from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
-from rotabaxter.checks import _rref, rbr_sides
+from rotabaxter.checks import _rref, identity_sides
 from rotabaxter.dendriform import (
     build_from_nijenhuis,
     build_modified_pair,
@@ -176,7 +176,7 @@ def assert_int(x: Element) -> None:
 
 
 def test_laurent_basis_sweep_keeps_int_coefficients():
-    sides = rbr_sides(L, make_rms(), Fraction(1))
+    sides = identity_sides("rbr", L, make_rms(), Fraction(1))
     for i in range(-3, 4):
         for j in range(-3, 4):
             x, y = L.basis_element(i), L.basis_element(j)
