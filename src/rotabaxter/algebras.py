@@ -4,6 +4,7 @@ finite-dimensional algebras given by structure constants."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -278,36 +279,20 @@ def verify_associativity(constants: StructureConstants) -> CheckReport:
     dim = constants.dim
     mul = lambda a, b: clean_terms(alg.multiply_terms(a, b))
     products = [[alg.basis_product(i, j) for j in range(dim)] for i in range(dim)]
-    count = 0
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                count += 1
-                lhs = mul(products[i][j], {k: 1})
-                rhs = mul({i: 1}, products[j][k])
-                if lhs != rhs:
-                    lhs, rhs = Element._trusted(alg, lhs), Element._trusted(alg, rhs)
-                    return CheckReport(
-                        check="associativity",
-                        algebra=alg.describe(),
-                        operator="product",
-                        weight=None,
-                        domain={"mode": "basis-triples", "dim": dim},
-                        status="fail",
-                        tuples=count,
-                        witness=Witness(tuple(map(alg.basis_element, (i, j, k))),
-                                        lhs, rhs, lhs - rhs),
-                        notes=(f"violating basis triple (i,j,k)=({i},{j},{k})",),
-                    )
+    witness, notes, count = None, (), 0
+    for count, (i, j, k) in enumerate(itertools.product(range(dim), repeat=3), 1):
+        lhs = mul(products[i][j], {k: 1})
+        rhs = mul({i: 1}, products[j][k])
+        if lhs != rhs:
+            lhs, rhs = Element._trusted(alg, lhs), Element._trusted(alg, rhs)
+            witness = Witness(tuple(map(alg.basis_element, (i, j, k))), lhs, rhs, lhs - rhs)
+            notes = (f"violating basis triple (i,j,k)=({i},{j},{k})",)
+            break
     return CheckReport(
-        check="associativity",
-        algebra=alg.describe(),
-        operator="product",
-        weight=None,
-        domain={"mode": "basis-triples", "dim": constants.dim},
-        status="pass",
-        tuples=count,
-    )
+        check="associativity", algebra=alg.describe(), operator="product",
+        weight=None, domain={"mode": "basis-triples", "dim": dim},
+        status="pass" if witness is None else "fail", tuples=count,
+        witness=witness, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ A check sweeps a :class:`DomainSpec`: exhaustive basis tuples (exact
 for all elements supported in the window, by multilinearity) or
 reproducible random tuples.  Sweeps are deterministic, so a failing
 witness is reproducible byte for byte; the first tuple in sweep order
-that violates the identity becomes the witness.  The pair identities
-are evaluated on term dicts, and elements are built only for a witness.
-Identities that share work per tuple, such as the axioms of one
-dendriform structure, can be decided in one :class:`SharedPass`; each
-still gets the report of a sweep of its own.
+that violates the identity becomes the witness.  Every sweep, of one
+identity or of several that share work per tuple (such as the axioms of
+one dendriform structure), runs in a :class:`SharedPass`, the one loop
+that compares sides and builds a witness; each identity still gets the
+report of a sweep of its own.  The pair identities are evaluated on
+term dicts, and elements are built only for a witness.
 """
 
 from __future__ import annotations
@@ -43,45 +44,32 @@ def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
             yield tuple(algebra.random_element(dom, rng) for _ in range(arity))
 
 
-def _first_witness(tuples, sides) -> tuple:
-    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` along the stream; returns
-    the witness of the first violating tuple (or None) and the number of
-    tuples evaluated.  Sides are two elements, or two term dicts without
-    zeros that only a witness turns into elements of the tuple's algebra."""
-    count = 0
-    for tup in tuples:
-        count += 1
-        lhs, rhs = sides(*tup)
-        if lhs is not rhs and lhs != rhs:
-            if isinstance(lhs, dict):
-                algebra = tup[0].algebra
-                lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
-            return Witness(tup, lhs, rhs, lhs - rhs), count
-    return None, count
-
-
 class SharedPass:
-    """One sweep of a domain that decides several identities together.
+    """One sweep of a tuple stream that decides several identities together.
 
-    ``evaluate(tuple, open_ids)`` is called once per tuple with the ids
-    still undecided and returns ``{id: (lhs, rhs)}`` for those the tuple
-    violates.  An identity is decided at its first witness, or at the end
-    of the domain, and then drops out of the pass.  Each identity still
-    gets its report from its own :func:`sweep_identity` call, which
-    advances the pass until that identity is decided; the identities
-    decided on the way keep their witness and tuple count for their own
-    calls.  So the reports are those of one sweep per identity, while the
-    work shared by the identities of a tuple is done once.  ``evaluate``
-    may keep work between tuples too: the dendriform passes keep the
-    products of each pair of tuple elements, |B|² pairs for a basis B and
-    at most 2·samples in random mode.
+    ``identities`` maps an id to its ``sides(*args) -> (lhs, rhs)``, where
+    ``args`` is the tuple itself or, with ``prepare``, ``prepare(tuple)``:
+    the work the identities of a tuple share, done once per tuple.  The
+    sides are two elements, or two term dicts that only a witness turns
+    into elements of the tuple's algebra.  They agree when they are the
+    same object or compare equal; two differing term dicts are compared
+    again as elements, which drops their zeros.  An identity is decided at
+    its first witness, or at the end of the stream, and then drops out of
+    the pass.
+
+    :meth:`outcome` advances the pass only until the identity asked for is
+    decided; the identities decided on the way keep their witness and
+    tuple count for their own calls.  So each identity gets the outcome of
+    a sweep of its own, while the shared work of a tuple is done once.
+    ``prepare`` may keep work between tuples too: the dendriform passes
+    keep the products of each pair of tuple elements, |B|² pairs for a
+    basis B and at most 2·samples in random mode.
     """
 
-    def __init__(self, algebra: Algebra, dom: DomainSpec, arity: int,
-                 check_ids, evaluate):
-        self._tuples = domain_tuples(algebra, dom, arity)
-        self._evaluate = evaluate
-        self._open = list(check_ids)
+    def __init__(self, tuples, identities: dict, prepare=None):
+        self._tuples = iter(tuples)
+        self._prepare = prepare
+        self._open = list(identities.items())
         self._decided: dict = {}  # id -> (witness or None, tuples swept)
         self._count = 0
 
@@ -89,33 +77,44 @@ class SharedPass:
         """The first witness of ``check_id`` (or None) and the number of
         tuples swept up to and including it."""
         decided = self._decided
-        while check_id not in decided:
-            tup = next(self._tuples, None)
-            if tup is None:
-                decided.update((i, (None, self._count)) for i in self._open)
-                self._open = []
+        if check_id in decided:
+            return decided[check_id]
+        prepare, open_sides, count = self._prepare, self._open, self._count
+        for tup in self._tuples:
+            count += 1
+            args = tup if prepare is None else prepare(tup)
+            for i, sides in open_sides:
+                lhs, rhs = sides(*args)
+                if lhs is not rhs and lhs != rhs:
+                    if isinstance(lhs, dict):
+                        algebra = tup[0].algebra
+                        lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
+                        if lhs == rhs:
+                            continue
+                    decided[i] = Witness(tup, lhs, rhs, lhs - rhs), count
+                    # rebinding leaves this tuple's loop on the list it started with
+                    open_sides = [(j, s) for j, s in open_sides if j not in decided]
+            if check_id in decided:
                 break
-            self._count += 1
-            failed = self._evaluate(tup, self._open)
-            for i, (lhs, rhs) in failed.items():
-                decided[i] = Witness(tup, lhs, rhs, lhs - rhs), self._count
-            if failed:
-                self._open = [i for i in self._open if i not in failed]
+        else:
+            decided.update((i, (None, count)) for i, _ in open_sides)
+            open_sides = []
+        self._open, self._count = open_sides, count
         return decided[check_id]
 
 
 def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
                    weight: Fraction | None, dom: DomainSpec, arity: int,
                    sides, notes: tuple = ()) -> CheckReport:
-    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain.
+    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain, in a pass
+    of its own.
 
     ``sides`` may instead be a :class:`SharedPass` over the same domain
     that decides ``check_id`` together with other identities.
     """
-    if isinstance(sides, SharedPass):
-        witness, count = sides.outcome(check_id)
-    else:
-        witness, count = _first_witness(domain_tuples(algebra, dom, arity), sides)
+    if not isinstance(sides, SharedPass):
+        sides = SharedPass(domain_tuples(algebra, dom, arity), {check_id: sides})
+    witness, count = sides.outcome(check_id)
     return CheckReport(
         check=check_id,
         algebra=algebra.describe(),
@@ -187,28 +186,28 @@ def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     return sides
 
 
-# name -> (arity, sides factory taking (algebra, op, lam))
+# name -> sides factory taking (algebra, op, lam); every identity takes two
+# elements
 IDENTITIES = {
-    "rbr": (2, rbr_sides),
-    "modified-rbr": (2, modified_rbr_sides),
-    "nijenhuis": (2, nijenhuis_sides),
-    "lie-modified": (2, lie_modified_sides),
+    "rbr": rbr_sides,
+    "modified-rbr": modified_rbr_sides,
+    "nijenhuis": nijenhuis_sides,
+    "lie-modified": lie_modified_sides,
 }
 
 
-def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam) -> tuple:
-    """The arity of an identity and its sides on the terms of a tuple's elements."""
+def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
+    """The sides of an identity on the terms of a pair's elements."""
     if identity not in IDENTITIES:
         raise InvalidDomainError(f"unknown identity {identity!r}")
-    arity, make_sides = IDENTITIES[identity]
-    sides = make_sides(algebra, op, as_rational(lam))
-    return arity, lambda x, y: sides(x.terms, y.terms)
+    sides = IDENTITIES[identity](algebra, op, as_rational(lam))
+    return lambda x, y: sides(x.terms, y.terms)
 
 
 def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
                    lam: Fraction):
     """The sides of an identity as elements of ``algebra``."""
-    sides = _term_sides(identity, algebra, op, lam)[1]
+    sides = _term_sides(identity, algebra, op, lam)
 
     def on_elements(x: Element, y: Element) -> tuple:
         if x.algebra != algebra or y.algebra != algebra:
@@ -225,8 +224,8 @@ def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
 def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
     """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``."""
-    arity, sides = _term_sides(identity, algebra, op, lam)
-    return sweep_identity(identity, algebra, op.describe(), lam, dom, arity, sides)
+    sides = _term_sides(identity, algebra, op, lam)
+    return sweep_identity(identity, algebra, op.describe(), lam, dom, 2, sides)
 
 
 def check_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
@@ -363,7 +362,8 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     total = 0
     notes = []
     for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
-        witness, count = _first_witness(itertools.product(basis, repeat=2), sides)
+        witness, count = SharedPass(itertools.product(basis, repeat=2),
+                                    {tag: sides}).outcome(tag)
         total += count
         notes.append(f"{tag} {rank}")
         if witness is not None:
@@ -381,43 +381,35 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
 
 
 def find_violation(algebra: Algebra, identity: str, op: WeightedOperator,
-                   lam: Fraction, max_range: int = 4, samples: int = 200,
-                   seed: int = 0) -> Witness | None:
+                   lam: Fraction, max_range: int = 4) -> Witness | None:
     """Deterministic witness search: basis tuples in expanding windows
-    [-k, k] in lexicographic order, then seeded random elements.
-    Returns the first witness, or None within budget."""
-    return violation_report(algebra, identity, op, lam, max_range, samples,
-                            seed).witness
+    [-k, k] in lexicographic order.  Returns the first witness, or None
+    within budget."""
+    return violation_report(algebra, identity, op, lam, max_range).witness
 
 
 def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
-                     lam: Fraction, max_range: int = 4, samples: int = 200,
-                     seed: int = 0) -> CheckReport:
+                     lam: Fraction, max_range: int = 4) -> CheckReport:
     """Report form of :func:`find_violation`: status "fail" plus witness
     when the search succeeds, "pass" when the budget is exhausted.  The
     search sweeps the deduplicated basis windows [-k, k] for
-    k = 0..max_range, then ``samples`` random tuples with coefficient and
-    support bounds 3."""
+    k = 0..max_range, and nothing else: every identity is multilinear and
+    every operator linear, so the basis pairs of a window decide the
+    identity for all elements supported there, and no element drawn
+    inside the last window could add a witness.  The ``domain`` records
+    ``samples`` and ``seed`` as 0, so that its keys stay those of the
+    reports pinned in the ``paper-all`` output."""
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
-    if samples < 0:
-        raise InvalidDomainError("negative sample count")
-    arity, sides = _term_sides(identity, algebra, op, lam)
-    domains = []
-    seen_windows = set()
+    sides = _term_sides(identity, algebra, op, lam)
+    windows = {}  # basis keys -> the first window [-k, k] that has them
     for k in range(max_range + 1):
-        keys = tuple(algebra.basis_keys(-k, k))
-        if keys not in seen_windows:
-            seen_windows.add(keys)
-            domains.append(DomainSpec.basis(-k, k))
-    if samples > 0:
-        domains.append(DomainSpec.random(samples, lo=-max_range, hi=max_range,
-                                         coeff_bound=3, support_bound=3, seed=seed))
+        windows.setdefault(tuple(algebra.basis_keys(-k, k)), DomainSpec.basis(-k, k))
     tuples = itertools.chain.from_iterable(
-        domain_tuples(algebra, dom, arity) for dom in domains)
-    witness, count = _first_witness(tuples, sides)
+        domain_tuples(algebra, dom, 2) for dom in windows.values())
+    witness, count = SharedPass(tuples, {identity: sides}).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
-              "samples": samples, "seed": seed}
+              "samples": 0, "seed": 0}
     note = ("witness found by expanding search",) if witness is not None \
         else ("no witness within budget",)
     return CheckReport(

@@ -374,8 +374,7 @@ def run(args: argparse.Namespace) -> int:
         algebra, context = parse_algebra(args.algebra)
         operator = parse_operator(args.operator, algebra, context, args.weight)
         return _emit(violation_report(algebra, args.identity, operator,
-                                      _require_weight(args), max_range=args.max_range,
-                                      samples=args.samples, seed=seed),
+                                      _require_weight(args), max_range=args.max_range),
                      args.output)
 
     window = args.range or (-4, 4)
@@ -489,8 +488,7 @@ _COMMANDS = {
     "check-idempotent": "--algebra --operator " + _CHECK_OPTIONS,
     "check-image-closure": "--algebra --operator --weight --output --range",
     "dendriform": f"--algebra --operator --weight {_CHECK_OPTIONS} --construct --axioms",
-    "violate": "--algebra --operator --weight --samples --seed --output "
-               "--identity --max-range",
+    "violate": "--algebra --operator --weight --output --identity --max-range",
     "acybe": "--tensor --output",
     "induce": "--tensor --weight --samples --seed --output --random "
               "--coeff-bound",

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Algebra, DomainSpec, Element, add_terms, bilinear_extension, clean_terms
-from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
+from .checks import SharedPass, check_idempotent, check_rbr, domain_tuples, sweep_identity
 from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
@@ -138,7 +138,8 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
 # Each axiom maps (a, c, ab, bc) to its two sides on term dicts: ab and bc
 # hold the products of (a, b) and of (b, c) in the order ≺, ≻ (, ∘), then
 # their sum; each product is mul(x, y, acc=None) (see bilinear_extension).
-# A side may hold zero coefficients; the pass drops them before it compares.
+# A side may hold zero coefficients; the pass drops them before it compares
+# differing sides.
 
 
 def _dialgebra_axioms(lt, gt):
@@ -193,21 +194,11 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
             pairs[x, y] = found
         return found
 
-    def evaluate(tup, open_ids):
+    def prepare(tup):
         a, b, c = tup
-        ab, bc = pair_products(a, b), pair_products(b, c)
-        failed = {}
-        for axiom_id in open_ids:
-            lhs, rhs = axioms[axiom_id](a.terms, c.terms, ab, bc)
-            # equal dicts stay equal without their zeros; others are compared
-            # without them
-            if lhs != rhs:
-                lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
-                if lhs != rhs:
-                    failed[axiom_id] = lhs, rhs
-        return failed
+        return a.terms, c.terms, pair_products(a, b), pair_products(b, c)
 
-    shared = SharedPass(algebra, dom, 3, axioms, evaluate)
+    shared = SharedPass(domain_tuples(algebra, dom, 3), axioms, prepare)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)
             for axiom_id in axioms]
 

@@ -77,7 +77,7 @@ def test_criterion_1_rbr_positives():
 def test_criterion_2_rbr_negatives():
     for r in (1, 2, -2, 3):
         op = make_shift_truncation(r)
-        witness = find_violation(L, "rbr", op, ONE, max_range=4, samples=0)
+        witness = find_violation(L, "rbr", op, ONE, max_range=4)
         assert witness is not None, f"r={r}"
         for x in witness.inputs:
             assert all(-4 <= e <= 4 for e in x.support())
@@ -86,7 +86,7 @@ def test_criterion_2_rbr_negatives():
         assert not (lhs - rhs).is_zero
     for r in (-1, 0):
         op = make_shift_truncation(r)
-        assert find_violation(L, "rbr", op, ONE, max_range=4, samples=0) is None
+        assert find_violation(L, "rbr", op, ONE, max_range=4) is None
     announce(2, "truncations r in {1,2,-2,3} refuted in [-4,4]; r in {-1,0} clean")
 
 

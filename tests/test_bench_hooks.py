@@ -27,7 +27,7 @@ def test_traced_tuples_match_reports():
         # module attributes, so the tracer's replacements are the ones called
         passing = checks.check_rbr(L, make_rms(), Fraction(1), DomainSpec.basis(-3, 3))
         failing = checks.violation_report(L, "rbr", make_shift_truncation(1),
-                                          Fraction(1), max_range=4, samples=0)
+                                          Fraction(1), max_range=4)
         reports = [passing, failing]
         for report in reports:
             report.to_json()

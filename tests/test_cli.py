@@ -194,7 +194,18 @@ def test_violate_command(capsys):
     assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
                    "--identity", "rbr", "--weight", "1") == 1
     assert run_cli("violate", "--algebra", "laurent", "--operator", "ms",
-                   "--identity", "rbr", "--weight", "1", "--samples", "50") == 0
+                   "--identity", "rbr", "--weight", "1") == 0
+
+
+def test_violate_sweeps_the_windows_only(tmp_path):
+    out = tmp_path / "violate.json"
+    assert run_cli("violate", "--algebra", "laurent", "--operator", "ms",
+                   "--weight", "1", "--output", str(out)) == 0
+    report = json.loads(out.read_text())
+    # windows [-k, k] for k = 0..4: 1 + 9 + 25 + 49 + 81 pairs
+    assert report["tuples"] == 165
+    assert report["domain"] == {"mode": "expanding-search", "max_range": 4,
+                                "samples": 0, "seed": 0}
 
 
 def test_acybe_and_induce_commands(tmp_path):
@@ -269,12 +280,7 @@ def test_random_mode_without_samples_is_refused():
 
 def test_violate_negative_range_is_refused():
     assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
-                   "--weight", "1", "--samples", "0", "--max-range", "-1") == 2
-
-
-def test_violate_negative_samples_is_refused():
-    assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
-                   "--weight", "1", "--samples", "-5") == 2
+                   "--weight", "1", "--max-range", "-1") == 2
 
 
 def test_image_closure_on_laurent_refuses_random_mode():
@@ -297,11 +303,12 @@ def test_acybe_takes_only_tensor_and_output(tmp_path):
         run_cli("acybe", "--tensor", str(solution), "--weight", "1")
 
 
-# --- violate takes neither a window nor sampling bounds ------------------------
+# --- violate takes neither a window nor sampling options -----------------------
 
 
 @pytest.mark.parametrize("flag", [["--range", "-1", "1"], ["--random"],
-                                  ["--coeff-bound", "9"], ["--support-bound", "1"]])
+                                  ["--coeff-bound", "9"], ["--support-bound", "1"],
+                                  ["--samples", "5"], ["--seed", "1"]])
 def test_violate_rejects_domain_options(flag):
     with pytest.raises(SystemExit) as exc:
         run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
@@ -432,13 +439,13 @@ def test_seed_env_var_ignored_by_commands_that_do_not_sample(tmp_path, monkeypat
     assert run_cli("acybe", "--tensor", str(solution)) == 0
     assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
                    "miller", "--weight", "1") == 0
+    assert run_cli("violate", "--algebra", "laurent", "--operator", "ms",
+                   "--weight", "1") == 0
 
 
 def test_malformed_seed_env_var_refused_by_commands_with_seed(monkeypatch, capsys):
     monkeypatch.setenv("ROTABAXTER_SEED", "x")
     for argv in (["check-rbr", "--algebra", "laurent", "--operator", "ms",
-                  "--weight", "1"],
-                 ["violate", "--algebra", "laurent", "--operator", "ms",
                   "--weight", "1"],
                  ["suite"]):
         assert run_cli(*argv) == 2
