@@ -3,7 +3,8 @@
 Elements are immutable sparse linear combinations over a fixed basis:
 integer exponents for Laurent-type algebras, basis indices 0..n-1 for
 finite-dimensional ones.  The representation is canonical (no zero
-coefficients are stored), so equality is syntactic and exact.
+coefficients are stored, and integral ones are ``int``), so equality is
+syntactic and exact.
 
 Operator expressions form a small tree closed under identity, scaling,
 sum, and composition.  ``Compose(f, g)`` applies ``g`` first, then
@@ -53,10 +54,11 @@ class Element:
     @classmethod
     def _trusted(cls, algebra, terms: Mapping) -> "Element":
         """Build an arithmetic result whose keys are valid for ``algebra``
-        and whose coefficients are already exact; only zeros are dropped."""
+        and whose coefficients are already exact; only zeros are dropped and
+        integral ``Fraction``s made ``int`` (see :func:`clean_terms`)."""
         self = object.__new__(cls)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(self, "terms", clean_terms(terms))
         return self
 
     def __setattr__(self, name, value):
@@ -90,10 +92,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return Element._trusted(self.algebra, merged)
+        return Element._trusted(self.algebra, accumulate(dict(self.terms), 1, other.terms))
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -173,14 +172,16 @@ class Algebra:
         return Element._trusted(self, self.multiply_terms(a.terms, b.terms))
 
     def multiply_terms(self, a: Mapping, b: Mapping) -> dict:
-        """Product of two term dicts from ``basis_product``; may hold zeros."""
+        """Product of two term dicts from ``basis_product``; may hold zeros.
+        A pair whose basis product is zero costs no coefficient product."""
         basis_product = self.basis_product
         acc: dict = {}
         for i, ci in a.items():
+            unit_i = ci == 1
             for j, cj in b.items():
-                cij = ci * cj
-                for k, ck in basis_product(i, j).items():
-                    acc[k] = acc.get(k, 0) + cij * ck
+                product = basis_product(i, j)
+                if product:
+                    accumulate(acc, cj if unit_i else ci if cj == 1 else ci * cj, product)
         return acc
 
     def basis_keys(self, lo: int, hi: int) -> list:
@@ -472,13 +473,6 @@ def _basis(algebra: Algebra, key) -> Element:
     return Element._trusted(algebra, {} if key is None else {key: 1})
 
 
-def _table_value(x: Element) -> dict:
-    """The terms of a basis value, integral ``Fraction``s made ``int``, so
-    that arithmetic extended from the table stays at ``int`` speed."""
-    return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for k, c in x.terms.items()}
-
-
 def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
     """The linear map x ↦ Σ c_k·fn(e_k) for x = Σ c_k·e_k.
 
@@ -500,9 +494,8 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
             for k, c in terms.items():
                 image = table.get(k)
                 if image is None:
-                    image = table[k] = _table_value(fn(_basis(algebra, k)))
-                for j, d in image.items():
-                    acc[j] = acc.get(j, 0) + c * d
+                    image = table[k] = fn(_basis(algebra, k)).terms
+                accumulate(acc, c, image)
             return acc
 
         def combine_numerators(terms: Mapping) -> dict:
@@ -552,14 +545,12 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
                 row = table.get(i)
                 if row is None:
                     row = table[i] = {}
+                unit_i = ci == 1
                 for j, cj in (b or _ZERO_OPERAND).items():
                     value = row.get(j)
                     if value is None:
-                        value = row[j] = _table_value(
-                            fn(_basis(algebra, i), _basis(algebra, j)))
-                    cij = ci * cj
-                    for k, ck in value.items():
-                        acc[k] = acc.get(k, 0) + cij * ck
+                        value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms
+                    accumulate(acc, cj if unit_i else ci if cj == 1 else ci * cj, value)
             return acc
 
         return mul
@@ -581,16 +572,32 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
 
 
 def clean_terms(terms: Mapping) -> dict:
-    """``terms`` without its zero coefficients."""
-    return {k: c for k, c in terms.items() if c}
+    """``terms`` without its zero coefficients, and with integral
+    ``Fraction``s made ``int``, so that what is computed from it runs at
+    ``int`` speed."""
+    return {k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in terms.items() if c}
+
+
+def accumulate(acc: dict, c, terms: Mapping) -> dict:
+    """Add c·terms into ``acc`` and return it, with no arithmetic on an
+    identity operand: a factor equal to 1 is not multiplied, and a key new
+    to ``acc`` is stored, not added to 0.  ``acc`` may end up with zeros."""
+    if c == 1:
+        for k, v in terms.items():
+            acc[k] = acc[k] + v if k in acc else v
+    else:
+        for k, v in terms.items():
+            v = c if v == 1 else c * v
+            acc[k] = acc[k] + v if k in acc else v
+    return acc
 
 
 def add_terms(first: Mapping, *rest: Mapping) -> dict:
-    """Σ terms without zeros; a key's first coefficient is not added to 0."""
+    """Σ terms without zeros."""
     acc = dict(first)
     for terms in rest:
-        for k, c in terms.items():
-            acc[k] = acc[k] + c if k in acc else c
+        accumulate(acc, 1, terms)
     return clean_terms(acc)
 
 

@@ -45,11 +45,18 @@ class LaurentAlgebra(Algebra):
         return {i + j: 1}
 
     def multiply_terms(self, a, b) -> dict:
-        """z^i · z^j = z^(i+j), added without ``basis_product`` calls."""
+        """z^i · z^j = z^(i+j), added without ``basis_product`` calls and
+        with no arithmetic on an identity operand (see ``algebra.accumulate``)."""
         acc: dict = {}
         for i, ci in a.items():
-            for j, cj in b.items():
-                acc[i + j] = acc.get(i + j, 0) + ci * cj
+            if ci == 1:
+                for j, cj in b.items():
+                    k = i + j
+                    acc[k] = acc[k] + cj if k in acc else cj
+            else:
+                for j, cj in b.items():
+                    k, v = i + j, ci if cj == 1 else ci * cj
+                    acc[k] = acc[k] + v if k in acc else v
         return acc
 
     def monomial(self, exponent: int, coeff=1) -> Element:

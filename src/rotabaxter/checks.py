@@ -31,13 +31,18 @@ from .rationals import as_rational, div
 from .report import CheckReport, Witness
 
 
+def domain_basis(algebra: Algebra, dom: DomainSpec) -> list:
+    """The basis elements a basis-mode sweep of ``dom`` takes its tuples from."""
+    basis = [algebra.basis_element(k) for k in algebra.basis_keys(dom.lo, dom.hi)]
+    if not basis:
+        raise InvalidDomainError("empty basis window")
+    return basis
+
+
 def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
     """Deterministic tuple stream for a sweep."""
     if dom.mode == "basis":
-        basis = [algebra.basis_element(k) for k in algebra.basis_keys(dom.lo, dom.hi)]
-        if not basis:
-            raise InvalidDomainError("empty basis window")
-        yield from itertools.product(basis, repeat=arity)
+        yield from itertools.product(domain_basis(algebra, dom), repeat=arity)
     else:
         rng = random.Random(dom.seed)
         for _ in range(dom.samples):
@@ -48,8 +53,10 @@ class SharedPass:
     """One sweep of a tuple stream that decides several identities together.
 
     ``identities`` maps an id to its ``sides(*args) -> (lhs, rhs)``, where
-    ``args`` is the tuple itself or, with ``prepare``, ``prepare(tuple)``:
-    the work the identities of a tuple share, done once per tuple.  The
+    ``args`` is the tuple itself.  With ``prepare``, the stream may yield
+    any item that names a tuple, such as its positions in a basis, and
+    ``prepare(item)`` returns ``(tuple, args)``: ``args`` is the work the
+    identities of a tuple share, done once per tuple.  The
     sides are two elements, or two term dicts that only a witness turns
     into elements of the tuple's algebra.  They agree when they are the
     same object or compare equal; two differing term dicts are compared
@@ -62,8 +69,7 @@ class SharedPass:
     tuple count for their own calls.  So each identity gets the outcome of
     a sweep of its own, while the shared work of a tuple is done once.
     ``prepare`` may keep work between tuples too: the dendriform passes
-    keep the products of each pair of tuple elements, |B|² pairs for a
-    basis B and at most 2·samples in random mode.
+    in basis mode keep the products of each pair of basis elements.
     """
 
     def __init__(self, tuples, identities: dict, prepare=None):
@@ -80,9 +86,9 @@ class SharedPass:
         if check_id in decided:
             return decided[check_id]
         prepare, open_sides, count = self._prepare, self._open, self._count
-        for tup in self._tuples:
+        for item in self._tuples:
             count += 1
-            args = tup if prepare is None else prepare(tup)
+            tup, args = (item, item) if prepare is None else prepare(item)
             for i, sides in open_sides:
                 lhs, rhs = sides(*args)
                 if lhs is not rhs and lhs != rhs:

@@ -30,21 +30,29 @@ structure, ``star`` included.  The axiom checks extend a product given
 as a plain function of elements from its basis values the same way.
 
 The axioms of a structure are decided in one pass over the domain: the
-products of a pair of elements are computed once per pass, on term
-dicts through the products' term-level entry, and every axiom still
-open at (a, b, c) is evaluated from those of (a, b) and (b, c) (see
-:class:`checks.SharedPass`).  Each axiom still gets the report of a
-sweep of its own.
+products of a pair of elements are computed on term dicts through the
+products' term-level entry, once per pass for a pair of basis elements,
+and every axiom still open at (a, b, c) is evaluated from those of
+(a, b) and (b, c) (see :class:`checks.SharedPass`).  Each axiom still
+gets the report of a sweep of its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Algebra, DomainSpec, Element, add_terms, bilinear_extension, clean_terms
-from .checks import SharedPass, check_idempotent, check_rbr, domain_tuples, sweep_identity
+from .checks import (
+    SharedPass,
+    check_idempotent,
+    check_rbr,
+    domain_basis,
+    domain_tuples,
+    sweep_identity,
+)
 from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
@@ -177,28 +185,49 @@ def _star_axiom(axiom_id: str):
 
 def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
                    products) -> list:
-    """One report per axiom, all decided in one shared pass.  The products
-    of a pair of tuple elements are computed once per pass and kept by the
-    pair: |B|² pairs for a basis B, at most 2·samples in random mode."""
+    """One report per axiom, all decided in one shared pass.
+
+    In basis mode the pass walks the positions (p, q, r) of the tuples in
+    the basis B, and the products of a pair of basis elements are computed
+    once, into a |B|² table filled on first use and indexed by the pair's
+    positions, so no lookup hashes or compares elements.  Random tuples
+    seldom share a pair, so their products are computed per tuple."""
     algebra = ds.algebra
     muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(algebra)
             for p in products]
     axioms = make_axioms(*muls)
-    pairs: dict = {}
 
-    def pair_products(x: Element, y: Element) -> list:
-        found = pairs.get((x, y))
-        if found is None:
-            found = [clean_terms(mul(x.terms, y.terms)) for mul in muls]
-            found.append(add_terms(*found))
-            pairs[x, y] = found
+    def pair_products(x: dict, y: dict) -> list:
+        found = [clean_terms(mul(x, y)) for mul in muls]
+        found.append(add_terms(*found))
         return found
 
-    def prepare(tup):
-        a, b, c = tup
-        return a.terms, c.terms, pair_products(a, b), pair_products(b, c)
+    if dom.mode == "basis":
+        basis = domain_basis(algebra, dom)
+        terms = [e.terms for e in basis]
+        n = len(basis)
+        table = [[None] * n for _ in range(n)]
 
-    shared = SharedPass(domain_tuples(algebra, dom, 3), axioms, prepare)
+        def pair(p: int, q: int) -> list:
+            found = table[p][q]
+            if found is None:
+                found = table[p][q] = pair_products(terms[p], terms[q])
+            return found
+
+        def prepare(positions):
+            p, q, r = positions
+            return ((basis[p], basis[q], basis[r]),
+                    (terms[p], terms[r], pair(p, q), pair(q, r)))
+
+        tuples = itertools.product(range(n), repeat=3)
+    else:
+        def prepare(tup):
+            a, b, c = tup
+            return tup, (a.terms, c.terms, pair_products(a.terms, b.terms),
+                         pair_products(b.terms, c.terms))
+
+        tuples = domain_tuples(algebra, dom, 3)
+    shared = SharedPass(tuples, axioms, prepare)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)
             for axiom_id in axioms]
 

@@ -26,6 +26,7 @@ from .algebra import (
     Primitive,
     Scale,
     Sum,
+    accumulate,
     apply_operator,
     linear_extension,
 )
@@ -152,13 +153,9 @@ def make_identity_operator(algebra: Algebra | None = None) -> WeightedOperator:
 
 
 def _matvec(rows, x: Element, algebra) -> Element:
-    n = len(rows)
-    out = {}
+    out: dict = {}
     for j, cj in x.terms.items():
-        for i in range(n):
-            m = rows[i][j]
-            if m != 0:
-                out[i] = out.get(i, 0) + m * cj
+        accumulate(out, cj, {i: row[j] for i, row in enumerate(rows) if row[j]})
     return Element._trusted(algebra, out)
 
 

@@ -11,6 +11,15 @@ cheaper than ``Fraction`` arithmetic.  Every identity check in the
 package is an exact-equality check on these values; there is no
 tolerance parameter anywhere.
 
+Mixing an ``int`` with a ``Fraction`` costs as much as a product of two
+``Fraction`` values, so the accumulation kernels take no arithmetic on an
+identity operand (``algebra.accumulate``): a factor equal to 1 is not
+multiplied, and a key seen for the first time is stored, not added to 0.
+An integral value that ``Fraction`` arithmetic still computes becomes an
+``int`` where zeros are dropped, in ``algebra.clean_terms`` and
+``Element._trusted``, so every element and every term dict that becomes
+an operand holds its integral values as ``int`` values.
+
 ``int / int`` is a ``float`` in Python, so :func:`div` is the only
 division of coefficients in the package.  A sum of many products can run
 on the integer numerators that :func:`integral` gives, then divide once.

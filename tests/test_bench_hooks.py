@@ -5,6 +5,9 @@ leaf reports that get serialised.  A renamed hook, or a report counted
 twice, would break the traced benchmark run; this test catches both.
 """
 
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +18,8 @@ from rotabaxter.algebra import DomainSpec
 from rotabaxter.algebras import laurent
 from rotabaxter.operators import make_rms, make_shift_truncation
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 from tracer import Tracer  # noqa: E402
 
 
@@ -81,3 +85,37 @@ def test_cli_main_runs_through_module_level_run(monkeypatch, capsys):
                      "--weight", "1", "--range", "-1", "1"]) == 0
     assert seen == ["check-rbr"]
     assert "[PASS] rbr" in capsys.readouterr().out
+
+
+# One traced trialgebra check on the window [-4, 4], which holds z^-1 and
+# z^-2: CPython hashes -1 and -2 alike, so anything keyed by these elements
+# collides, and how often a colliding lookup compares elements depends on
+# the per-process string hash.
+_TRACED_TRIALGEBRA = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from tracer import Tracer
+import rotabaxter.dendriform as dendriform
+from rotabaxter.algebra import DomainSpec
+from rotabaxter.operators import make_rms
+tracer = Tracer("full", "hash-seed")
+tracer.install()
+try:
+    dendriform.check_trialgebra(dendriform.build_tri_from_rbo(make_rms(), 1),
+                                DomainSpec.basis(-4, 4))
+finally:
+    tracer.uninstall()
+print(json.dumps({layer: stats[0] for layer, stats in tracer.stats.items()}))
+"""
+
+
+def test_traced_counts_do_not_depend_on_the_hash_seed():
+    counts = []
+    for hash_seed in ("0", "1"):
+        out = subprocess.run(
+            [sys.executable, "-c", _TRACED_TRIALGEBRA, str(ROOT / "src"), str(ROOT / "perfbench")],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed), capture_output=True, text=True,
+            check=True).stdout
+        counts.append(json.loads(out.splitlines()[-1]))
+    assert counts[0]["checks.sweep"] == 7
+    assert counts[0] == counts[1]

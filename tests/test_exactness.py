@@ -6,7 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotabaxter.algebra import Element, apply_operator
+from rotabaxter.algebra import (
+    Element,
+    apply_operator,
+    bilinear_extension,
+    clean_terms,
+    linear_extension,
+)
 from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
 from rotabaxter.checks import _rref, identity_sides
 from rotabaxter.dendriform import (
@@ -29,7 +35,7 @@ from rotabaxter.operators import (
     operator_matrix,
     scale_operator,
 )
-from rotabaxter.tensor import tensor2
+from rotabaxter.tensor import TensorAlgebra, tensor2
 
 L = laurent()
 P = polynomial()
@@ -237,3 +243,94 @@ def test_integral_basis_values_enter_tables_as_int():
     assert ds.prec(P.monomial(0), z) == P.monomial(2)
     assert_int(ds.prec(P.monomial(0), z))
     assert_int(ds.star(z, z))
+
+
+def test_integral_sums_and_products_of_fractions_are_int():
+    """Integral results are ``int`` on every algebra kind, also where
+    ``Fraction`` arithmetic computed them."""
+    h = Fraction(1, 2)
+    half_z = L.monomial(1, h)
+    half_pole = L.monomial(-1, h)
+    half_e11 = M2.element({0: h})
+    for z, expected in ((half_z * L.monomial(1, 2), {2: 1}),
+                        (half_z + half_z, {1: 1}),
+                        (half_e11 + half_e11, {0: 1}),
+                        (make_rms()(half_pole + half_pole), {-1: 1})):
+        assert z.terms == expected
+        assert all(type(c) is int for c in z.terms.values()), z.terms
+
+
+# Mostly the coefficients that the kernels take no arithmetic on (1, -1)
+# or that must come back ``int`` (small ints, integral Fractions).
+kernel_coeffs = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def naive(pairs) -> dict:
+    """Σ c·terms over ``(c, terms)`` pairs in ``Fraction`` arithmetic,
+    without zeros."""
+    acc: dict = {}
+    for c, terms in pairs:
+        for k, v in terms.items():
+            acc[k] = acc.get(k, Fraction(0)) + Fraction(c) * Fraction(v)
+    return {k: v for k, v in acc.items() if v}
+
+
+def assert_kernel(raw: dict, expected: dict, *operands) -> None:
+    """``raw`` cleaned equals ``expected``, holds no float and is ``int``
+    wherever integral; when every operand coefficient is an ``int``, so is
+    every raw coefficient, zeros included."""
+    assert all(type(c) in (int, Fraction) for c in raw.values()), raw
+    clean = clean_terms(raw)
+    assert clean == expected
+    for c in clean.values():
+        assert (type(c) is int) == (Fraction(c).denominator == 1), clean
+    if all(type(c) is int for terms in operands for c in terms.values()):
+        assert all(type(c) is int for c in raw.values()), raw
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_accumulation_kernels_match_a_naive_fraction_sum(data):
+    draw = data.draw
+    keys = range(-2, 3)
+
+    def terms(keys=keys):
+        support = draw(st.lists(st.sampled_from(list(keys)), max_size=3, unique=True))
+        return {k: draw(kernel_coeffs) for k in support}
+
+    a, b = terms(), terms()
+    ab = [(ci * cj, {i + j: 1}) for i, ci in a.items() for j, cj in b.items()]
+    assert_kernel(L.multiply_terms(a, b), naive(ab), a, b)
+    x, y = L.element(a), L.element(b)
+    assert_kernel((x + y).terms, naive([(1, a), (1, b)]), a, b)
+
+    images = {k: terms() for k in a}  # the basis values the maps are asked for
+    op = linear_extension(lambda x: L.element(naive((c, images[k]) for k, c in x.terms.items())))
+    assert_kernel(op.on_terms(L)(a), naive((c, images[k]) for k, c in a.items()),
+                  a, *images.values())
+
+    values = {(i, j): terms() for i in a for j in b}
+    product = bilinear_extension(lambda x, y: L.element(naive(
+        (ci * cj, values[i, j]) for i, ci in x.terms.items() for j, cj in y.terms.items())))
+    start = terms()
+    expected = naive([(1, start)] + [(ci * cj, values[i, j])
+                                      for i, ci in a.items() for j, cj in b.items()])
+    assert_kernel(product.on_terms(L)(a, b, dict(start)), expected,
+                  a, b, start, *values.values())
+
+    T = TensorAlgebra(M2, 2)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    r, s = terms(pairs), terms(pairs)
+    rs = [(ci * cj, T.basis_product(i, j)) for i, ci in r.items() for j, cj in s.items()]
+    assert_kernel(T.multiply_terms(r, s), naive(rs), r, s)
+
+    rows = [[draw(kernel_coeffs) for _ in range(4)] for _ in range(4)]
+    v = terms(range(4))
+    columns = [(c, {i: row[j] for i, row in enumerate(rows)}) for j, c in v.items()]
+    assert_kernel(matrix_operator(M2, rows)(M2.element(v)).terms, naive(columns), v,
+                  *({j: c for j, c in enumerate(row)} for row in rows))
