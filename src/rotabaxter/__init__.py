@@ -6,6 +6,8 @@ check either proves an identity on its swept domain or produces a
 replayable counterexample witness.
 """
 
+from importlib import import_module as _import_module
+
 from .algebra import (
     Compose,
     DomainSpec,
@@ -42,17 +44,6 @@ from .checks import (
     find_violation,
     violation_report,
 )
-from .dendriform import (
-    DendriformStructure,
-    build_from_nijenhuis,
-    build_modified_pair,
-    build_tri_from_rbo,
-    build_weight0_pair,
-    check_dialgebra,
-    check_rbr_on_compositions,
-    check_star_associative,
-    check_trialgebra,
-)
 from .errors import (
     AlgebraMismatchError,
     CannotNormalizeError,
@@ -84,14 +75,38 @@ from .operators import (
 )
 from .rationals import format_rational, normalize, parse_rational
 from .report import CheckReport, Witness, dumps_reports
-from .suite import run_suite
-from .tensor import (
-    TensorAlgebra,
-    acybe_residual,
-    embed,
-    induced_operator,
-    tensor2,
-    tensor3,
-)
+
+# The modules that no check command runs, and their public names -> the
+# module.  They are imported on first use (PEP 562), so that a command that
+# does not use them neither compiles nor runs them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("dendriform", "DendriformStructure build_from_nijenhuis build_modified_pair "
+                       "build_tri_from_rbo build_weight0_pair check_dialgebra "
+                       "check_rbr_on_compositions check_star_associative "
+                       "check_trialgebra"),
+        ("suite", "run_suite"),
+        ("tensor", "TensorAlgebra acybe_residual embed induced_operator tensor2 tensor3"),
+    )
+    for name in (module, *names.split())
+}
+
+# without it, ``from rotabaxter import *`` would miss the names of _LAZY
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    # The value is not stored in the package namespace, so a name that is
+    # later rebound in its module (by a tracer, say) resolves to the new value.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -177,11 +177,11 @@ class Algebra:
         basis_product = self.basis_product
         acc: dict = {}
         for i, ci in a.items():
-            unit_i = ci == 1
+            unit_i = ci is _ONE
             for j, cj in b.items():
                 product = basis_product(i, j)
                 if product:
-                    accumulate(acc, cj if unit_i else ci if cj == 1 else ci * cj, product)
+                    accumulate(acc, cj if unit_i else ci if cj is _ONE else ci * cj, product)
         return acc
 
     def basis_keys(self, lo: int, hi: int) -> list:
@@ -545,12 +545,12 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
                 row = table.get(i)
                 if row is None:
                     row = table[i] = {}
-                unit_i = ci == 1
+                unit_i = ci is _ONE
                 for j, cj in (b or _ZERO_OPERAND).items():
                     value = row.get(j)
                     if value is None:
                         value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms
-                    accumulate(acc, cj if unit_i else ci if cj == 1 else ci * cj, value)
+                    accumulate(acc, cj if unit_i else ci if cj is _ONE else ci * cj, value)
             return acc
 
         return mul
@@ -579,16 +579,26 @@ def clean_terms(terms: Mapping) -> dict:
             for k, c in terms.items() if c}
 
 
+# The factor the kernels do not multiply by.  They test for it by identity:
+# CPython keeps one int 1, so the test is a pointer comparison, while
+# ``c == 1`` on a Fraction runs Fraction.__eq__ and a type test first
+# (``type(c) is int``) costs more on the many int factors than it saves.
+# A value equal to 1 that is another object is merely multiplied, so no
+# result depends on this.
+_ONE = 1
+
+
 def accumulate(acc: dict, c, terms: Mapping) -> dict:
     """Add c·terms into ``acc`` and return it, with no arithmetic on an
-    identity operand: a factor equal to 1 is not multiplied, and a key new
-    to ``acc`` is stored, not added to 0.  ``acc`` may end up with zeros."""
-    if c == 1:
+    identity operand: a factor that is the int 1 is not multiplied, and a
+    key new to ``acc`` is stored, not added to 0.  ``acc`` may end up with
+    zeros."""
+    if c is _ONE:
         for k, v in terms.items():
             acc[k] = acc[k] + v if k in acc else v
     else:
         for k, v in terms.items():
-            v = c if v == 1 else c * v
+            v = c if v is _ONE else c * v
             acc[k] = acc[k] + v if k in acc else v
     return acc
 

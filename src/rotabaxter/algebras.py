@@ -12,8 +12,8 @@ from .algebra import (
     Algebra,
     DomainSpec,
     Element,
+    _ONE,
     _random_coeff,
-    clean_terms,
     format_laurent_literal,
     format_vector_literal,
     parse_laurent_literal,
@@ -49,13 +49,13 @@ class LaurentAlgebra(Algebra):
         with no arithmetic on an identity operand (see ``algebra.accumulate``)."""
         acc: dict = {}
         for i, ci in a.items():
-            if ci == 1:
+            if ci is _ONE:
                 for j, cj in b.items():
                     k = i + j
                     acc[k] = acc[k] + cj if k in acc else cj
             else:
                 for j, cj in b.items():
-                    k, v = i + j, ci if cj == 1 else ci * cj
+                    k, v = i + j, ci if cj is _ONE else ci * cj
                     acc[k] = acc[k] + v if k in acc else v
         return acc
 
@@ -175,7 +175,8 @@ class FiniteAlgebra(Algebra):
     def multiply_terms(self, a, b) -> dict:
         """Only the pairs (i, j) with e_i · e_j ≠ 0 are visited, and their
         sum runs on the integer numerators of ``a`` and ``b``, divided
-        once per coordinate of the result."""
+        once per nonzero coordinate of the result; so, unlike the generic
+        product, the result holds no zeros."""
         a, da = integral(a)
         b, db = integral(b)
         rows = self._rows
@@ -188,7 +189,7 @@ class FiniteAlgebra(Algebra):
                     for k, ck in product.items():
                         acc[k] = acc.get(k, 0) + cij * ck
         d = da * db
-        return {k: div(v, d) for k, v in acc.items()}
+        return {k: div(v, d) for k, v in acc.items() if v}
 
     def unit(self) -> Element:
         if self.constants.unit is None:
@@ -284,7 +285,7 @@ def verify_associativity(constants: StructureConstants) -> CheckReport:
     """
     alg = FiniteAlgebra(constants)
     dim = constants.dim
-    mul = lambda a, b: clean_terms(alg.multiply_terms(a, b))
+    mul = alg.multiply_terms
     products = [[alg.basis_product(i, j) for j in range(dim)] for i in range(dim)]
     witness, notes, count = None, (), 0
     for count, (i, j, k) in enumerate(itertools.product(range(dim), repeat=3), 1):

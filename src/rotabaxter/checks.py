@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, DomainSpec, Element, add_terms, clean_terms, scale_terms
 from .algebras import FiniteAlgebra, LaurentAlgebra
-from .errors import AlgebraMismatchError, InvalidDomainError, UnsupportedDomainError
+from .errors import InvalidDomainError, UnsupportedDomainError
 from .operators import WeightedOperator, opposite_of
 from .rationals import as_rational, div
 from .report import CheckReport, Witness
@@ -208,19 +208,6 @@ def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
         raise InvalidDomainError(f"unknown identity {identity!r}")
     sides = IDENTITIES[identity](algebra, op, as_rational(lam))
     return lambda x, y: sides(x.terms, y.terms)
-
-
-def identity_sides(identity: str, algebra: Algebra, op: WeightedOperator,
-                   lam: Fraction):
-    """The sides of an identity as elements of ``algebra``."""
-    sides = _term_sides(identity, algebra, op, lam)
-
-    def on_elements(x: Element, y: Element) -> tuple:
-        if x.algebra != algebra or y.algebra != algebra:
-            raise AlgebraMismatchError("operands do not belong to this algebra")
-        return tuple(Element._trusted(algebra, side) for side in sides(x, y))
-
-    return on_elements
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ The parsed :class:`argparse.Namespace` is the only form a command line
 takes: :func:`run` reads each option from it directly, and each
 subcommand accepts only the options its path reads (``_COMMANDS``).
 ``$ROTABAXTER_SEED`` is read only by the commands that take ``--seed``.
+A call loads only what its command runs: ``dendriform``, ``suite`` and
+``tensor`` are imported in the branches that use them, and only the
+named subcommand gets its options (:func:`build_parser`).
 
 The weight is always taken from the command line, never inferred from
 an operator, so the two sign conventions that differ only in λ can
@@ -45,16 +48,6 @@ from .checks import (
     check_image_closure,
     violation_report,
 )
-from .dendriform import (
-    build_from_nijenhuis,
-    build_modified_pair,
-    build_tri_from_rbo,
-    build_weight0_pair,
-    check_dialgebra,
-    check_rbr_on_compositions,
-    check_star_associative,
-    check_trialgebra,
-)
 from .errors import FormatError, InvalidDomainError, RotaBaxterError
 from .operators import (
     WeightedOperator,
@@ -75,8 +68,6 @@ from .operators import (
 )
 from .rationals import format_rational, parse_rational
 from .report import CheckReport, dumps_reports
-from .suite import acybe_report, dumps_suite, run_suite
-from .tensor import induced_operator, tensor2_from_json
 
 SEED_ENV_VAR = "ROTABAXTER_SEED"
 
@@ -252,6 +243,8 @@ def parse_operator(spec: str, algebra: Algebra, context: dict,
 
 
 def load_tensor(path: str):
+    from .tensor import tensor2_from_json
+
     data = load_json(path)
     if not isinstance(data, dict) or "algebra" not in data:
         raise FormatError(f"{path}: tensor file needs an 'algebra' field")
@@ -344,6 +337,8 @@ def run(args: argparse.Namespace) -> int:
     seed = _seed(args)
     command = args.command
     if command == "suite":
+        from .suite import dumps_suite, run_suite
+
         try:
             result = run_suite(args.preset, seed=seed)
         except ValueError as exc:
@@ -362,9 +357,13 @@ def run(args: argparse.Namespace) -> int:
         return 0 if result["ok"] else 1
 
     if command == "acybe":
+        from .tensor import acybe_report
+
         r, _ = load_tensor(args.tensor)
         return _emit(acybe_report(r, str(r)), args.output)
     if command == "induce":
+        from .tensor import induced_operator
+
         # the sweep covers the whole tensor algebra; reports record the window 0 0
         dom = _domain(args, (0, 0), seed)
         r, algebra = load_tensor(args.tensor)
@@ -408,6 +407,17 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
+    from .dendriform import (
+        build_from_nijenhuis,
+        build_modified_pair,
+        build_tri_from_rbo,
+        build_weight0_pair,
+        check_dialgebra,
+        check_rbr_on_compositions,
+        check_star_associative,
+        check_trialgebra,
+    )
+
     # argparse restricts --construct and --axioms to the choices handled here
     construct = args.construct
     if construct == "weight0":
@@ -506,7 +516,12 @@ _COMMANDS = {
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Every subcommand is registered, but when
+    ``argv[0]`` names one, only that one gets its options: the others
+    cannot be reached by ``argv``, and setting up their options is most
+    of the cost of building the parser."""
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="rotabaxter",
         description="Construct Rota-Baxter operators, derive dendriform "
@@ -515,14 +530,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _COMMANDS.items():
         p = sub.add_parser(command)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        for option in options.split():
-            p.add_argument(option, **_OPTIONS[option])
+        if named in (None, command):
+            p._negative_number_matcher = _NEGATIVE_NUMBER
+            for option in options.split():
+                p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return run(args)
     except (RotaBaxterError, OSError) as exc:

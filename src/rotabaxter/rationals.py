@@ -13,8 +13,9 @@ tolerance parameter anywhere.
 
 Mixing an ``int`` with a ``Fraction`` costs as much as a product of two
 ``Fraction`` values, so the accumulation kernels take no arithmetic on an
-identity operand (``algebra.accumulate``): a factor equal to 1 is not
-multiplied, and a key seen for the first time is stored, not added to 0.
+identity operand (``algebra.accumulate``): a factor that is the ``int`` 1
+is not multiplied, and a key seen for the first time is stored, not added
+to 0.
 An integral value that ``Fraction`` arithmetic still computes becomes an
 ``int`` where zeros are dropped, in ``algebra.clean_terms`` and
 ``Element._trusted``, so every element and every term dict that becomes

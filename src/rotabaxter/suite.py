@@ -46,8 +46,8 @@ from .operators import (
     nijenhuis_family,
     scale_operator,
 )
-from .report import CheckReport, Witness
-from .tensor import acybe_residual, induced_operator, tensor2, tensor3
+from .report import CheckReport
+from .tensor import acybe_report, induced_operator, tensor2, tensor3
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,6 @@ def borel_projector_m2() -> WeightedOperator:
     rows[1][1] = 1
     return matrix_operator(alg, rows, label="row-projector", weight=1,
                            note="first-row projector on 2x2 matrices")
-
-
-def acybe_report(r, name: str, expected_residual=None) -> CheckReport:
-    """Pass iff the Yang-Baxter residual of ``r`` is exactly zero."""
-    residual = acybe_residual(r)
-    notes = ()
-    if expected_residual is not None and residual != expected_residual:
-        notes = ("residual differs from the recorded value",)
-    witness = None if residual.is_zero else Witness((r,), residual,
-                                                    residual.algebra.zero(),
-                                                    residual)
-    return CheckReport(
-        check="acybe", algebra=r.algebra.base.describe(), operator=name,
-        weight=None, domain={"mode": "exact-residual"},
-        status="pass" if residual.is_zero else "fail",
-        tuples=1, witness=witness, notes=notes)
 
 
 def build_entries() -> list:

@@ -3,9 +3,9 @@ and the associative Yang-Baxter residual
 
     acybe(r) = r13·r12 − r12·r23 + r23·r13,   r ∈ A⊗A,
 
-whose vanishing characterizes solutions.  Embeddings insert the unit in
-the omitted slot, so the algebra must be unital; non-unital algebras
-are rejected rather than silently extended.
+whose vanishing characterizes solutions (``acybe_report`` checks it).
+Embeddings insert the unit in the omitted slot, so the algebra must be
+unital; non-unital algebras are rejected rather than silently extended.
 
 ``induced_operator`` realizes the natural two-sided multiplication
 candidate x ↦ Σ u_i·x·v_i for r = Σ u_i⊗v_i.  Whether it satisfies the
@@ -22,6 +22,7 @@ from .algebras import FiniteAlgebra
 from .errors import FormatError, UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
+from .report import CheckReport, Witness
 
 
 class TensorAlgebra(Algebra):
@@ -102,6 +103,22 @@ def acybe_residual(r: Element) -> Element:
     r13 = embed(r, "13")
     r23 = embed(r, "23")
     return r13 * r12 - r12 * r23 + r23 * r13
+
+
+def acybe_report(r, name: str, expected_residual=None) -> CheckReport:
+    """Pass iff the Yang-Baxter residual of ``r`` is exactly zero."""
+    residual = acybe_residual(r)
+    notes = ()
+    if expected_residual is not None and residual != expected_residual:
+        notes = ("residual differs from the recorded value",)
+    witness = None if residual.is_zero else Witness((r,), residual,
+                                                    residual.algebra.zero(),
+                                                    residual)
+    return CheckReport(
+        check="acybe", algebra=r.algebra.base.describe(), operator=name,
+        weight=None, domain={"mode": "exact-residual"},
+        status="pass" if residual.is_zero else "fail",
+        tuples=1, witness=witness, notes=notes)
 
 
 def induced_operator(r: Element) -> WeightedOperator:

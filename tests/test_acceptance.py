@@ -20,7 +20,6 @@ from rotabaxter.checks import (
     check_nijenhuis,
     check_rbr,
     find_violation,
-    identity_sides,
 )
 from rotabaxter.dendriform import (
     build_from_nijenhuis,
@@ -45,6 +44,8 @@ from rotabaxter.operators import (
 from rotabaxter.report import dumps_reports
 from rotabaxter.suite import borel_projector_m2, dumps_suite, run_suite
 from rotabaxter.tensor import acybe_residual, induced_operator, tensor2, tensor3
+
+from test_checks import identity_sides
 
 L = laurent()
 P = polynomial()

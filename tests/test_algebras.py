@@ -80,6 +80,9 @@ def test_matrix_algebra_examples():
     assert e(0, 1) * e(1, 0) == e(0, 0)
     assert (e(0, 1) * e(0, 1)).is_zero
     assert m2.unit() * e(1, 1) == e(1, 1)
+    # (E11 + E12)(E11 - E21) = E11 - E11: the kernel drops the cancelled term
+    i = lambda p, q: matrix_basis_index(2, p, q)
+    assert m2.multiply_terms({i(0, 0): 1, i(0, 1): 1}, {i(0, 0): 1, i(1, 0): -1}) == {}
 
 
 def test_matrix_algebra_dimension_and_associativity():
@@ -199,6 +202,7 @@ def test_finite_product_is_the_structure_constant_sum(data):
     product = alg.multiply(x, y)
     assert product.coords() == tuple(expected)
     assert all(type(v) is int or v.denominator != 1 for v in product.terms.values())
+    assert alg.multiply_terms(x.terms, y.terms) == product.terms
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,15 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rotabaxter.cli import main, parse_algebra, parse_operator
+import rotabaxter
+from rotabaxter.cli import _COMMANDS, build_parser, main, parse_algebra, parse_operator
 from rotabaxter.algebras import make_componentwise, structure_constants_to_json
 from rotabaxter.errors import FormatError
 from rotabaxter.operators import make_miller, operator_matrix_to_json
@@ -488,3 +493,62 @@ def test_finite_random_domain_records_only_what_the_draw_reads(tmp_path):
                    "--weight", "1", "--random", "--samples", "5", "--support-bound", "2",
                    "--output", str(out)) == 0
     assert json.loads(out.read_text())["domain"]["support_bound"] == 2
+
+
+# --- a command loads and parses only what it runs -------------------------------
+
+
+def loaded_modules(argv, cwd):
+    """Exit code and the ``rotabaxter`` modules that ``python -m rotabaxter
+    ARGV`` imports, as its ``-X importtime`` trace names them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rotabaxter.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "rotabaxter", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, {n for n in names if n.startswith("rotabaxter.")}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1"], set()),
+    (["violate", "--algebra", "laurent", "--operator", "shift:1", "--weight", "1"], set()),
+    (["dendriform", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
+      "--range", "-1", "1"], {"dendriform"}),
+    (["acybe", "--tensor", "r.json"], {"tensor"}),
+])
+def test_command_loads_only_the_modules_it_runs(argv, loads, tmp_path):
+    (tmp_path / "r.json").write_text(json.dumps(
+        {"algebra": "matrix:2", "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
+    code, modules = loaded_modules(argv, tmp_path)
+    assert code in (0, 1)
+    assert "rotabaxter.checks" in modules
+    optional = {"dendriform", "suite", "tensor"}
+    assert {m for m in optional if f"rotabaxter.{m}" in modules} == loads
+
+
+# one value per option, for a command line that sets every option of a command
+SAMPLE_VALUES = {
+    "preset": ["paper-all"], "--tensor": ["r.json"], "--algebra": ["laurent"],
+    "--operator": ["ms"], "--weight": ["-1/2"], "--samples": ["3"], "--seed": ["4"],
+    "--output": ["o.json"], "--range": ["-2", "2"], "--random": [],
+    "--coeff-bound": ["2"], "--support-bound": ["1"], "--construct": ["modified"],
+    "--axioms": ["star"], "--identity": ["nijenhuis"], "--max-range": ["2"],
+}
+
+
+def help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_matches_the_full_parser(command, capsys):
+    full, one = build_parser(), build_parser([command])
+    for argv in (["--help"], [command, "--help"]):
+        assert help_text(one, argv, capsys) == help_text(full, argv, capsys)
+    argv = [command]
+    for option in _COMMANDS[command].split():
+        argv += ([option] if option.startswith("-") else []) + SAMPLE_VALUES[option]
+    assert one.parse_args(argv) == full.parse_args(argv)

@@ -14,7 +14,7 @@ from rotabaxter.algebra import (
     linear_extension,
 )
 from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
-from rotabaxter.checks import _rref, identity_sides
+from rotabaxter.checks import _rref
 from rotabaxter.dendriform import (
     build_from_nijenhuis,
     build_modified_pair,
@@ -36,6 +36,8 @@ from rotabaxter.operators import (
     scale_operator,
 )
 from rotabaxter.tensor import TensorAlgebra, tensor2
+
+from test_checks import identity_sides
 
 L = laurent()
 P = polynomial()
