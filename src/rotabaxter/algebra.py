@@ -484,18 +484,24 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
 
     ``apply.on_terms(algebra)`` is the map on term dicts of ``algebra``,
     whose images hold no zero coefficients; an empty dict goes to ``fn``.
+    Its result is read-only: for a basis element, one key with the int 1
+    as its coefficient, it is the cached image fn(e_k).terms itself, which
+    is already clean, so a caller that needs a dict to write into copies it.
     """
 
     def compile_on(algebra: Algebra):
         table: dict = {}
 
+        def image_of(k) -> dict:
+            image = table.get(k)
+            if image is None:
+                image = table[k] = fn(_basis(algebra, k)).terms
+            return image
+
         def combine(terms: Mapping) -> dict:
             acc: dict = {}
             for k, c in terms.items():
-                image = table.get(k)
-                if image is None:
-                    image = table[k] = fn(_basis(algebra, k)).terms
-                accumulate(acc, c, image)
+                accumulate(acc, c, table.get(k) or image_of(k))
             return acc
 
         def combine_numerators(terms: Mapping) -> dict:
@@ -503,8 +509,17 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
             return {j: div(v, d) for j, v in combine(numerators).items()}
 
         combined = combine if algebra.dimension is None else combine_numerators
-        return lambda terms: (clean_terms(combined(terms)) if terms
-                              else fn(_basis(algebra, None)).terms)
+
+        def on_terms(terms: Mapping) -> dict:
+            if len(terms) == 1:
+                [(k, c)] = terms.items()
+                if c is _ONE:
+                    return image_of(k)
+            elif not terms:
+                return fn(_basis(algebra, None)).terms
+            return clean_terms(combined(terms))
+
+        return on_terms
 
     images = _PerAlgebra(compile_on)
 
@@ -523,8 +538,8 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
     """The bilinear map (a, b) ↦ Σ a_i·b_j·fn(e_i, e_j).
 
     Each fn(e_i, e_j), and fn of a key paired with zero, is computed once
-    per algebra.  Operands that are not the same algebra object go to
-    ``fn`` itself.
+    per algebra, on basis elements that are built once per table.
+    Operands that are not the same algebra object go to ``fn`` itself.
 
     The returned product has a term-level entry for callers that chain
     products without building elements: ``product.on_terms(algebra)`` is
@@ -537,6 +552,13 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
 
     def compile_on(algebra: Algebra):
         table: dict = {}
+        basis: dict = {}  # key -> e_key, built once per table
+
+        def element(key) -> Element:
+            e = basis.get(key)
+            if e is None:
+                e = basis[key] = _basis(algebra, key)
+            return e
 
         def mul(a: dict, b: dict, acc: dict | None = None) -> dict:
             if acc is None:
@@ -549,7 +571,7 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
                 for j, cj in (b or _ZERO_OPERAND).items():
                     value = row.get(j)
                     if value is None:
-                        value = row[j] = fn(_basis(algebra, i), _basis(algebra, j)).terms
+                        value = row[j] = fn(element(i), element(j)).terms
                     accumulate(acc, cj if unit_i else ci if cj is _ONE else ci * cj, value)
             return acc
 

@@ -176,7 +176,10 @@ class FiniteAlgebra(Algebra):
         """Only the pairs (i, j) with e_i · e_j ≠ 0 are visited, and their
         sum runs on the integer numerators of ``a`` and ``b``, divided
         once per nonzero coordinate of the result; so, unlike the generic
-        product, the result holds no zeros."""
+        product, the result holds no zeros.  An empty operand gives ``{}``
+        at once, with no pass over the other."""
+        if not a or not b:
+            return {}
         a, da = integral(a)
         b, db = integral(b)
         rows = self._rows

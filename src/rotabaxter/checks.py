@@ -136,7 +136,8 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
 
 # ---------------------------------------------------------------------------
 # Identity residuals, as sides(x, y) -> (lhs, rhs) on the term dicts of two
-# elements; no dict that is a side or goes to the operator holds a zero.
+# elements; no dict that is a side or goes to the operator holds a zero, and
+# the operator's images, which may be its cached ones, are only read.
 
 
 def rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
@@ -153,13 +154,13 @@ def rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
 
 def modified_rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """B(x)B(y) = B(B(x)y + xB(y)) − λ²xy."""
-    mul, B = algebra.multiply_terms, op.on_terms(algebra)
+    mul, B, minus_lam2 = algebra.multiply_terms, op.on_terms(algebra), -lam * lam
 
     def sides(x, y):
         bx, by = B(x), B(y)
         return (clean_terms(mul(bx, by)),
                 add_terms(B(add_terms(mul(bx, y), mul(x, by))),
-                          scale_terms(-lam * lam, mul(x, y))))
+                          scale_terms(minus_lam2, mul(x, y))))
 
     return sides
 
@@ -178,7 +179,7 @@ def nijenhuis_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
 
 def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     """[B(x),B(y)] = B([B(x),y] + [x,B(y)]) − λ²[x,y]."""
-    mul, B = algebra.multiply_terms, op.on_terms(algebra)
+    mul, B, minus_lam2 = algebra.multiply_terms, op.on_terms(algebra), -lam * lam
 
     def bracket(a, b):
         return add_terms(mul(a, b), scale_terms(-1, mul(b, a)))
@@ -187,7 +188,7 @@ def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
         bx, by = B(x), B(y)
         return (bracket(bx, by),
                 add_terms(B(add_terms(bracket(bx, y), bracket(x, by))),
-                          scale_terms(-lam * lam, bracket(x, y))))
+                          scale_terms(minus_lam2, bracket(x, y))))
 
     return sides
 

@@ -255,3 +255,68 @@ def test_verify_associativity_fraction_table_report_is_pinned():
                     "diff": "[0, -2, 51/40]"},
         "notes": ["violating basis triple (i,j,k)=(1,1,1)"],
     }
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_finite_product_of_an_empty_operand_is_empty(name):
+    alg = KERNEL_CASES[name]
+    dense = {i: Fraction(i + 1, 2) for i in range(alg.dimension)}
+    assert alg.multiply_terms({}, dense) == {}
+    assert alg.multiply_terms(dense, {}) == {}
+    assert alg.multiply_terms({}, {}) == {}
+
+
+def first_associativity_violation(table, dim):
+    """(i, j, k), lhs and rhs coordinates of the first triple in sweep order
+    with (e_i e_j) e_k ≠ e_i (e_j e_k), by dense sums over the table; None
+    when there is none.  Also the number of triples swept."""
+    def times(x, y):
+        return [sum(x[p] * y[q] * table[p][q][r] for p in range(dim) for q in range(dim))
+                for r in range(dim)]
+
+    basis = [[int(p == q) for p in range(dim)] for q in range(dim)]
+    triples = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
+    for count, (i, j, k) in enumerate(triples, 1):
+        lhs = times(times(basis[i], basis[j]), basis[k])
+        rhs = times(basis[i], times(basis[j], basis[k]))
+        if lhs != rhs:
+            return (i, j, k), lhs, rhs, count
+    return None, None, None, len(triples)
+
+
+# mostly zero, so that many products e_i e_j, and so many operands, are empty
+sparse_coefficients = st.one_of(st.just(0), st.just(0), st.just(0), coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_associativity_keeps_its_first_witness_and_tuple_count(data):
+    dim = data.draw(st.integers(1, 3))
+    entries = [[[data.draw(sparse_coefficients) for _ in range(dim)] for _ in range(dim)]
+               for _ in range(dim)]
+    sc = StructureConstants.build(dim, entries)
+    triple, lhs, rhs, count = first_associativity_violation(sc.table, dim)
+    report = verify_associativity(sc)
+    assert report.tuples == count
+    if triple is None:
+        assert report.passed and report.witness is None
+        return
+    alg = FiniteAlgebra(sc)
+    assert not report.passed
+    assert report.notes == (f"violating basis triple (i,j,k)=({','.join(map(str, triple))})",)
+    assert report.witness.inputs == tuple(map(alg.basis_element, triple))
+    assert report.witness.lhs.coords() == tuple(lhs)
+    assert report.witness.rhs.coords() == tuple(rhs)
+
+
+def test_verify_associativity_witness_past_empty_operands():
+    """e0e0 = e0, e1e1 = e2, e2e2 = 3/2 e1: the first fourteen triples
+    have an empty operand on each side or agree, and (1,1,2) gives
+    3/2 e1 against zero."""
+    entries = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    entries[0][0][0], entries[1][1][2], entries[2][2][1] = 1, 1, Fraction(3, 2)
+    report = verify_associativity(StructureConstants.build(3, entries))
+    assert (report.status, report.tuples) == ("fail", 15)
+    assert report.notes == ("violating basis triple (i,j,k)=(1,1,2)",)
+    assert str(report.witness.lhs) == "[0, 3/2, 0]"
+    assert report.witness.rhs.is_zero

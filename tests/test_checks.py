@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotabaxter.algebra import DomainSpec, Element, lie_bracket
+from rotabaxter.algebra import DomainSpec, Element, apply_operator, lie_bracket
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import (
     IDENTITIES,
@@ -21,6 +21,13 @@ from rotabaxter.checks import (
     check_rbr,
     find_violation,
     violation_report,
+)
+from rotabaxter.dendriform import (
+    build_from_nijenhuis,
+    build_modified_pair,
+    build_tri_from_rbo,
+    check_star_associative,
+    check_trialgebra,
 )
 from rotabaxter.errors import OperatorDomainError, UnsupportedDomainError
 from rotabaxter.operators import (
@@ -510,3 +517,51 @@ def test_pair_identity_reports_are_pinned():
     assert (search.status, search.tuples) == ("fail", 30)
     assert digest(search) == \
         "a12ca7513f76e08de4ec87fb963e7cad2164440aa6e4bdce07f992125fbcb57d"
+
+
+def _laurent_family():
+    """ms, the operators derived from it, and a failing truncation."""
+    ms = make_rms()
+    return [ms, modified_of(ms), opposite_of(ms), nijenhuis_family(ms, Fraction(1, 2)),
+            make_shift_truncation(1)]
+
+
+def _miller_family():
+    """The same on miller:2,2, whose operator images take the numerator path."""
+    m = make_miller(2, 2)
+    return [m, modified_of(m), opposite_of(m), nijenhuis_family(m, Fraction(1, 2)),
+            scale_operator(2, m)]
+
+
+@pytest.mark.parametrize("make_ops", [_laurent_family, _miller_family],
+                         ids=["laurent", "miller:2,2"])
+def test_cached_operator_images_survive_every_check(make_ops):
+    """``on_terms`` hands out its cached image of a basis element itself;
+    no check that reads it writes into it."""
+    ops = make_ops()
+    rbo, modified, opposite, nij, failing = ops
+    algebra = rbo.algebra
+    dom = DomainSpec.basis(-3, 3)
+    for op in ops:
+        for lam in (ONE, Fraction(1, 2)):
+            check_rbr(algebra, op, lam, dom)
+            check_modified_rbr(algebra, op, lam, dom)
+            check_nijenhuis(algebra, op, lam, dom)
+            for identity in ("rbr", "modified-rbr", "nijenhuis"):
+                violation_report(algebra, identity, op, lam, max_range=2)
+        check_idempotent(algebra, op, dom)
+    assert not check_rbr(algebra, failing, ONE, dom).passed
+    for ds in (build_tri_from_rbo(rbo, ONE), build_tri_from_rbo(opposite, ONE),
+               build_from_nijenhuis(nij), build_modified_pair(modified, ONE)):
+        if ds.has_middle:
+            check_trialgebra(ds, dom)
+        check_star_associative(ds, dom)
+
+    for op, fresh in zip(ops, make_ops()):
+        images = op.on_terms(algebra)
+        for k in algebra.basis_keys(dom.lo, dom.hi):
+            image = images({k: 1})
+            assert image is images({k: 1})  # the cached image itself
+            assert image == fresh.on_terms(algebra)({k: 1})
+            assert image == apply_operator(algebra, op.expr, algebra.basis_element(k)).terms
+            assert all(image.values()), image

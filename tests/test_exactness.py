@@ -178,6 +178,33 @@ def test_compiled_maps_match_their_definitions(data):
             assert_exact(z)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_operators_on_terms_match_the_element_map(data):
+    """``on_terms`` of a term dict, a single unit term (the cached image)
+    included, is the terms of the operator's image: clean, and exact."""
+    draw = data.draw
+    algebra, keys, make_ops = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ops = make_ops(draw)
+
+    def unit_or_element_terms():
+        if draw(st.booleans()):
+            return {draw(st.sampled_from(list(keys))): 1}
+        support = draw(st.lists(st.sampled_from(list(keys)), max_size=3, unique=True))
+        return algebra.element({k: draw(scalars) for k in support}).terms
+
+    xs = [unit_or_element_terms() for _ in range(3)]
+    for op in ops:
+        on_terms = op.on_terms(algebra)
+        for terms in xs + xs:
+            image = on_terms(terms)
+            x = Element(algebra, terms)
+            assert image == op(x).terms == apply_operator(algebra, op.expr, x).terms
+            assert all(image.values()), image
+            for c in image.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), image
+
+
 def assert_int(x: Element) -> None:
     for c in x.terms.values():
         assert type(c) is int, (type(c), x)
