@@ -225,7 +225,15 @@ class DomainSpec:
     equivalent to passing on all elements supported in that window.
 
     Random mode draws ``samples`` reproducible tuples: same seed, same
-    sequence.
+    sequence.  Coefficients are p/q with |p| ≤ ``coeff_bound`` and
+    1 ≤ q ≤ ``coeff_bound``; a Laurent-type element has at most
+    ``support_bound`` terms in the window, and a finite-dimensional one
+    fills every coordinate.  Both bounds must be non-negative.  By the
+    same multilinearity, a sweep evaluates each drawn tuple as its
+    denominator-cleared multiple, which has ``int`` coefficients, and its
+    witness is the tuple as drawn (see :mod:`rotabaxter.checks`).  Only
+    the inputs are cleared: an operator with non-integer matrix entries
+    still computes with ``Fraction`` values.
     """
 
     __slots__ = ("mode", "lo", "hi", "samples", "coeff_bound", "support_bound", "seed")
@@ -235,9 +243,13 @@ class DomainSpec:
             raise InvalidDomainError(f"unknown domain mode {mode!r}")
         if lo > hi:
             raise InvalidDomainError(f"empty exponent range [{lo}, {hi}]")
-        if mode == "random" and samples < 1:
-            raise InvalidDomainError(
-                f"random mode needs at least one sample, got {samples}")
+        if mode == "random":
+            if samples < 1:
+                raise InvalidDomainError(
+                    f"random mode needs at least one sample, got {samples}")
+            for name, bound in (("coeff_bound", coeff_bound), ("support_bound", support_bound)):
+                if bound < 0:
+                    raise InvalidDomainError(f"random mode needs {name} >= 0, got {bound}")
         self.mode = mode
         self.lo = lo
         self.hi = hi

@@ -15,6 +15,20 @@ one dendriform structure), runs in a :class:`SharedPass`, the one loop
 that compares sides and builds a witness; each identity still gets the
 report of a sweep of its own.  The pair identities are evaluated on
 term dicts, and elements are built only for a witness.
+
+Every identity checked here is multilinear in its element slots, and
+every intermediate of its two sides (R(x), xy, R(x)y + xR(y), a ≺ b,
+...) is homogeneous in each slot.  So for nonzero integers d_i both
+sides at (d_1·x_1, ..., d_n·x_n) are those at (x_1, ..., x_n) times
+d_1···d_n: the verdict is the same, and so is the support of every
+intermediate, hence every error.  A random tuple is therefore swept as
+its denominator-cleared multiple, each element x with a non-integer
+coefficient replaced by d·x for d the lcm of its denominators, so its
+products and operator images run on ``int`` coefficients.  A witness
+is still the tuple as drawn: its sides are the cleared ones divided by
+d_1···d_n, exactly.  Only the inputs are cleared: an operator with
+non-integer matrix entries, or a rational weight, still brings
+``Fraction`` arithmetic into a sweep.
 """
 
 from __future__ import annotations
@@ -22,12 +36,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 from .algebra import Algebra, DomainSpec, Element, add_terms, clean_terms, scale_terms
 from .algebras import FiniteAlgebra, LaurentAlgebra
 from .errors import InvalidDomainError, UnsupportedDomainError
 from .operators import WeightedOperator, opposite_of
-from .rationals import as_rational, div
+from .rationals import as_rational, div, integral
 from .report import CheckReport, Witness
 
 
@@ -40,13 +55,37 @@ def domain_basis(algebra: Algebra, dom: DomainSpec) -> list:
 
 
 def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
-    """Deterministic tuple stream for a sweep."""
+    """Deterministic tuple stream for a sweep: the basis tuples of the
+    window, or the :class:`RandomTuples` of a random domain."""
     if dom.mode == "basis":
-        yield from itertools.product(domain_basis(algebra, dom), repeat=arity)
-    else:
+        return itertools.product(domain_basis(algebra, dom), repeat=arity)
+    return RandomTuples(algebra, dom, arity)
+
+
+class RandomTuples:
+    """The reproducible random tuples of a domain, as drawn: same seed,
+    same sequence.  A :class:`SharedPass` sweeps each of them as its
+    denominator-cleared multiple (see the module docstring)."""
+
+    def __init__(self, algebra: Algebra, dom: DomainSpec, arity: int):
+        self.algebra, self.dom, self.arity = algebra, dom, arity
+
+    def __iter__(self):
+        algebra, dom, arity = self.algebra, self.dom, self.arity
         rng = random.Random(dom.seed)
         for _ in range(dom.samples):
             yield tuple(algebra.random_element(dom, rng) for _ in range(arity))
+
+
+def _cleared(x: Element) -> Element:
+    """d·x, for d the lcm of the denominators of x's coefficients."""
+    numerators, d = integral(x.terms)
+    return x if d == 1 else Element._trusted(x.algebra, numerators)
+
+
+def _divided(x: Element, d: int) -> Element:
+    """x/d, exactly."""
+    return x if d == 1 else Element._trusted(x.algebra, {k: div(c, d) for k, c in x.terms.items()})
 
 
 class SharedPass:
@@ -70,10 +109,21 @@ class SharedPass:
     a sweep of its own, while the shared work of a tuple is done once.
     ``prepare`` may keep work between tuples too: the dendriform passes
     in basis mode keep the products of each pair of basis elements.
+
+    Over :class:`RandomTuples`, the sides and ``prepare`` see each tuple's
+    denominator-cleared multiple, and a witness is divided back onto the
+    tuple as drawn.
     """
 
     def __init__(self, tuples, identities: dict, prepare=None):
         self._tuples = iter(tuples)
+        self._cleared = isinstance(tuples, RandomTuples)
+        if self._cleared:
+            on_cleared = prepare
+
+            def prepare(tup):
+                swept = tuple(map(_cleared, tup))
+                return tup, swept if on_cleared is None else on_cleared(swept)[1]
         self._prepare = prepare
         self._open = list(identities.items())
         self._decided: dict = {}  # id -> (witness or None, tuples swept)
@@ -97,6 +147,9 @@ class SharedPass:
                         lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
                         if lhs == rhs:
                             continue
+                    if self._cleared:
+                        d = prod(integral(x.terms)[1] for x in tup)
+                        lhs, rhs = _divided(lhs, d), _divided(rhs, d)
                     decided[i] = Witness(tup, lhs, rhs, lhs - rhs), count
                     # rebinding leaves this tuple's loop on the list it started with
                     open_sides = [(j, s) for j, s in open_sides if j not in decided]

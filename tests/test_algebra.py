@@ -211,6 +211,16 @@ def test_domain_spec_guards():
         DomainSpec.basis(3, -3)
 
 
+def test_random_domain_refuses_a_negative_coeff_bound():
+    with pytest.raises(InvalidDomainError, match="coeff_bound >= 0, got -3"):
+        DomainSpec.random(50, coeff_bound=-3)
+
+
+def test_random_domain_refuses_a_negative_support_bound():
+    with pytest.raises(InvalidDomainError, match="support_bound >= 0, got -1"):
+        DomainSpec.random(50, support_bound=-1)
+
+
 def test_polynomial_rejects_negative_exponents():
     with pytest.raises(FormatError):
         P.element({-1: 1})

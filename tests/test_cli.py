@@ -283,6 +283,21 @@ def test_random_mode_without_samples_is_refused():
                    "--weight", "1", "--random", "--samples", "0") == 2
 
 
+def test_negative_coeff_bound_is_refused(capsys):
+    """Bound -3 used to draw only zero elements, so shift:2 passed."""
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "shift:2",
+                   "--weight", "1", "--random", "--samples", "50",
+                   "--coeff-bound", "-3") == 2
+    assert "coeff_bound >= 0" in capsys.readouterr().err
+
+
+def test_negative_support_bound_is_refused(capsys):
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "shift:2",
+                   "--weight", "1", "--random", "--samples", "50",
+                   "--support-bound", "-1") == 2
+    assert "support_bound >= 0" in capsys.readouterr().err
+
+
 def test_violate_negative_range_is_refused():
     assert run_cli("violate", "--algebra", "laurent", "--operator", "shift:1",
                    "--weight", "1", "--max-range", "-1") == 2

@@ -1,17 +1,45 @@
-"""Random-mode sweeps: pinned witnesses and the bounds of a random domain."""
+"""Random-mode sweeps: pinned witnesses, and every report against a sweep on
+the tuples as drawn."""
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotabaxter.algebra import DomainSpec
-from rotabaxter.algebras import make_matrix_algebra, matrix_basis_index
-from rotabaxter.checks import check_rbr
+from rotabaxter.algebras import (
+    laurent,
+    make_componentwise,
+    make_matrix_algebra,
+    matrix_basis_index,
+    polynomial,
+)
+from rotabaxter.checks import check, check_idempotent, check_rbr
 from rotabaxter.cli import main
-from rotabaxter.operators import make_miller, matrix_operator, scale_operator
-from rotabaxter.report import dumps_reports
+from rotabaxter.dendriform import (
+    build_tri_from_rbo,
+    build_weight0_pair,
+    check_dialgebra,
+    check_star_associative,
+    check_trialgebra,
+)
+from rotabaxter.operators import (
+    make_integration,
+    make_miller,
+    make_rms,
+    make_shift_truncation,
+    matrix_operator,
+    nijenhuis_family,
+    scale_operator,
+)
+from rotabaxter.report import CheckReport, Witness, dumps_reports
+from rotabaxter.suite import borel_projector_m2
+from test_checks import ELEMENT_FORMULAS
+from test_dendriform import element_axioms
 
 ONE = Fraction(1)
 
@@ -96,3 +124,85 @@ def test_fractional_random_cli_witnesses_are_pinned(argv, tuples, stdout_sha, ou
     assert f"tuples={tuples}" in stdout
     assert sha(stdout) == stdout_sha
     assert sha(out_path.read_bytes()) == output_sha
+
+
+# --- the sweep against a reference on the tuples as drawn -----------------------
+
+def reference_report(check_id, algebra, operator, weight, dom, arity, sides) -> CheckReport:
+    """The report of a sweep that evaluates ``sides`` on elements, on each
+    drawn tuple in order, and stops at the first one where they differ."""
+    witness, count = None, dom.samples
+    for n, tup in enumerate(draws(algebra, dom, arity), 1):
+        lhs, rhs = sides(*tup)
+        if lhs != rhs:
+            witness, count = Witness(tup, lhs, rhs, lhs - rhs), n
+            break
+    return CheckReport(check=check_id, algebra=algebra.describe(), operator=operator,
+                       weight=weight, domain=algebra.describe_domain(dom),
+                       status="pass" if witness is None else "fail", tuples=count,
+                       witness=witness)
+
+
+def assert_matches_reference(report, reference):
+    assert (report.status, report.tuples) == (reference.status, reference.tuples)
+    assert report == reference
+    assert dumps_reports(report) == dumps_reports(reference)
+
+
+L, P = laurent(), polynomial()
+MS = make_rms()
+# (algebra, operator, the weight it has); 2·R has twice the weight of R, so
+# at R's weight it fails, and shift:2 fails at every weight
+ORACLE_CASES = [
+    (L, MS, ONE), (L, make_shift_truncation(2), ONE), (L, scale_operator(2, MS), ONE),
+    (L, nijenhuis_family(MS, Fraction(1, 2)), ONE),
+    (P, make_integration(), Fraction(0)), (P, make_shift_truncation(1), ONE),
+    (make_matrix_algebra(2), borel_projector_m2(), ONE),
+    (make_matrix_algebra(2), scale_operator(2, borel_projector_m2()), ONE),
+    (make_matrix_algebra(3), upper_projector(3), ONE),
+    (make_matrix_algebra(3), scale_operator(2, upper_projector(3)), ONE),
+    (make_componentwise(4), make_miller(2, 2), ONE),
+    (make_componentwise(4), scale_operator(Fraction(1, 2), make_miller(2, 2)), ONE),
+]
+
+
+@st.composite
+def random_domains(draw, algebra, samples):
+    lo = draw(st.integers(-4, 2)) if algebra.dimension is None else -4
+    return DomainSpec.random(samples, lo=lo, hi=lo + draw(st.integers(0, 4)),
+                             coeff_bound=draw(st.integers(0, 6)),
+                             support_bound=draw(st.integers(0, 4)),
+                             seed=draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_identities_and_idempotence_match_the_reference(data):
+    algebra, op, weight = data.draw(st.sampled_from(ORACLE_CASES))
+    lam = data.draw(st.sampled_from([weight, weight + 1]))  # the true or a wrong weight
+    dom = data.draw(random_domains(algebra, data.draw(st.integers(1, 12))))
+    for identity, formula in ELEMENT_FORMULAS.items():
+        reference = reference_report(identity, algebra, op.describe(), lam, dom, 2,
+                                     lambda x, y: formula(algebra, op, lam, x, y))
+        assert_matches_reference(check(identity, algebra, op, lam, dom), reference)
+    reference = reference_report("idempotent", algebra, op.describe(), None, dom, 1,
+                                 lambda x: (op(op(x)), op(x)))
+    assert_matches_reference(check_idempotent(algebra, op, dom), reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dendriform_axioms_match_the_reference(data):
+    algebra, op, weight = data.draw(st.sampled_from(ORACLE_CASES))
+    lam = data.draw(st.sampled_from([weight, weight + 1]))
+    dom = data.draw(random_domains(algebra, data.draw(st.integers(1, 5))))
+    ds = (build_weight0_pair(replace(op, algebra=algebra)) if lam == 0
+          else build_tri_from_rbo(replace(op, algebra=algebra), lam))
+    reports = check_dialgebra(ds, dom) + [check_star_associative(ds, dom)]
+    if ds.has_middle:
+        reports += check_trialgebra(ds, dom)
+    axioms = element_axioms(ds)
+    for report in reports:
+        reference = reference_report(report.check, algebra, ds.provenance, ds.weight, dom, 3,
+                                     axioms[report.check])
+        assert_matches_reference(report, reference)
