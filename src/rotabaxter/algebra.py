@@ -28,7 +28,7 @@ from .errors import (
     InvalidDomainError,
     OperatorDomainError,
 )
-from .rationals import as_rational, div, format_rational, integral, normalize, parse_rational
+from .rationals import as_rational, format_rational, normalize, parse_rational
 
 
 class Element:
@@ -46,8 +46,7 @@ class Element:
             coeff = as_rational(coeff)
             if coeff != 0:
                 algebra.validate_key(key)
-                clean[key] = clean.get(key, 0) + coeff
-        clean = {k: c for k, c in clean.items() if c != 0}
+                clean[key] = coeff
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", clean)
 
@@ -490,9 +489,8 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
 
     Each fn(e_k) is computed once per algebra.  The zero element goes to
     ``fn`` itself, so a map undefined on its algebra raises for it too.
-    On a finite-dimensional algebra the sum runs on the integer numerators
-    of x, divided once per coordinate; on sparse, mostly integral Laurent
-    elements those extra passes cost more than they save.
+    Denominators are not cleared here: a random sweep clears its tuples
+    once (``checks.SharedPass``), so its sums run on ``int`` coefficients.
 
     ``apply.on_terms(algebra)`` is the map on term dicts of ``algebra``,
     whose images hold no zero coefficients; an empty dict goes to ``fn``.
@@ -516,12 +514,6 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
                 accumulate(acc, c, table.get(k) or image_of(k))
             return acc
 
-        def combine_numerators(terms: Mapping) -> dict:
-            numerators, d = integral(terms)
-            return {j: div(v, d) for j, v in combine(numerators).items()}
-
-        combined = combine if algebra.dimension is None else combine_numerators
-
         def on_terms(terms: Mapping) -> dict:
             if len(terms) == 1:
                 [(k, c)] = terms.items()
@@ -529,7 +521,7 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
                     return image_of(k)
             elif not terms:
                 return fn(_basis(algebra, None)).terms
-            return clean_terms(combined(terms))
+            return clean_terms(combine(terms))
 
         return on_terms
 

@@ -14,13 +14,14 @@ from .algebra import (
     Element,
     _ONE,
     _random_coeff,
+    clean_terms,
     format_laurent_literal,
     format_vector_literal,
     parse_laurent_literal,
     parse_vector_literal,
 )
 from .errors import FormatError, InvalidDimensionError, ZeroDenominatorError
-from .rationals import as_rational, div, format_rational, integral
+from .rationals import as_rational, format_rational
 from .report import CheckReport, Witness
 
 
@@ -173,15 +174,11 @@ class FiniteAlgebra(Algebra):
         return self._rows[i].get(j, {})
 
     def multiply_terms(self, a, b) -> dict:
-        """Only the pairs (i, j) with e_i · e_j ≠ 0 are visited, and their
-        sum runs on the integer numerators of ``a`` and ``b``, divided
-        once per nonzero coordinate of the result; so, unlike the generic
-        product, the result holds no zeros.  An empty operand gives ``{}``
-        at once, with no pass over the other."""
+        """Only the pairs (i, j) with e_i · e_j ≠ 0 are visited, and,
+        unlike the generic product, the result holds no zeros.  An empty
+        operand gives ``{}`` at once, with no pass over the other."""
         if not a or not b:
             return {}
-        a, da = integral(a)
-        b, db = integral(b)
         rows = self._rows
         acc: dict = {}
         for i, ci in a.items():
@@ -191,8 +188,7 @@ class FiniteAlgebra(Algebra):
                     cij = ci * cj
                     for k, ck in product.items():
                         acc[k] = acc.get(k, 0) + cij * ck
-        d = da * db
-        return {k: div(v, d) for k, v in acc.items() if v}
+        return clean_terms(acc)
 
     def unit(self) -> Element:
         if self.constants.unit is None:

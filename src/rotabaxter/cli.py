@@ -126,6 +126,8 @@ def _resolve_preset(name: str, params: str | None, algebra: Algebra,
     if name == "shift":
         if params is None:
             raise FormatError("operator 'shift' needs a cutoff, e.g. shift:1")
+        if not re.fullmatch(r"-?\d+", params):
+            raise FormatError(f"bad shift cutoff {params!r}")
         return make_shift_truncation(int(params))
     if name == "miller":
         if params is not None:

@@ -22,8 +22,10 @@ An integral value that ``Fraction`` arithmetic still computes becomes an
 an operand holds its integral values as ``int`` values.
 
 ``int / int`` is a ``float`` in Python, so :func:`div` is the only
-division of coefficients in the package.  A sum of many products can run
-on the integer numerators that :func:`integral` gives, then divide once.
+division of coefficients in the package.  A random sweep clears its
+tuples once, to the integer numerators that :func:`integral` gives, so
+its products and operator images run at ``int`` speed, and divides only
+a witness back (``checks.SharedPass``).
 
 This module adds the strict textual form "p/q" (or "p" for integers)
 used by all file formats and element literals.

@@ -54,6 +54,9 @@ laurent_terms = st.dictionaries(
 def test_element_is_canonical():
     x = L.element({2: Fraction(1), -1: Fraction(0)})
     assert x.support() == (2,)
+    assert type(x.coefficient(2)) is int
+    half = Fraction(1, 2)
+    assert L.element({0: half}).coefficient(0) is half
     assert L.element({0: 1}) - L.element({0: 1}) == L.zero()
 
 

@@ -527,7 +527,7 @@ def _laurent_family():
 
 
 def _miller_family():
-    """The same on miller:2,2, whose operator images take the numerator path."""
+    """The same on miller:2,2, a finite algebra."""
     m = make_miller(2, 2)
     return [m, modified_of(m), opposite_of(m), nijenhuis_family(m, Fraction(1, 2)),
             scale_operator(2, m)]

@@ -88,6 +88,13 @@ def test_unknown_selectors_exit_two():
                    "--weight", "1") == 2
 
 
+@pytest.mark.parametrize("cutoff", ["abc", "1.5"])
+def test_bad_shift_cutoff_is_config_error(cutoff, capsys):
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", f"shift:{cutoff}",
+                   "--weight", "1") == 2
+    assert f"error: bad shift cutoff '{cutoff}'" in capsys.readouterr().err
+
+
 def test_structure_constants_file_flow(tmp_path):
     algebra = make_componentwise(2)
     path = tmp_path / "cw2.json"

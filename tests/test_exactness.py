@@ -231,8 +231,8 @@ def test_matrix_product_keeps_int_coefficients():
 
 
 def test_integral_finite_results_of_fraction_operands_are_int():
-    """Finite products and operator images add up integer numerators and
-    divide once, so an integral coordinate comes back an ``int``, not a
+    """Finite products and operator images of ``Fraction`` operands clean
+    their results, so an integral coordinate comes back an ``int``, not a
     ``Fraction(n, 1)``."""
     h = Fraction(1, 2)
     M3 = make_matrix_algebra(3)
