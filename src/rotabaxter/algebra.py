@@ -547,11 +547,10 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
 
     The returned product has a term-level entry for callers that chain
     products without building elements: ``product.on_terms(algebra)`` is
-    ``mul(a, b, acc=None)``, which adds the product of the term dicts
-    ``a`` and ``b`` of two elements of ``algebra`` into the dict ``acc``
-    (a new one by default) and returns it.  It reads the same tables.
-    The result may hold zero coefficients, which a caller drops before
-    it compares the dict or uses it as an operand.
+    ``mul(a, b)``, which returns the product of the term dicts ``a`` and
+    ``b`` of two elements of ``algebra`` as a new dict.  It reads the same
+    tables.  The result may hold zero coefficients, which a caller drops
+    before it compares the dict or uses it as an operand.
     """
 
     def compile_on(algebra: Algebra):
@@ -564,9 +563,8 @@ def bilinear_extension(fn: Callable[[Element, Element], Element]
                 e = basis[key] = _basis(algebra, key)
             return e
 
-        def mul(a: dict, b: dict, acc: dict | None = None) -> dict:
-            if acc is None:
-                acc = {}
+        def mul(a: dict, b: dict) -> dict:
+            acc: dict = {}
             for i, ci in (a or _ZERO_OPERAND).items():
                 row = table.get(i)
                 if row is None:

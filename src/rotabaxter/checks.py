@@ -108,7 +108,8 @@ class SharedPass:
     tuple count for their own calls.  So each identity gets the outcome of
     a sweep of its own, while the shared work of a tuple is done once.
     ``prepare`` may keep work between tuples too: the dendriform passes
-    in basis mode keep the products of each pair of basis elements.
+    in basis mode number their values and keep each product's value on a
+    pair of numbers.
 
     Over :class:`RandomTuples`, the sides and ``prepare`` see each tuple's
     denominator-cleared multiple, and a witness is divided back onto the

@@ -31,10 +31,14 @@ as a plain function of elements from its basis values the same way.
 
 The axioms of a structure are decided in one pass over the domain: the
 products of a pair of elements are computed on term dicts through the
-products' term-level entry, once per pass for a pair of basis elements,
-and every axiom still open at (a, b, c) is evaluated from those of
-(a, b) and (b, c) (see :class:`checks.SharedPass`).  Each axiom still
-gets the report of a sweep of its own.
+products' term-level entry, and every axiom still open at (a, b, c) is
+evaluated from those of (a, b) and (b, c) (see :class:`checks.SharedPass`),
+each side as one product of two operands.  In basis mode the values of
+the pass are numbered by their terms, and each product is computed once
+per distinct pair of numbers; the numbering follows the order in which
+values are first met and hashes only ``int`` and ``Fraction`` terms, never
+an ``Element``, so the work does not depend on ``PYTHONHASHSEED``.  Each
+axiom still gets the report of a sweep of its own.
 """
 
 from __future__ import annotations
@@ -143,18 +147,19 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
 # ---------------------------------------------------------------------------
 # Axiom checks
 #
-# Each axiom maps (a, c, ab, bc) to its two sides on term dicts: ab and bc
-# hold the products of (a, b) and of (b, c) in the order ≺, ≻ (, ∘), then
-# their sum; each product is mul(x, y, acc=None) (see bilinear_extension).
-# A side may hold zero coefficients; the pass drops them before it compares
-# differing sides.
+# Each axiom maps (a, c, ab, bc) to its two sides, each one product of two
+# operands: ab and bc hold the products of (a, b) and of (b, c) in the order
+# ≺, ≻ (, ∘), then their sum.  An operand is a term dict, or in basis mode its
+# value number, and a product mul(x, y) returns a term dict (see
+# bilinear_extension).  A side may hold zero coefficients; the pass drops them
+# before it compares differing sides.
 
 
 def _dialgebra_axioms(lt, gt):
     return {
-        "ddi.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, bc[1], lt(a, bc[0]))),
+        "ddi.1": lambda a, c, ab, bc: (lt(ab[0], c), lt(a, bc[-1])),
         "ddi.2": lambda a, c, ab, bc: (gt(a, bc[0]), lt(ab[1], c)),
-        "ddi.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(ab[1], c, gt(ab[0], c))),
+        "ddi.3": lambda a, c, ab, bc: (gt(a, bc[1]), gt(ab[-1], c)),
     }
 
 
@@ -171,62 +176,87 @@ def _trialgebra_axioms(lt, gt, mid):
 
 
 def _star_axiom(axiom_id: str):
-    def axioms(*products):
-        def star(x, y):
-            acc: dict = {}
-            for mul in products:
-                mul(x, y, acc)
-            return acc
-
-        return {axiom_id: lambda a, c, ab, bc: (star(ab[-1], c), star(a, bc[-1]))}
-
-    return axioms
+    return lambda star: {axiom_id: lambda a, c, ab, bc: (star(ab[-1], c), star(a, bc[-1]))}
 
 
-def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms,
-                   products) -> list:
-    """One report per axiom, all decided in one shared pass.
-
-    In basis mode the pass walks the positions (p, q, r) of the tuples in
-    the basis B, and the products of a pair of basis elements are computed
-    once, into a |B|² table filled on first use and indexed by the pair's
-    positions, so no lookup hashes or compares elements.  Random tuples
-    seldom share a pair, so their products are computed per tuple."""
-    algebra = ds.algebra
-    muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(algebra)
+def _on_terms(ds: DendriformStructure, products) -> list:
+    """The term-level entries of ``products`` on the structure's algebra."""
+    return [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(ds.algebra)
             for p in products]
-    axioms = make_axioms(*muls)
 
-    def pair_products(x: dict, y: dict) -> list:
-        found = [clean_terms(mul(x, y)) for mul in muls]
-        found.append(add_terms(*found))
-        return found
 
+def _pair_products(muls, x, y) -> list:
+    found = [clean_terms(mul(x, y)) for mul in muls]
+    found.append(add_terms(*found))
+    return found
+
+
+def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) -> list:
+    """One report per axiom of ``make_axioms(*muls)``, all decided in one
+    shared pass.
+
+    In basis mode every operand of the pass gets a value number, keyed by
+    its clean terms: the basis elements of the window, and the products of
+    each pair of them with their sum, which a |B|² table indexed by the
+    pair's positions keeps as numbers, filled on first use.  Each product
+    keeps its value on a pair of numbers, so an axiom side is computed once
+    per distinct pair of operands and is a lookup after that; on a graded
+    algebra, z^p·z^q depends only on p + q.  The numbers are given in the
+    order the values are first met, and a lookup hashes ``int`` and
+    ``Fraction`` terms, whose hashes are not salted, never an ``Element``;
+    so the work, and the traced counts, do not depend on
+    ``PYTHONHASHSEED``.  Random tuples seldom share an operand, so their
+    products are computed per tuple."""
+    algebra = ds.algebra
     if dom.mode == "basis":
         basis = domain_basis(algebra, dom)
-        terms = [e.terms for e in basis]
+        numbers: dict = {}  # frozenset of a value's clean terms -> its number
+        values: list = []  # number -> clean terms
+
+        def number(terms: dict) -> int:
+            key = frozenset(terms.items())
+            found = numbers.get(key)
+            if found is None:
+                found = numbers[key] = len(values)
+                values.append(terms)
+            return found
+
+        def on_numbers(mul):
+            memo: dict = {}
+
+            def product(i: int, j: int) -> dict:
+                found = memo.get((i, j))
+                if found is None:
+                    found = memo[i, j] = mul(values[i], values[j])
+                return found
+
+            return product
+
+        muls = [on_numbers(mul) for mul in muls]
+        operands = [number(e.terms) for e in basis]
         n = len(basis)
         table = [[None] * n for _ in range(n)]
 
         def pair(p: int, q: int) -> list:
             found = table[p][q]
             if found is None:
-                found = table[p][q] = pair_products(terms[p], terms[q])
+                found = table[p][q] = [number(terms) for terms in _pair_products(
+                    muls, operands[p], operands[q])]
             return found
 
         def prepare(positions):
             p, q, r = positions
             return ((basis[p], basis[q], basis[r]),
-                    (terms[p], terms[r], pair(p, q), pair(q, r)))
+                    (operands[p], operands[r], pair(p, q), pair(q, r)))
 
         tuples = itertools.product(range(n), repeat=3)
     else:
         def prepare(tup):
-            a, b, c = tup
-            return tup, (a.terms, c.terms, pair_products(a.terms, b.terms),
-                         pair_products(b.terms, c.terms))
+            a, b, c = (x.terms for x in tup)
+            return tup, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
 
         tuples = domain_tuples(algebra, dom, 3)
+    axioms = make_axioms(*muls)
     shared = SharedPass(tuples, axioms, prepare)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)
             for axiom_id in axioms]
@@ -239,7 +269,7 @@ def check_dialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
         a≻(b≺c) = (a≻b)≺c
         a≻(b≻c) = (a≺b)≻c + (a≻b)≻c
     """
-    return _axiom_reports(ds, dom, _dialgebra_axioms, (ds.prec, ds.succ))
+    return _axiom_reports(ds, dom, _dialgebra_axioms, _on_terms(ds, (ds.prec, ds.succ)))
 
 
 def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
@@ -253,15 +283,20 @@ def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
         raise UnsupportedDomainError(
             f"{ds.provenance} has no middle product ∘; the trialgebra axioms "
             f"need ≺, ≻ and ∘, the dialgebra axioms only ≺ and ≻")
-    return _axiom_reports(ds, dom, _trialgebra_axioms, (ds.prec, ds.succ, ds.middle))
+    return _axiom_reports(ds, dom, _trialgebra_axioms,
+                          _on_terms(ds, (ds.prec, ds.succ, ds.middle)))
 
 
 def check_star_associative(ds: DendriformStructure, dom: DomainSpec) -> CheckReport:
     """(a*b)*c = a*(b*c) for the recombined product."""
     axiom_id = "nij.star.assoc" if ds.provenance.startswith("nijenhuis") \
         else "star.assoc"
-    products = [p for p in (ds.prec, ds.succ, ds.middle) if p is not None]
-    [report] = _axiom_reports(ds, dom, _star_axiom(axiom_id), products)
+    muls = _on_terms(ds, [p for p in (ds.prec, ds.succ, ds.middle) if p is not None])
+
+    def star(x: dict, y: dict) -> dict:
+        return add_terms(*[mul(x, y) for mul in muls])
+
+    [report] = _axiom_reports(ds, dom, _star_axiom(axiom_id), [star])
     return report
 
 

@@ -33,6 +33,7 @@ from rotabaxter.operators import (
     scale_operator,
 )
 from rotabaxter.report import dumps_reports
+from rotabaxter.suite import borel_projector_m2
 
 L = laurent()
 P = polynomial()
@@ -399,6 +400,54 @@ def test_shared_pass_in_random_mode():
     assert outcomes(reports) == [(f"tri.{i}", "pass", 20) for i in range(1, 5)] + [
         (f"tri.{i}", "fail", 1) for i in range(5, 8)] + [("nij.star.assoc", "pass", 20)]
     assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
+
+
+@pytest.mark.parametrize("ds, outcome", [
+    (build_tri_from_rbo(make_miller(2, 2), 1), ["fail", "pass", "fail"] + ["pass"] * 8),
+    (build_modified_pair(modified_of(borel_projector_m2()), 1), ["pass"] * 4),
+    (build_from_nijenhuis(nijenhuis_family(MS, HALF)),
+     ["fail", "pass", "fail"] + ["pass"] * 4 + ["fail"] * 3 + ["pass"]),
+    (build_tri_from_rbo(scale_operator(2, borel_projector_m2()), 1),
+     ["fail", "pass", "fail"] * 2 + ["pass"] * 4 + ["fail"]),
+], ids=["tri-miller", "modified-row-projector", "nijenhuis-half", "tri-twice-row-projector"])
+def test_shared_pass_on_multi_term_and_fraction_values(ds, outcome):
+    """Basis passes whose pair products have several terms (finite
+    algebras) or Fraction coefficients, passing and failing."""
+    dom = DomainSpec.basis(-3, 3)
+    reports = check_dialgebra(ds, dom) + (check_trialgebra(ds, dom) if ds.has_middle else [])
+    reports.append(check_star_associative(ds, dom))
+    assert [r.status for r in reports] == outcome
+    assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
+
+
+class CountingProduct:
+    """A product whose term-level entry counts its calls."""
+
+    def __init__(self, product):
+        self.product, self.calls = product, 0
+
+    def on_terms(self, algebra):
+        mul = self.product.on_terms(algebra)
+
+        def counted(x, y):
+            self.calls += 1
+            return mul(x, y)
+
+        return counted
+
+
+@pytest.mark.parametrize("name", ["prec", "middle"])
+def test_basis_pass_computes_a_product_once_per_distinct_operand_pair(name):
+    """The 729 tuples of a [-4, 4] window need ≺ and ∘ on far fewer
+    distinct pairs of values, since z^p·z^q depends only on p + q; a pass
+    that computed every side per tuple called ≺ 2,997 times and ∘ 4,455."""
+    ds = build_tri_from_rbo(MS, 1)
+    dom = DomainSpec.basis(-4, 4)
+    counter = CountingProduct(getattr(ds, name))
+    reports = check_trialgebra(replace(ds, **{name: counter}), dom)
+    assert 0 < counter.calls <= 729
+    assert reports == check_trialgebra(ds, dom)
+    assert dumps_reports(reports) == dumps_reports(check_trialgebra(ds, dom))
 
 
 # --- domain errors of the axiom checks -----------------------------------------

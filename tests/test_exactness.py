@@ -346,11 +346,8 @@ def test_accumulation_kernels_match_a_naive_fraction_sum(data):
     values = {(i, j): terms() for i in a for j in b}
     product = bilinear_extension(lambda x, y: L.element(naive(
         (ci * cj, values[i, j]) for i, ci in x.terms.items() for j, cj in y.terms.items())))
-    start = terms()
-    expected = naive([(1, start)] + [(ci * cj, values[i, j])
-                                      for i, ci in a.items() for j, cj in b.items()])
-    assert_kernel(product.on_terms(L)(a, b, dict(start)), expected,
-                  a, b, start, *values.values())
+    expected = naive((ci * cj, values[i, j]) for i, ci in a.items() for j, cj in b.items())
+    assert_kernel(product.on_terms(L)(a, b), expected, a, b, *values.values())
 
     T = TensorAlgebra(M2, 2)
     pairs = [(i, j) for i in range(4) for j in range(4)]
