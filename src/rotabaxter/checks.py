@@ -29,6 +29,19 @@ is still the tuple as drawn: its sides are the cleared ones divided by
 d_1···d_n, exactly.  Only the inputs are cleared: an operator with
 non-integer matrix entries, or a rational weight, still brings
 ``Fraction`` arithmetic into a sweep.
+
+A basis window of a Laurent-type algebra, swept for an operator built
+by scale, sum and compose from ``id`` and the truncations ``ms``,
+``ms-opp`` and ``shift:r`` (:func:`~rotabaxter.operators.thresholds`),
+evaluates one pair per sign pattern.  Such an operator maps z^e to
+c(e)·z^e, where c(e) depends only on which of its cuts t have e ≤ t.
+On (z^a, z^b) each side of a pair identity is then a scalar times
+z^(a+b), and both scalars depend only on c(a), c(b) and c(a+b).  So two
+pairs with the same pattern of a, b and a+b against the cuts have the
+same verdict, and the first failing pair in sweep order is the first of
+its pattern.  The pass counts every pair, and evaluates the first of
+each pattern only: the verdict, the tuple count and the witness are
+those of the full sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from math import prod
 from .algebra import Algebra, DomainSpec, Element, add_terms, clean_terms, scale_terms
 from .algebras import FiniteAlgebra, LaurentAlgebra
 from .errors import InvalidDomainError, UnsupportedDomainError
-from .operators import WeightedOperator, opposite_of
+from .operators import WeightedOperator, opposite_of, thresholds
 from .rationals import as_rational, div, integral
 from .report import CheckReport, Witness
 
@@ -114,9 +127,16 @@ class SharedPass:
     Over :class:`RandomTuples`, the sides and ``prepare`` see each tuple's
     denominator-cleared multiple, and a witness is divided back onto the
     tuple as drawn.
+
+    With ``key``, an item whose ``key(item)`` was met before is counted
+    but not evaluated.  The caller guarantees that items with equal keys
+    have the same verdict, and raise the same error if any, under every
+    identity of the pass.  A witness is then always the first item of its
+    key, which is evaluated, so the witnesses, tuple counts and errors
+    are those of a pass that evaluates every item.
     """
 
-    def __init__(self, tuples, identities: dict, prepare=None):
+    def __init__(self, tuples, identities: dict, prepare=None, key=None):
         self._tuples = iter(tuples)
         self._cleared = isinstance(tuples, RandomTuples)
         if self._cleared:
@@ -126,6 +146,7 @@ class SharedPass:
                 swept = tuple(map(_cleared, tup))
                 return tup, swept if on_cleared is None else on_cleared(swept)[1]
         self._prepare = prepare
+        self._key, self._keys_met = key, set()
         self._open = list(identities.items())
         self._decided: dict = {}  # id -> (witness or None, tuples swept)
         self._count = 0
@@ -137,8 +158,14 @@ class SharedPass:
         if check_id in decided:
             return decided[check_id]
         prepare, open_sides, count = self._prepare, self._open, self._count
+        key, keys_met = self._key, self._keys_met
         for item in self._tuples:
             count += 1
+            if key is not None:
+                k = key(item)
+                if k in keys_met:
+                    continue
+                keys_met.add(k)
             tup, args = (item, item) if prepare is None else prepare(item)
             for i, sides in open_sides:
                 lhs, rhs = sides(*args)
@@ -257,6 +284,23 @@ IDENTITIES = {
 }
 
 
+def _sign_pattern(algebra: Algebra, op: WeightedOperator):
+    """The key of a pair's verdict on a basis window (see the module
+    docstring): the pattern of a, b and a+b against the cuts of ``op``
+    for the pair (z^a, z^b).  None unless the algebra is Laurent-type and
+    ``op`` is built from ``id`` and truncations."""
+    cuts = thresholds(op.expr) if isinstance(algebra, LaurentAlgebra) else None
+    if cuts is None:
+        return None
+    cuts = sorted(cuts)
+
+    def key(pair):
+        (a,), (b,) = pair[0].terms, pair[1].terms
+        return tuple([s <= t for s in (a, b, a + b) for t in cuts])
+
+    return key
+
+
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
     """The sides of an identity on the terms of a pair's elements."""
     if identity not in IDENTITIES:
@@ -271,8 +315,13 @@ def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
 
 def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
-    """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``."""
+    """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``;
+    a Laurent basis window of a truncation-built operator evaluates one
+    pair per sign pattern (see the module docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
+    key = _sign_pattern(algebra, op) if dom.mode == "basis" else None
+    if key is not None:
+        sides = SharedPass(domain_tuples(algebra, dom, 2), {identity: sides}, key=key)
     return sweep_identity(identity, algebra, op.describe(), lam, dom, 2, sides)
 
 
@@ -444,7 +493,9 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     k = 0..max_range, and nothing else: every identity is multilinear and
     every operator linear, so the basis pairs of a window decide the
     identity for all elements supported there, and no element drawn
-    inside the last window could add a witness.  The ``domain`` records
+    inside the last window could add a witness.  As in :func:`check`, a
+    Laurent-type algebra and a truncation-built operator evaluate the
+    first pair of each sign pattern only.  The ``domain`` records
     ``samples`` and ``seed`` as 0, so that its keys stay those of the
     reports pinned in the ``paper-all`` output."""
     if max_range < 0:
@@ -455,7 +506,8 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
         windows.setdefault(tuple(algebra.basis_keys(-k, k)), DomainSpec.basis(-k, k))
     tuples = itertools.chain.from_iterable(
         domain_tuples(algebra, dom, 2) for dom in windows.values())
-    witness, count = SharedPass(tuples, {identity: sides}).outcome(identity)
+    witness, count = SharedPass(tuples, {identity: sides},
+                                key=_sign_pattern(algebra, op)).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}
     note = ("witness found by expanding search",) if witness is not None \

@@ -79,12 +79,39 @@ class WeightedOperator:
 # Laurent-side primitives
 
 
-def _shift_fn(cutoff: int):
-    def apply(algebra, x):
-        return Element._trusted(algebra,
-                                {e: c for e, c in x.terms.items() if e <= cutoff})
+class Truncation(Primitive):
+    """A Laurent-side primitive that keeps the terms z^e with e ≤ ``cut``
+    (or, if not ``below``, those with e > ``cut``) and drops the rest.
+    The cut is declared here, never parsed from the label, and
+    :func:`thresholds` reads it."""
 
-    return apply
+    def __init__(self, label: str, params: tuple, cut: int, below: bool = True):
+        def apply(algebra, x):
+            return Element._trusted(algebra, {e: c for e, c in x.terms.items()
+                                              if (e <= cut) == below})
+
+        super().__init__(label, apply, params=params, kinds=_LAURENT_KINDS)
+        self.cut = cut
+
+
+def thresholds(expr: OperatorExpr) -> frozenset | None:
+    """The cuts of an expression built by scale, sum and compose from
+    ``id`` and :class:`Truncation` primitives; None for any other.
+
+    Such an operator maps z^e to c·z^e, where the scalar c depends only
+    on which cuts t have e ≤ t: each node keeps that form.
+    """
+    if isinstance(expr, Identity):
+        return frozenset()
+    if isinstance(expr, Truncation):
+        return frozenset((expr.cut,))
+    if isinstance(expr, Scale):
+        return thresholds(expr.inner)
+    if isinstance(expr, (Sum, Compose)):
+        parts = (expr.left, expr.right) if isinstance(expr, Sum) else (expr.outer, expr.inner)
+        left, right = map(thresholds, parts)
+        return None if left is None or right is None else left | right
+    return None
 
 
 def make_rms() -> WeightedOperator:
@@ -92,17 +119,13 @@ def make_rms() -> WeightedOperator:
 
     Idempotent; satisfies the Rota-Baxter relation at weight 1.
     """
-    expr = Primitive("ms", _shift_fn(-1), params=("ms",), kinds=_LAURENT_KINDS)
+    expr = Truncation("ms", ("ms",), cut=-1)
     return WeightedOperator(expr, Fraction(1), laurent(), note="pole-part projector")
 
 
 def make_rms_opposite() -> WeightedOperator:
     """Complementary projector: keep exponents >= 0 (equals id − ms)."""
-
-    def apply(algebra, x):
-        return Element._trusted(algebra, {e: c for e, c in x.terms.items() if e >= 0})
-
-    expr = Primitive("ms-opp", apply, params=("ms-opp",), kinds=_LAURENT_KINDS)
+    expr = Truncation("ms-opp", ("ms-opp",), cut=-1, below=False)
     return WeightedOperator(expr, Fraction(1), laurent(), note="non-pole projector")
 
 
@@ -113,8 +136,7 @@ def make_shift_truncation(r: int) -> WeightedOperator:
     weight-1 Rota-Baxter operator; for any other r the relation fails
     and the checkers can exhibit a witness.
     """
-    expr = Primitive(f"shift:{r}", _shift_fn(r), params=("shift", r),
-                     kinds=_LAURENT_KINDS)
+    expr = Truncation(f"shift:{r}", ("shift", r), cut=r)
     return WeightedOperator(expr, Fraction(1), laurent(),
                             note=f"truncation at exponent {r}")
 

@@ -4,15 +4,18 @@ import hashlib
 import re
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotabaxter import checks
 from rotabaxter.algebra import DomainSpec, Element, apply_operator, lie_bracket
-from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
+from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
 from rotabaxter.checks import (
     IDENTITIES,
+    check,
     check_idempotent,
     check_image_closure,
     check_lie_modified,
@@ -31,6 +34,7 @@ from rotabaxter.dendriform import (
 )
 from rotabaxter.errors import OperatorDomainError, UnsupportedDomainError
 from rotabaxter.operators import (
+    compose_operator,
     make_identity_operator,
     make_integration,
     make_miller,
@@ -40,12 +44,16 @@ from rotabaxter.operators import (
     matrix_operator,
     modified_of,
     nijenhuis_family,
+    operator_matrix_from_json,
     opposite_of,
     scale_operator,
+    sum_operator,
+    thresholds,
 )
 from rotabaxter.rationals import as_rational
 from rotabaxter.report import dumps_reports
 from rotabaxter.suite import borel_projector_m2
+from rotabaxter.tensor import induced_operator, tensor2
 
 L = laurent()
 P = polynomial()
@@ -565,3 +573,145 @@ def test_cached_operator_images_survive_every_check(make_ops):
             assert image == fresh.on_terms(algebra)({k: 1})
             assert image == apply_operator(algebra, op.expr, algebra.basis_element(k)).terms
             assert all(image.values()), image
+
+
+# --- one pair per sign pattern -----------------------------------------------
+
+SCALARS = [Fraction(0), ONE, Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(2)]
+
+
+def truncation_ops(depth: int):
+    """Operators built by scale, sum and compose, at most ``depth`` deep,
+    from id and the truncations ms, ms-opp and shift:r, r in [-3, 3]."""
+    leaves = st.one_of(st.sampled_from([make_rms(), make_rms_opposite(), make_identity_operator()]),
+                       st.integers(-3, 3).map(make_shift_truncation))
+    if depth == 0:
+        return leaves
+    inner = truncation_ops(depth - 1)
+    return st.one_of(leaves,
+                     st.builds(scale_operator, st.sampled_from(SCALARS), inner),
+                     st.builds(sum_operator, inner, inner),
+                     st.builds(compose_operator, inner, inner))
+
+
+def full_sweep(fn, *args):
+    """``fn(*args)`` with no sign-pattern key, so every tuple is evaluated."""
+    with mock.patch.object(checks, "_sign_pattern", lambda algebra, op: None):
+        return fn(*args)
+
+
+def test_sign_pattern_sweeps_match_full_sweeps():
+    statuses = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def one_case(data):
+        algebra = data.draw(st.sampled_from([L, P]))
+        op = data.draw(truncation_ops(3))
+        identity = data.draw(st.sampled_from(list(IDENTITIES)))
+        lam = data.draw(st.sampled_from([Fraction(0), ONE, Fraction(-1), Fraction(1, 2)]))
+        lo = data.draw(st.integers(-6, 10))
+        # a polynomial window must hold an exponent >= 0
+        hi = data.draw(st.integers(max(lo, 0 if algebra is P else lo), 10))
+        dom = DomainSpec.basis(lo, hi)
+        max_range = data.draw(st.integers(0, 5))
+        for fn, args in ((check, (identity, algebra, op, lam, dom)),
+                         (violation_report, (algebra, identity, op, lam, max_range))):
+            report = fn(*args)
+            assert report.to_json() == full_sweep(fn, *args).to_json()
+            statuses.add(report.status)
+
+    one_case()
+    assert statuses == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("op", [make_rms(), make_rms_opposite()]
+                         + [make_shift_truncation(r) for r in range(-3, 4)],
+                         ids=lambda op: op.describe())
+def test_declared_cuts_are_true(op):
+    """R(z^e) = c·z^e for every e, with one c at or below the cut and
+    another above it."""
+    [cut] = thresholds(op.expr)
+    scalars = {True: set(), False: set()}
+    for e in range(-40, 41):
+        image = op(L.monomial(e)).terms
+        assert set(image) <= {e}
+        scalars[e <= cut].add(image.get(e, 0))
+    assert len(scalars[True]) == len(scalars[False]) == 1
+    assert scalars[True] != scalars[False]
+
+
+def test_thresholds_of_truncation_built_expressions():
+    ms, shift1 = make_rms(), make_shift_truncation(1)
+    assert thresholds(make_identity_operator().expr) == frozenset()
+    assert thresholds(modified_of(ms).expr) == {-1}
+    assert thresholds(nijenhuis_family(make_shift_truncation(2), Fraction(1, 2)).expr) == {2}
+    assert thresholds(compose_operator(shift1, sum_operator(MS_OPP, scale_operator(-1, ms))).expr) \
+        == {-1, 1}
+
+
+M2 = make_matrix_algebra(2)
+C2 = make_componentwise(2)
+OUTSIDE_THE_CLASS = [
+    INTEG,
+    make_miller(1, 1),
+    matrix_operator(C2, [[1, 0], [0, 0]]),
+    operator_matrix_from_json({"dim": 2, "matrix": [[1, 0], [0, 0]]}, C2),
+    induced_operator(tensor2(M2, {(1, 1): 1})),
+]
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_THE_CLASS, ids=lambda op: op.describe())
+def test_thresholds_is_none_outside_the_truncation_class(outside):
+    ms, ident = make_rms(), make_identity_operator()
+    for op in (outside, scale_operator(2, outside), sum_operator(ms, outside),
+               sum_operator(outside, ident), compose_operator(outside, ms),
+               compose_operator(ms, scale_operator(-1, sum_operator(ident, outside)))):
+        assert thresholds(op.expr) is None
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The pairs on which the sides of ``rbr`` are evaluated."""
+    pairs = []
+    make_sides = IDENTITIES["rbr"]
+
+    def counting_sides(algebra, op, lam):
+        sides = make_sides(algebra, op, lam)
+
+        def counted(x, y):
+            pairs.append((x, y))
+            return sides(x, y)
+
+        return counted
+
+    monkeypatch.setitem(IDENTITIES, "rbr", counting_sides)
+    return pairs
+
+
+def test_laurent_basis_sweep_evaluates_one_pair_per_sign_pattern(evaluated):
+    report = check_rbr(L, MS, ONE, DomainSpec.basis(-12, 12))
+    assert (report.status, report.tuples) == ("pass", 625)
+    # (a, b, a+b) at or below -1: all but (yes, yes, no) and (no, no, yes)
+    assert len(evaluated) == 6
+
+
+def test_violation_search_evaluates_one_pair_per_sign_pattern(evaluated):
+    report = violation_report(L, "rbr", make_shift_truncation(2), ONE)
+    assert (report.status, report.tuples) == ("fail", 30)
+    assert report.witness.to_json() == {"inputs": ["z", "z^2"], "lhs": "z^3", "rhs": "0",
+                                        "diff": "z^3"}
+    assert digest(report) == \
+        "a572ad5c6bcf4951ad1165d7c6a719ba9d8a1bc0c839ffe3c85e5f2f6b440971"
+    assert len(evaluated) < 30
+
+
+@pytest.mark.parametrize("algebra, op, lam, dom, tuples", [
+    (P, INTEG, Fraction(0), DomainSpec.basis(0, 20), 441),
+    (L, MS, ONE, DomainSpec.random(50, seed=2), 50),
+    (MILLER.algebra, MILLER, ONE, DomainSpec.basis(0, 0), 16),
+], ids=["integration", "random", "finite"])
+def test_other_sweeps_evaluate_every_pair(evaluated, algebra, op, lam, dom, tuples):
+    report = check_rbr(algebra, op, lam, dom)
+    assert (report.status, report.tuples) == ("pass", tuples)
+    assert len(evaluated) == tuples
