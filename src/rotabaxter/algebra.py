@@ -1,4 +1,5 @@
-"""Algebra elements, operator expressions, and sweep domains.
+"""Algebra elements, operator expressions, and sweep domains: a basis
+window or a random sample, each making its own tuples and report form.
 
 Elements are immutable sparse linear combinations over a fixed basis:
 integer exponents for Laurent-type algebras, basis indices 0..n-1 for
@@ -18,6 +19,8 @@ and dendriform products are evaluated.
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -184,16 +187,12 @@ class Algebra:
         return acc
 
     def basis_keys(self, lo: int, hi: int) -> list:
-        """Basis keys swept by exhaustive mode; Laurent kinds use the
+        """Basis keys swept by a basis window; Laurent kinds use the
         exponent window, finite kinds ignore it."""
         raise NotImplementedError
 
-    def random_element(self, spec: "DomainSpec", rng) -> Element:
+    def random_element(self, spec: "RandomSample", rng) -> Element:
         raise NotImplementedError
-
-    def describe_domain(self, dom: "DomainSpec") -> dict:
-        """The report form of a domain swept on this algebra."""
-        return dom.describe()
 
     def format_element(self, x: Element) -> str:
         raise NotImplementedError
@@ -215,16 +214,65 @@ def _random_coeff(rng, bound: int):
 
 
 class DomainSpec:
-    """Description of the tuples an identity is checked on.
+    """The tuples an identity is checked on: a :class:`BasisWindow` built by
+    :meth:`basis` or a :class:`RandomSample` built by :meth:`random`.  Each
+    makes its own tuples, ``tuples(algebra, arity)``, and report form,
+    ``describe(algebra)``, and refuses a window with no basis key in it."""
 
-    Exhaustive mode enumerates basis tuples with keys in [lo, hi] (the
-    window is ignored by finite-dimensional algebras, whose basis is
-    already finite).  Because every identity checked here is multilinear
-    in its element slots, passing on all basis tuples in a window is
-    equivalent to passing on all elements supported in that window.
+    __slots__ = ("lo", "hi")
 
-    Random mode draws ``samples`` reproducible tuples: same seed, same
-    sequence.  Coefficients are p/q with |p| ≤ ``coeff_bound`` and
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise InvalidDomainError(f"empty exponent range [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
+
+    @staticmethod
+    def basis(lo: int, hi: int) -> "BasisWindow":
+        return BasisWindow(lo, hi)
+
+    @staticmethod
+    def random(samples: int, lo: int = -4, hi: int = 4, coeff_bound: int = 5,
+               support_bound: int = 3, seed: int = 0) -> "RandomSample":
+        return RandomSample(samples, lo, hi, coeff_bound, support_bound, seed)
+
+    def _keys(self, algebra: Algebra) -> list:
+        keys = algebra.basis_keys(self.lo, self.hi)
+        if not keys:
+            raise InvalidDomainError("empty basis window")
+        return keys
+
+    def __eq__(self, other):
+        if not isinstance(other, DomainSpec):
+            return NotImplemented
+        return self.describe() == other.describe()
+
+    def __repr__(self):
+        return f"DomainSpec({self.describe()})"
+
+
+class BasisWindow(DomainSpec):
+    """Every basis tuple with keys in [lo, hi], a window that finite-dimensional
+    algebras ignore.  Because every identity checked here is multilinear in
+    its element slots, passing on all of them is equivalent to passing on
+    all elements supported in the window."""
+
+    __slots__ = ()
+
+    def basis(self, algebra: Algebra) -> list:
+        """The basis elements of the window, in key order."""
+        return [algebra.basis_element(k) for k in self._keys(algebra)]
+
+    def tuples(self, algebra: Algebra, arity: int):
+        return itertools.product(self.basis(algebra), repeat=arity)
+
+    def describe(self, algebra: Algebra | None = None) -> dict:
+        return {"mode": "basis", "lo": self.lo, "hi": self.hi}
+
+
+class RandomSample(DomainSpec):
+    """``samples`` reproducible random tuples: same seed, same sequence.
+
+    Coefficients are p/q with |p| ≤ ``coeff_bound`` and
     1 ≤ q ≤ ``coeff_bound``; a Laurent-type element has at most
     ``support_bound`` terms in the window, and a finite-dimensional one
     fills every coordinate.  Both bounds must be non-negative.  By the
@@ -235,57 +283,41 @@ class DomainSpec:
     still computes with ``Fraction`` values.
     """
 
-    __slots__ = ("mode", "lo", "hi", "samples", "coeff_bound", "support_bound", "seed")
+    __slots__ = ("samples", "coeff_bound", "support_bound", "seed")
 
-    def __init__(self, mode, lo, hi, samples, coeff_bound, support_bound, seed):
-        if mode not in ("basis", "random"):
-            raise InvalidDomainError(f"unknown domain mode {mode!r}")
-        if lo > hi:
-            raise InvalidDomainError(f"empty exponent range [{lo}, {hi}]")
-        if mode == "random":
-            if samples < 1:
-                raise InvalidDomainError(
-                    f"random mode needs at least one sample, got {samples}")
-            for name, bound in (("coeff_bound", coeff_bound), ("support_bound", support_bound)):
-                if bound < 0:
-                    raise InvalidDomainError(f"random mode needs {name} >= 0, got {bound}")
-        self.mode = mode
-        self.lo = lo
-        self.hi = hi
-        self.samples = samples
-        self.coeff_bound = coeff_bound
-        self.support_bound = support_bound
-        self.seed = seed
+    def __init__(self, samples, lo, hi, coeff_bound, support_bound, seed):
+        super().__init__(lo, hi)
+        if samples < 1:
+            raise InvalidDomainError(f"random mode needs at least one sample, got {samples}")
+        for name, bound in (("coeff_bound", coeff_bound), ("support_bound", support_bound)):
+            if bound < 0:
+                raise InvalidDomainError(f"random mode needs {name} >= 0, got {bound}")
+        self.samples, self.coeff_bound = samples, coeff_bound
+        self.support_bound, self.seed = support_bound, seed
 
-    @classmethod
-    def basis(cls, lo: int, hi: int) -> "DomainSpec":
-        return cls("basis", lo, hi, 0, 0, 0, 0)
+    def tuples(self, algebra: Algebra, arity: int) -> "RandomTuples":
+        self._keys(algebra)  # a window with no key would draw only zeros
+        rng = random.Random(self.seed)
+        return RandomTuples(tuple(algebra.random_element(self, rng) for _ in range(arity))
+                            for _ in range(self.samples))
 
-    @classmethod
-    def random(cls, samples: int, lo: int = -4, hi: int = 4,
-               coeff_bound: int = 5, support_bound: int = 3, seed: int = 0) -> "DomainSpec":
-        return cls("random", lo, hi, samples, coeff_bound, support_bound, seed)
+    def describe(self, algebra: Algebra | None = None) -> dict:
+        """A finite-dimensional draw reads no lo, hi or support_bound: they are left out."""
+        finite = algebra is not None and algebra.dimension is not None
+        fields = (("samples", "coeff_bound", "seed") if finite
+                  else ("lo", "hi", "samples", "coeff_bound", "support_bound", "seed"))
+        return {"mode": "random", **{name: getattr(self, name) for name in fields}}
 
-    def describe(self) -> dict:
-        if self.mode == "basis":
-            return {"mode": "basis", "lo": self.lo, "hi": self.hi}
-        return {
-            "mode": "random",
-            "lo": self.lo,
-            "hi": self.hi,
-            "samples": self.samples,
-            "coeff_bound": self.coeff_bound,
-            "support_bound": self.support_bound,
-            "seed": self.seed,
-        }
 
-    def __eq__(self, other):
-        if not isinstance(other, DomainSpec):
-            return NotImplemented
-        return self.describe() == other.describe()
+class RandomTuples:
+    """One pass over the tuples of a :class:`RandomSample`, as drawn; a
+    :class:`~rotabaxter.checks.SharedPass` sweeps their denominator-cleared multiples."""
 
-    def __repr__(self):
-        return f"DomainSpec({self.describe()})"
+    def __init__(self, draws):
+        self._draws = draws
+
+    def __iter__(self):
+        return self._draws
 
 
 # ---------------------------------------------------------------------------

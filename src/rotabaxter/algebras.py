@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
-    DomainSpec,
     Element,
+    RandomSample,
     _ONE,
     _random_coeff,
     clean_terms,
@@ -69,7 +69,7 @@ class LaurentAlgebra(Algebra):
     def basis_keys(self, lo: int, hi: int) -> list:
         return list(range(lo, hi + 1))
 
-    def random_element(self, spec: DomainSpec, rng) -> Element:
+    def random_element(self, spec: RandomSample, rng) -> Element:
         exponents = self.basis_keys(spec.lo, spec.hi)
         size = rng.randint(0, min(spec.support_bound, len(exponents)))
         chosen = rng.sample(exponents, size)
@@ -205,18 +205,9 @@ class FiniteAlgebra(Algebra):
     def basis_keys(self, lo: int, hi: int) -> list:
         return list(range(self.dimension))
 
-    def random_element(self, spec: DomainSpec, rng) -> Element:
+    def random_element(self, spec: RandomSample, rng) -> Element:
         return self.element(
             {i: _random_coeff(rng, spec.coeff_bound) for i in range(self.dimension)})
-
-    def describe_domain(self, dom: DomainSpec) -> dict:
-        """A random draw fills every coordinate, so the exponent window and
-        the support bound, which it ignores, are not recorded."""
-        described = dom.describe()
-        if dom.mode == "random":
-            for unread in ("lo", "hi", "support_bound"):
-                del described[unread]
-        return described
 
     def format_element(self, x: Element) -> str:
         return format_vector_literal(self, x)

@@ -5,11 +5,12 @@ the package is implemented against it:
 
     R(x)R(y) + λ·R(xy) = R(R(x)·y + x·R(y))          (weight λ)
 
-A check sweeps a :class:`DomainSpec`: exhaustive basis tuples (exact
-for all elements supported in the window, by multilinearity) or
-reproducible random tuples.  Sweeps are deterministic, so a failing
-witness is reproducible byte for byte; the first tuple in sweep order
-that violates the identity becomes the witness.  Every sweep, of one
+A check sweeps the tuples of a domain: every basis tuple of a
+:class:`~rotabaxter.algebra.BasisWindow` (exact for all elements
+supported in the window, by multilinearity) or the reproducible random
+tuples of a :class:`~rotabaxter.algebra.RandomSample`.  Sweeps are
+deterministic, so a failing witness is reproducible byte for byte; the
+first tuple in sweep order that violates the identity becomes the witness.  Every sweep, of one
 identity or of several that share work per tuple (such as the axioms of
 one dendriform structure), runs in a :class:`SharedPass`, the one loop
 that compares sides and builds a witness; each identity still gets the
@@ -47,47 +48,25 @@ those of the full sweep.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from math import prod
 
-from .algebra import Algebra, DomainSpec, Element, add_terms, clean_terms, scale_terms
+from .algebra import (
+    Algebra,
+    BasisWindow,
+    DomainSpec,
+    Element,
+    RandomSample,
+    RandomTuples,
+    add_terms,
+    clean_terms,
+    scale_terms,
+)
 from .algebras import FiniteAlgebra, LaurentAlgebra
 from .errors import InvalidDomainError, UnsupportedDomainError
 from .operators import WeightedOperator, opposite_of, thresholds
 from .rationals import as_rational, div, integral
 from .report import CheckReport, Witness
-
-
-def domain_basis(algebra: Algebra, dom: DomainSpec) -> list:
-    """The basis elements a basis-mode sweep of ``dom`` takes its tuples from."""
-    basis = [algebra.basis_element(k) for k in algebra.basis_keys(dom.lo, dom.hi)]
-    if not basis:
-        raise InvalidDomainError("empty basis window")
-    return basis
-
-
-def domain_tuples(algebra: Algebra, dom: DomainSpec, arity: int):
-    """Deterministic tuple stream for a sweep: the basis tuples of the
-    window, or the :class:`RandomTuples` of a random domain."""
-    if dom.mode == "basis":
-        return itertools.product(domain_basis(algebra, dom), repeat=arity)
-    return RandomTuples(algebra, dom, arity)
-
-
-class RandomTuples:
-    """The reproducible random tuples of a domain, as drawn: same seed,
-    same sequence.  A :class:`SharedPass` sweeps each of them as its
-    denominator-cleared multiple (see the module docstring)."""
-
-    def __init__(self, algebra: Algebra, dom: DomainSpec, arity: int):
-        self.algebra, self.dom, self.arity = algebra, dom, arity
-
-    def __iter__(self):
-        algebra, dom, arity = self.algebra, self.dom, self.arity
-        rng = random.Random(dom.seed)
-        for _ in range(dom.samples):
-            yield tuple(algebra.random_element(dom, rng) for _ in range(arity))
 
 
 def _cleared(x: Element) -> Element:
@@ -200,14 +179,14 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
     that decides ``check_id`` together with other identities.
     """
     if not isinstance(sides, SharedPass):
-        sides = SharedPass(domain_tuples(algebra, dom, arity), {check_id: sides})
+        sides = SharedPass(dom.tuples(algebra, arity), {check_id: sides})
     witness, count = sides.outcome(check_id)
     return CheckReport(
         check=check_id,
         algebra=algebra.describe(),
         operator=operator_desc,
         weight=weight,
-        domain=algebra.describe_domain(dom),
+        domain=dom.describe(algebra),
         status="pass" if witness is None else "fail",
         tuples=count,
         witness=witness,
@@ -319,10 +298,9 @@ def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
     a Laurent basis window of a truncation-built operator evaluates one
     pair per sign pattern (see the module docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    key = _sign_pattern(algebra, op) if dom.mode == "basis" else None
-    if key is not None:
-        sides = SharedPass(domain_tuples(algebra, dom, 2), {identity: sides}, key=key)
-    return sweep_identity(identity, algebra, op.describe(), lam, dom, 2, sides)
+    key = _sign_pattern(algebra, op) if isinstance(dom, BasisWindow) else None
+    shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
+    return sweep_identity(identity, algebra, op.describe(), lam, dom, 2, shared)
 
 
 def check_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
@@ -412,12 +390,11 @@ def _span_image(algebra: FiniteAlgebra, weighted: WeightedOperator) -> tuple:
 
 
 def _fixed_image(algebra: LaurentAlgebra, weighted: WeightedOperator,
-                 dom: DomainSpec) -> tuple:
+                 dom: BasisWindow) -> tuple:
     """The window monomials fixed by ``weighted``, which must map every
     other window monomial to zero, and the fixed-point sides."""
     kept = []
-    for e in algebra.basis_keys(dom.lo, dom.hi):
-        mono = algebra.basis_element(e)
+    for mono in dom.basis(algebra):
         image = weighted(mono)
         if image == mono:
             kept.append(mono)
@@ -441,7 +418,7 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     monomials; its image is then the fixed subspace, and a product must
     be fixed.  Random-mode domains are refused for both kinds.
     """
-    if dom is not None and dom.mode != "basis":
+    if isinstance(dom, RandomSample):
         raise UnsupportedDomainError(
             "image closure is swept on basis images, not random samples")
     if isinstance(algebra, FiniteAlgebra):
@@ -451,7 +428,7 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
         if dom is None:
             raise UnsupportedDomainError(
                 "image closure on a Laurent-type algebra needs an exponent window")
-        domain = dom.describe()
+        domain = dom.describe(algebra)
         images = [_fixed_image(algebra, w, dom) for w in (op, opposite_of(op))]
     else:
         raise UnsupportedDomainError(
@@ -505,7 +482,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     for k in range(max_range + 1):
         windows.setdefault(tuple(algebra.basis_keys(-k, k)), DomainSpec.basis(-k, k))
     tuples = itertools.chain.from_iterable(
-        domain_tuples(algebra, dom, 2) for dom in windows.values())
+        dom.tuples(algebra, 2) for dom in windows.values())
     witness, count = SharedPass(tuples, {identity: sides},
                                 key=_sign_pattern(algebra, op)).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,

@@ -115,20 +115,18 @@ _TOKEN_RE = re.compile(
 
 def _resolve_preset(name: str, params: str | None, algebra: Algebra,
                     context: dict) -> WeightedOperator:
+    # Laurent-side presets take the selected algebra as home: a structure lives on it
+    laurent_side = {"ms": make_rms, "ms-opp": make_rms_opposite, "integration": make_integration}
     if name == "id":
         return make_identity_operator(algebra)
-    if name == "ms":
-        return make_rms()
-    if name == "ms-opp":
-        return make_rms_opposite()
-    if name == "integration":
-        return make_integration()
+    if name in laurent_side:
+        return replace(laurent_side[name](), algebra=algebra)
     if name == "shift":
         if params is None:
             raise FormatError("operator 'shift' needs a cutoff, e.g. shift:1")
         if not re.fullmatch(r"-?\d+", params):
             raise FormatError(f"bad shift cutoff {params!r}")
-        return make_shift_truncation(int(params))
+        return replace(make_shift_truncation(int(params)), algebra=algebra)
     if name == "miller":
         if params is not None:
             m = re.fullmatch(r"(\d+),(\d+)", params)

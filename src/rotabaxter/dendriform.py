@@ -48,15 +48,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Algebra, DomainSpec, Element, add_terms, bilinear_extension, clean_terms
-from .checks import (
-    SharedPass,
-    check_idempotent,
-    check_rbr,
-    domain_basis,
-    domain_tuples,
-    sweep_identity,
+from .algebra import (
+    Algebra,
+    BasisWindow,
+    DomainSpec,
+    Element,
+    add_terms,
+    bilinear_extension,
+    clean_terms,
 )
+from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
 from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
@@ -208,8 +209,8 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) 
     ``PYTHONHASHSEED``.  Random tuples seldom share an operand, so their
     products are computed per tuple."""
     algebra = ds.algebra
-    if dom.mode == "basis":
-        basis = domain_basis(algebra, dom)
+    if isinstance(dom, BasisWindow):
+        basis = dom.basis(algebra)
         numbers: dict = {}  # frozenset of a value's clean terms -> its number
         values: list = []  # number -> clean terms
 
@@ -255,7 +256,7 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) 
             a, b, c = (x.terms for x in tup)
             return tup, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
 
-        tuples = domain_tuples(algebra, dom, 3)
+        tuples = dom.tuples(algebra, 3)
     axioms = make_axioms(*muls)
     shared = SharedPass(tuples, axioms, prepare)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)

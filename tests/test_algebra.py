@@ -1,5 +1,6 @@
 """Element arithmetic, operator expressions, and sweep domains."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from rotabaxter.errors import (
     OperatorDomainError,
 )
 from rotabaxter.operators import make_rms
+from test_random_sweeps import draws
 
 L = laurent()
 P = polynomial()
@@ -210,8 +212,67 @@ def test_random_element_zero_coeff_bound():
 
 
 def test_domain_spec_guards():
-    with pytest.raises(InvalidDomainError):
+    with pytest.raises(InvalidDomainError, match=r"empty exponent range \[3, -3\]"):
         DomainSpec.basis(3, -3)
+    with pytest.raises(InvalidDomainError, match=r"empty exponent range \[1, 0\]"):
+        DomainSpec.random(5, lo=1, hi=0)
+    with pytest.raises(InvalidDomainError, match="needs at least one sample, got 0"):
+        DomainSpec.random(0)
+
+
+# --- the two kinds of domain --------------------------------------------------
+
+M4 = make_componentwise(4)  # the algebra of the selector miller:2,2
+
+
+@pytest.mark.parametrize("algebra,keys", [(L, range(-2, 3)), (P, range(0, 3)), (M4, range(4))],
+                         ids=["laurent", "polynomial", "miller:2,2"])
+def test_basis_window_tuples_are_the_basis_tuples_in_key_order(algebra, keys):
+    dom = DomainSpec.basis(-2, 2)
+    basis = [algebra.basis_element(k) for k in keys]
+    assert dom.basis(algebra) == basis
+    for arity in (1, 2, 3):
+        assert list(dom.tuples(algebra, arity)) == list(itertools.product(basis, repeat=arity))
+
+
+@pytest.mark.parametrize("algebra", [L, P, M4], ids=["laurent", "polynomial", "miller:2,2"])
+def test_random_sample_tuples_are_the_seeded_draws(algebra):
+    dom = DomainSpec.random(7, lo=-2, hi=2, coeff_bound=4, support_bound=2, seed=11)
+    for arity in (1, 2, 3):
+        assert list(dom.tuples(algebra, arity)) == draws(algebra, dom, arity)
+
+
+def test_domains_refuse_a_window_with_no_basis_key():
+    for dom in (DomainSpec.basis(-3, -1), DomainSpec.random(5, lo=-3, hi=-1)):
+        with pytest.raises(InvalidDomainError, match="empty basis window"):
+            dom.tuples(P, 2)
+
+
+def test_domain_report_forms():
+    window = DomainSpec.basis(-2, 3)
+    sample = DomainSpec.random(5, lo=-1, hi=2, coeff_bound=4, support_bound=2, seed=9)
+    basis_form = {"mode": "basis", "lo": -2, "hi": 3}
+    # a finite basis sweep keeps the window it ignores
+    assert window.describe(L) == window.describe(M4) == basis_form
+    assert sample.describe(L) == {"mode": "random", "lo": -1, "hi": 2, "samples": 5,
+                                  "coeff_bound": 4, "support_bound": 2, "seed": 9}
+    assert list(sample.describe(L)) == ["mode", "lo", "hi", "samples", "coeff_bound",
+                                        "support_bound", "seed"]
+    assert sample.describe(M4) == {"mode": "random", "samples": 5, "coeff_bound": 4, "seed": 9}
+    assert list(sample.describe(M4)) == ["mode", "samples", "coeff_bound", "seed"]
+
+
+def test_domain_equality_and_repr():
+    assert DomainSpec.basis(0, 3) == DomainSpec.basis(0, 3)
+    assert DomainSpec.basis(0, 3) != DomainSpec.basis(0, 4)
+    assert DomainSpec.random(5, seed=1) == DomainSpec.random(5, seed=1)
+    assert DomainSpec.random(5, seed=1) != DomainSpec.random(5, seed=2)
+    assert DomainSpec.basis(-4, 4) != DomainSpec.random(5)
+    assert DomainSpec.basis(0, 3) != (0, 3)
+    assert repr(DomainSpec.basis(0, 3)) == "DomainSpec({'mode': 'basis', 'lo': 0, 'hi': 3})"
+    assert repr(DomainSpec.random(5, seed=1)) == (
+        "DomainSpec({'mode': 'random', 'lo': -4, 'hi': 4, 'samples': 5, "
+        "'coeff_bound': 5, 'support_bound': 3, 'seed': 1})")
 
 
 def test_random_domain_refuses_a_negative_coeff_bound():

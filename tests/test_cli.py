@@ -195,6 +195,18 @@ def test_dendriform_commands():
                    "rbr-compositions", "--range", "-3", "3") == 0
 
 
+def test_dendriform_builds_a_preset_operator_on_the_selected_algebra(capsys, tmp_path):
+    out = tmp_path / "reports.json"
+    assert run_cli("dendriform", "--algebra", "polynomial", "--operator", "ms",
+                   "--weight", "1", "--range", "0", "1", "--output", str(out)) == 0
+    assert {r["algebra"] for r in json.loads(out.read_text())} == {"polynomial"}
+    # integration leaves the Laurent polynomials on a negative exponent, as check-rbr finds
+    argv = ["--algebra", "laurent", "--operator", "integration", "--range", "-2", "2"]
+    for command in (["check-rbr", "--weight", "0"], ["dendriform", "--construct", "weight0"]):
+        assert run_cli(*command, *argv) == 2
+        assert "integration undefined on exponent -2 < 0" in capsys.readouterr().err
+
+
 def test_dendriform_trialgebra_axioms_need_a_middle_product(capsys):
     assert run_cli("dendriform", "--algebra", "laurent", "--operator", "ms",
                    "--construct", "weight0", "--axioms", "tri",
@@ -288,6 +300,20 @@ def test_suite_verdicts_insensitive_to_seed(tmp_path):
 def test_random_mode_without_samples_is_refused():
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
                    "--weight", "1", "--random", "--samples", "0") == 2
+
+
+# a polynomial window below exponent 0 holds no basis key: every random draw
+# there is zero, so 2·integration used to pass at weight 1, and image closure
+# passed on 0 tuples
+@pytest.mark.parametrize("argv", [
+    ["check-rbr", "--operator", "scale(2,integration)", "--weight", "1"],
+    ["check-rbr", "--operator", "scale(2,integration)", "--weight", "1",
+     "--random", "--samples", "5"],
+    ["check-image-closure", "--operator", "ms", "--weight", "1"],
+], ids=["basis", "random", "image-closure"])
+def test_a_window_with_no_basis_key_is_refused(argv, capsys):
+    assert run_cli(*argv, "--algebra", "polynomial", "--range", "-3", "-1") == 2
+    assert "empty basis window" in capsys.readouterr().err
 
 
 def test_negative_coeff_bound_is_refused(capsys):
