@@ -8,8 +8,7 @@ coefficients are stored, and integral ones are ``int``), so equality is
 syntactic and exact.
 
 Operator expressions form a small tree closed under identity, scaling,
-sum, and composition.  ``Compose(f, g)`` applies ``g`` first, then
-``f``, so ``R @ R`` is the usual R².
+sum, and composition.  ``Compose(f, g)`` applies ``g`` first, then ``f``.
 
 Linear and bilinear maps are fixed by their values on basis keys:
 :func:`linear_extension` and :func:`bilinear_extension` compute those
@@ -332,21 +331,6 @@ class OperatorExpr:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return Sum(self, other)
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return Sum(self, Scale(-1, other))
-
-    def __neg__(self) -> "OperatorExpr":
-        return Scale(-1, self)
-
-    def __rmul__(self, scalar) -> "OperatorExpr":
-        return Scale(as_rational(scalar), self)
-
-    def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return Compose(self, other)
 
     def __repr__(self) -> str:
         return f"<operator {self.describe()}>"

@@ -18,7 +18,15 @@ named subcommand gets its options (:func:`build_parser`).
 
 The weight is always taken from the command line, never inferred from
 an operator, so the two sign conventions that differ only in λ can
-never drift silently.
+never drift silently.  The ``dendriform`` constructions ``weight0`` and
+``nijenhuis`` have a weight of their own, 0 and 1, and refuse any other
+``--weight``.
+
+An operator selector is ``file:PATH`` as a whole, or else one
+expression parsed by :func:`parse_operator` from one token list: a
+preset such as ``ms``, ``shift:1`` or ``miller:2,2`` is one token, its
+parameters included, and parses the same alone and inside a function
+such as ``scale(1,miller:2,2)``.
 """
 
 from __future__ import annotations
@@ -108,27 +116,30 @@ def parse_algebra(spec: str):
     raise FormatError(f"unknown algebra selector {spec!r}")
 
 
-_PRESET_RE = re.compile(r"^([a-z-]+)(?::(.*))?$")
-_TOKEN_RE = re.compile(
-    r"\s*([A-Za-z][A-Za-z0-9-]*(?::-?\d+)?|[(),]|-?\d+(?:/\d+)?)")
+# a preset token carries its parameters, up to a space, a parenthesis or
+# a comma; only miller:s,t keeps one comma, so nijenhuis(shift:1,1/2)
+# still splits at its argument comma
+_TOKEN_RE = re.compile(r"\s*(miller:[^\s(),]*(?:,[^\s(),]*)?"
+                       r"|[A-Za-z][A-Za-z0-9-]*(?::[^\s(),]*)?|[(),]|-?\d+(?:/\d+)?)")
 
 
-def _resolve_preset(name: str, params: str | None, algebra: Algebra,
-                    context: dict) -> WeightedOperator:
-    # Laurent-side presets take the selected algebra as home: a structure lives on it
-    laurent_side = {"ms": make_rms, "ms-opp": make_rms_opposite, "integration": make_integration}
-    if name == "id":
-        return make_identity_operator(algebra)
-    if name in laurent_side:
-        return replace(laurent_side[name](), algebra=algebra)
+def _resolve_preset(token: str, algebra: Algebra, context: dict) -> WeightedOperator:
+    """The preset of one selector token, such as ``ms``, ``shift:1`` or
+    ``miller:2,2``; the only reader of a preset's parameters."""
+    name, colon, params = token.partition(":")
+    # presets are built on the selected algebra: a structure lives on it
+    plain = {"id": make_identity_operator, "ms": make_rms, "ms-opp": make_rms_opposite,
+             "integration": make_integration}
+    if name in plain:
+        return replace(plain[name](), algebra=algebra)
     if name == "shift":
-        if params is None:
+        if not colon:
             raise FormatError("operator 'shift' needs a cutoff, e.g. shift:1")
         if not re.fullmatch(r"-?\d+", params):
             raise FormatError(f"bad shift cutoff {params!r}")
         return replace(make_shift_truncation(int(params)), algebra=algebra)
     if name == "miller":
-        if params is not None:
+        if colon:
             m = re.fullmatch(r"(\d+),(\d+)", params)
             if not m:
                 raise FormatError(f"bad miller parameters {params!r}")
@@ -163,62 +174,11 @@ _FUNCTIONS = {
 }
 
 
-class _ExprParser:
-    """Recursive descent over scale/sum/compose/modified/opposite/
-    nijenhuis/normalize applied to presets."""
-
-    def __init__(self, tokens, algebra, context):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-        self.context = context
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of operator expression")
-        if expected is not None and tok != expected:
-            raise FormatError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> WeightedOperator:
-        op = self.expr()
-        if self.peek() is not None:
-            raise FormatError(f"trailing input in operator expression: {self.peek()!r}")
-        return op
-
-    def rational(self) -> Fraction:
-        tok = self.take()
-        return parse_rational(tok)
-
-    def expr(self) -> WeightedOperator:
-        tok = self.take()
-        if not re.match(r"^[A-Za-z]", tok):
-            raise FormatError(f"expected an operator, got {tok!r}")
-        if self.peek() == "(":
-            self.take("(")
-            if tok not in _FUNCTIONS:
-                raise FormatError(f"unknown operator function {tok!r}")
-            kinds, build = _FUNCTIONS[tok]
-            args = []
-            for n, kind in enumerate(kinds):
-                if n:
-                    self.take(",")
-                args.append(self.expr() if kind == "e" else self.rational())
-            self.take(")")
-            return build(*args)
-        m = _PRESET_RE.match(tok)
-        if not m:
-            raise FormatError(f"bad operator token {tok!r}")
-        return _resolve_preset(m.group(1), m.group(2), self.algebra, self.context)
-
-
 def parse_operator(spec: str, algebra: Algebra, context: dict,
                    weight: Fraction | None) -> WeightedOperator:
+    """Operator selector -> operator: ``file:PATH`` as a whole selector,
+    else a preset or a function of ``_FUNCTIONS`` applied to selectors
+    and rationals, parsed by recursive descent over one token list."""
     spec = spec.strip()
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -226,20 +186,46 @@ def parse_operator(spec: str, algebra: Algebra, context: dict,
             raise FormatError(
                 "operator-matrix files need a finite-dimensional algebra")
         return operator_matrix_from_json(load_json(path), algebra, weight=weight)
-    if "(" not in spec:
-        m = _PRESET_RE.match(spec)
-        if not m:
-            raise FormatError(f"bad operator selector {spec!r}")
-        return _resolve_preset(m.group(1), m.group(2), algebra, context)
     tokens = []
     pos = 0
     while pos < len(spec):
         m = _TOKEN_RE.match(spec, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             raise FormatError(f"bad operator expression near {spec[pos:]!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    return _ExprParser(tokens, algebra, context).parse()
+    tokens.reverse()  # consumed from the end
+
+    def take(expected=None) -> str:
+        if not tokens:
+            raise FormatError("unexpected end of operator expression")
+        tok = tokens.pop()
+        if expected is not None and tok != expected:
+            raise FormatError(f"expected {expected!r}, got {tok!r}")
+        return tok
+
+    def expr() -> WeightedOperator:
+        tok = take()
+        if not tok[0].isalpha():
+            raise FormatError(f"expected an operator, got {tok!r}")
+        if not tokens or tokens[-1] != "(":
+            return _resolve_preset(tok, algebra, context)
+        take()
+        if tok not in _FUNCTIONS:
+            raise FormatError(f"unknown operator function {tok!r}")
+        kinds, build = _FUNCTIONS[tok]
+        args = []
+        for n, kind in enumerate(kinds):
+            if n:
+                take(",")
+            args.append(expr() if kind == "e" else parse_rational(take()))
+        take(")")
+        return build(*args)
+
+    op = expr()
+    if tokens:
+        raise FormatError(f"trailing input in operator expression: {tokens[-1]!r}")
+    return op
 
 
 def load_tensor(path: str):
@@ -420,6 +406,10 @@ def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
 
     # argparse restricts --construct and --axioms to the choices handled here
     construct = args.construct
+    own = {"weight0": 0, "nijenhuis": 1}.get(construct)
+    if own is not None and args.weight not in (None, own):
+        raise FormatError(f"--construct {construct} builds at weight {own}, "
+                          f"not at --weight {format_rational(args.weight)}")
     if construct == "weight0":
         ds = build_weight0_pair(operator)
     elif construct == "modified":

@@ -6,15 +6,34 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotabaxter
 from rotabaxter.cli import _COMMANDS, build_parser, main, parse_algebra, parse_operator
 from rotabaxter.algebras import make_componentwise, structure_constants_to_json
-from rotabaxter.errors import FormatError
-from rotabaxter.operators import make_miller, operator_matrix_to_json
+from rotabaxter.errors import FormatError, RotaBaxterError
+from rotabaxter.operators import (
+    compose_operator,
+    make_identity_operator,
+    make_integration,
+    make_miller,
+    make_rms,
+    make_rms_opposite,
+    make_shift_truncation,
+    modified_of,
+    nijenhuis_family,
+    normalize_weight,
+    operator_matrix_to_json,
+    opposite_of,
+    scale_operator,
+    sum_operator,
+)
+from rotabaxter.rationals import format_rational
 
 
 def run_cli(*args):
@@ -178,6 +197,98 @@ def test_operator_expression_errors():
         parse_operator("mystery(ms)", None, {}, None)
 
 
+# --- one grammar for operator selectors ---------------------------------------
+
+
+def test_a_preset_with_parameters_parses_inside_an_expression(capsys):
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator",
+                   "scale(1,miller:2,2)", "--weight", "1") == 0
+    out = capsys.readouterr().out
+    assert "| 1*miller:2,2 |" in out and "tuples=16" in out
+    algebra, context = parse_algebra("miller:2,2")
+    assert parse_operator("sum(miller,miller:2,2)", algebra, context, None).describe() \
+        == "(miller:2,2 + miller:2,2)"
+
+
+@pytest.mark.parametrize("selector, cutoff", [("scale(2,shift:abc)", "abc"),
+                                              ("scale(1,shift:1.5)", "1.5")])
+def test_a_bad_shift_cutoff_inside_an_expression_is_named(selector, cutoff, capsys):
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", selector,
+                   "--weight", "1") == 2
+    assert f"error: bad shift cutoff '{cutoff}'" in capsys.readouterr().err
+
+
+def test_bad_miller_parameters_are_named(capsys):
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "miller:a,b",
+                   "--weight", "1") == 2
+    assert "error: bad miller parameters 'a,b'" in capsys.readouterr().err
+
+
+# the library constructor of each selector function, independent of the parser's table
+_CONSTRUCTORS = {"scale": scale_operator, "sum": sum_operator, "compose": compose_operator,
+                 "modified": modified_of, "opposite": opposite_of,
+                 "nijenhuis": nijenhuis_family, "normalize": normalize_weight}
+
+
+def _call(name, sep, *args):
+    """(text, build) of the selector function ``name`` applied to (text,
+    build) operands and Fraction arguments; ``build`` makes the operator
+    with the library constructors."""
+    def build():
+        return _CONSTRUCTORS[name](*(a if isinstance(a, Fraction) else a[1]() for a in args))
+
+    texts = (format_rational(a) if isinstance(a, Fraction) else a[0] for a in args)
+    return f"{name}({sep.join(texts)})", build
+
+
+def _applied(operands):
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    sep = st.sampled_from([",", ", "])
+    return st.one_of(
+        st.builds(_call, st.just("scale"), sep, q, operands),
+        st.builds(_call, st.sampled_from(["sum", "compose"]), sep, operands, operands),
+        st.builds(_call, st.sampled_from(["modified", "opposite", "normalize"]), sep,
+                  operands),
+        st.builds(_call, st.just("nijenhuis"), sep, operands, q))
+
+
+# algebra selector -> (text, build) of the presets on it
+_PRESETS = {
+    "laurent": st.one_of(
+        st.sampled_from([("id", make_identity_operator), ("ms", make_rms),
+                         ("ms-opp", make_rms_opposite), ("integration", make_integration)]),
+        st.integers(-3, 3).map(lambda k: (f"shift:{k}", lambda: make_shift_truncation(k)))),
+    "miller:2,2": st.sampled_from([
+        ("id", lambda: make_identity_operator(make_componentwise(4))),
+        ("miller", lambda: make_miller(2, 2)), ("miller:2,2", lambda: make_miller(2, 2))]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_selector_texts_parse_to_the_operators_the_constructors_build(data):
+    spec = data.draw(st.sampled_from(sorted(_PRESETS)), label="algebra")
+    algebra, context = parse_algebra(spec)
+    parsed = []
+    for _ in range(2):
+        text, build = data.draw(st.recursive(_PRESETS[spec], _applied, max_leaves=6))
+        try:
+            want = build()
+        except RotaBaxterError as exc:  # e.g. normalize of an operator without a weight
+            with pytest.raises(RotaBaxterError) as raised:
+                parse_operator(text, algebra, context, None)
+            assert type(raised.value) is type(exc)
+            continue
+        got = parse_operator(text, algebra, context, None)
+        assert got.expr == want.expr and hash(got.expr) == hash(want.expr)
+        assert got.describe() == want.describe() and got.weight == want.weight
+        parsed.append(got)
+    if len(parsed) == 2:
+        # keying by structure: two operators are equal exactly when their descriptions are
+        a, b = parsed
+        assert (a.expr == b.expr) == (a.describe() == b.describe())
+
+
 def test_dendriform_commands():
     assert run_cli("dendriform", "--algebra", "polynomial", "--operator",
                    "integration", "--construct", "weight0", "--axioms", "ddi",
@@ -205,6 +316,19 @@ def test_dendriform_builds_a_preset_operator_on_the_selected_algebra(capsys, tmp
     for command in (["check-rbr", "--weight", "0"], ["dendriform", "--construct", "weight0"]):
         assert run_cli(*command, *argv) == 2
         assert "integration undefined on exponent -2 < 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("construct, operator, own, given", [
+    ("weight0", "ms", "0", "3"), ("nijenhuis", "nijenhuis(ms,1)", "1", "1/2")])
+def test_a_construction_refuses_a_weight_other_than_its_own(construct, operator, own,
+                                                            given, capsys):
+    argv = ["dendriform", "--algebra", "laurent", "--operator", operator,
+            "--construct", construct, "--axioms", "star", "--range", "-1", "1"]
+    assert run_cli(*argv, "--weight", given) == 2
+    assert (f"error: --construct {construct} builds at weight {own}, not at --weight {given}"
+            in capsys.readouterr().err)
+    # no --weight, or the construction's own, sweeps as before
+    assert run_cli(*argv) == run_cli(*argv, "--weight", own) == (1 if own == "0" else 0)
 
 
 def test_dendriform_trialgebra_axioms_need_a_middle_product(capsys):
