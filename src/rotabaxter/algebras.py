@@ -289,8 +289,7 @@ def verify_associativity(constants: StructureConstants) -> CheckReport:
     return CheckReport(
         check="associativity", algebra=alg.describe(), operator="product",
         weight=None, domain={"mode": "basis-triples", "dim": dim},
-        status="pass" if witness is None else "fail", tuples=count,
-        witness=witness, notes=notes)
+        tuples=count, witness=witness, notes=notes)
 
 
 # ---------------------------------------------------------------------------

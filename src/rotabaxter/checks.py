@@ -187,7 +187,6 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
         operator=operator_desc,
         weight=weight,
         domain=dom.describe(algebra),
-        status="pass" if witness is None else "fail",
         tuples=count,
         witness=witness,
         notes=tuple(notes),
@@ -446,8 +445,7 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     return CheckReport(
         check="image-closure", algebra=algebra.describe(),
         operator=op.describe(), weight=op.weight, domain=domain,
-        status="pass" if witness is None else "fail", tuples=total,
-        witness=witness, notes=tuple(notes))
+        tuples=total, witness=witness, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -492,5 +490,4 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     return CheckReport(
         check=f"violate({identity})", algebra=algebra.describe(),
         operator=op.describe(), weight=lam, domain=domain,
-        status="fail" if witness is not None else "pass",
         tuples=count, witness=witness, notes=note)

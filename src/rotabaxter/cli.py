@@ -117,9 +117,10 @@ def parse_algebra(spec: str):
 
 
 # a preset token carries its parameters, up to a space, a parenthesis or
-# a comma; only miller:s,t keeps one comma, so nijenhuis(shift:1,1/2)
-# still splits at its argument comma
-_TOKEN_RE = re.compile(r"\s*(miller:[^\s(),]*(?:,[^\s(),]*)?"
+# a comma; only miller:s,t keeps one comma, and only when both parameters
+# are digits, so nijenhuis(shift:1,1/2) and sum(miller:2,ms) still split
+# at their argument comma
+_TOKEN_RE = re.compile(r"\s*(miller:(?:\d+(?:,\d+)?(?![^\s(),])|[^\s(),]*(?:,[^\s(),]*)?)"
                        r"|[A-Za-z][A-Za-z0-9-]*(?::[^\s(),]*)?|[(),]|-?\d+(?:/\d+)?)")
 
 
@@ -131,6 +132,8 @@ def _resolve_preset(token: str, algebra: Algebra, context: dict) -> WeightedOper
     plain = {"id": make_identity_operator, "ms": make_rms, "ms-opp": make_rms_opposite,
              "integration": make_integration}
     if name in plain:
+        if colon:
+            raise FormatError(f"operator {name!r} takes no parameters, got {params!r}")
         return replace(plain[name](), algebra=algebra)
     if name == "shift":
         if not colon:

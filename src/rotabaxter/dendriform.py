@@ -8,7 +8,8 @@ a first-class use case, so a structure built from a bad operator simply
 fails the axiom checks with a witness.
 
 Constructions and the weights they expect (checkers verify, builders
-don't):
+don't); the three built from an operator R share one splitting, ≺ and ≻,
+and differ in the ∘ they pass, none, −λ·ab or −N(ab):
 
 * ``build_weight0_pair(R)``        a≺b = a·R(b), a≻b = R(a)·b
 * ``build_modified_pair(B, λ)``    a≺b = a·B(b) − λab, a≻b = B(a)·b + λab
@@ -88,17 +89,23 @@ class DendriformStructure:
         return total
 
 
-def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
-    """Two-product splitting for a weight-0 operator."""
+def _splitting(R: WeightedOperator, middle, provenance: str, weight) -> DendriformStructure:
+    """a≺b = a·R(b), a≻b = R(a)·b, with ∘ the bilinear extension of
+    ``middle``, or none."""
     return DendriformStructure(
         algebra=R.algebra,
         prec=bilinear_extension(lambda a, b: a * R(b)),
         succ=bilinear_extension(lambda a, b: R(a) * b),
-        middle=None,
-        provenance=f"weight0({R.describe()})",
-        weight=Fraction(0),
+        middle=None if middle is None else bilinear_extension(middle),
+        provenance=provenance,
+        weight=weight,
         source=R,
     )
+
+
+def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
+    """Two-product splitting for a weight-0 operator."""
+    return _splitting(R, None, f"weight0({R.describe()})", Fraction(0))
 
 
 def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
@@ -121,28 +128,13 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
     lam = as_rational(lam)
-    return DendriformStructure(
-        algebra=R.algebra,
-        prec=bilinear_extension(lambda a, b: a * R(b)),
-        succ=bilinear_extension(lambda a, b: R(a) * b),
-        middle=bilinear_extension(lambda a, b: (-lam) * (a * b)),
-        provenance=f"tri(weight {format_rational(lam)}; {R.describe()})",
-        weight=lam,
-        source=R,
-    )
+    return _splitting(R, lambda a, b: (-lam) * (a * b),
+                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam)
 
 
 def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
-    return DendriformStructure(
-        algebra=N.algebra,
-        prec=bilinear_extension(lambda a, b: a * N(b)),
-        succ=bilinear_extension(lambda a, b: N(a) * b),
-        middle=bilinear_extension(lambda a, b: -N(a * b)),
-        provenance=f"nijenhuis({N.describe()})",
-        weight=Fraction(1),
-        source=N,
-    )
+    return _splitting(N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})", Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,26 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The outcome of one check: what was checked, on which domain, over
+    how many tuples.  Its verdict is its witness: ``status`` is "fail"
+    exactly when ``witness`` is set, so no passing report carries one."""
+
     check: str
     algebra: str
     operator: str
     weight: Fraction | None
     domain: dict
-    status: str
     tuples: int
     witness: Witness | None = None
     notes: tuple = field(default_factory=tuple)
 
     @property
+    def status(self) -> str:
+        return "pass" if self.witness is None else "fail"
+
+    @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {

@@ -98,20 +98,18 @@ def build_entries() -> list:
     def add(name, criterion, expected, report):
         entries.append(SuiteEntry(name, criterion, expected, report))
 
-    # --- criterion 1: Rota-Baxter positives
-    add("rbr ms @1 [-8,8]", "1", "pass",
-        check_rbr(L, ms, one, DomainSpec.basis(-8, 8)))
-    add("rbr -ms @-1 [-8,8]", "1", "pass",
-        check_rbr(L, neg_ms, Fraction(-1), DomainSpec.basis(-8, 8)))
-    add("rbr ms-opp @1 [-8,8]", "1", "pass",
-        check_rbr(L, ms_opp, one, DomainSpec.basis(-8, 8)))
-    add("rbr integration @0 deg<=10", "1", "pass",
-        check_rbr(P, integ, Fraction(0), DomainSpec.basis(0, 10)))
+    # --- criterion 1: Rota-Baxter positives, each (name, algebra, R, λ, window)
+    positives = [("ms @1 [-8,8]", L, ms, one, DomainSpec.basis(-8, 8)),
+                 ("-ms @-1 [-8,8]", L, neg_ms, Fraction(-1), DomainSpec.basis(-8, 8)),
+                 ("ms-opp @1 [-8,8]", L, ms_opp, one, DomainSpec.basis(-8, 8)),
+                 ("integration @0 deg<=10", P, integ, Fraction(0), DomainSpec.basis(0, 10))]
     for s in range(1, 5):
         for t in range(1, 5):
             miller = make_miller(s, t)
-            add(f"rbr miller:{s},{t} @1", "1", "pass",
-                check_rbr(miller.algebra, miller, one, DomainSpec.basis(0, 0)))
+            positives.append((f"miller:{s},{t} @1", miller.algebra, miller, one,
+                              DomainSpec.basis(0, 0)))
+    for name, alg, op, lam, dom in positives:
+        add(f"rbr {name}", "1", "pass", check_rbr(alg, op, lam, dom))
 
     # --- criterion 2: truncation negatives (and the two true positives)
     for r in (1, 2, -2, 3):
@@ -122,22 +120,8 @@ def build_entries() -> list:
             violation_report(L, "rbr", make_shift_truncation(r), one, max_range=4))
 
     # --- criterion 3: modified relation on every positive case
-    add("modified ms @1 [-8,8]", "3", "pass",
-        check_modified_rbr(L, modified_of(ms), one, DomainSpec.basis(-8, 8)))
-    add("modified -ms @-1 [-8,8]", "3", "pass",
-        check_modified_rbr(L, modified_of(neg_ms), Fraction(-1),
-                           DomainSpec.basis(-8, 8)))
-    add("modified ms-opp @1 [-8,8]", "3", "pass",
-        check_modified_rbr(L, modified_of(ms_opp), one, DomainSpec.basis(-8, 8)))
-    add("modified integration @0 deg<=10", "3", "pass",
-        check_modified_rbr(P, modified_of(integ), Fraction(0),
-                           DomainSpec.basis(0, 10)))
-    for s in range(1, 5):
-        for t in range(1, 5):
-            miller = make_miller(s, t)
-            add(f"modified miller:{s},{t} @1", "3", "pass",
-                check_modified_rbr(miller.algebra, modified_of(miller), one,
-                                   DomainSpec.basis(0, 0)))
+    for name, alg, op, lam, dom in positives:
+        add(f"modified {name}", "3", "pass", check_modified_rbr(alg, modified_of(op), lam, dom))
     borel = borel_projector_m2()
     add("rbr row-projector M2 @1", "3", "pass",
         check_rbr(borel.algebra, borel, one, DomainSpec.basis(0, 0)))
@@ -152,21 +136,16 @@ def build_entries() -> list:
                                DomainSpec.basis(-4, 4)):
         add(f"{rep.check} modified-pair(ms) [-4,4]", "4", "pass", rep)
 
-    # --- criterion 5: dendriform trialgebras
-    tri_cases = [("ms", ms, one), ("-ms", neg_ms, Fraction(-1)),
-                 ("ms-opp", ms_opp, one)]
-    for label, op, lam in tri_cases:
+    # --- criterion 5: dendriform trialgebras, each (label, R, λ, window, name suffix)
+    tri_cases = [("ms", ms, one, DomainSpec.basis(-4, 4), " [-4,4]"),
+                 ("-ms", neg_ms, Fraction(-1), DomainSpec.basis(-4, 4), " [-4,4]"),
+                 ("ms-opp", ms_opp, one, DomainSpec.basis(-4, 4), " [-4,4]"),
+                 ("miller:2,2", make_miller(2, 2), one, DomainSpec.basis(0, 0), "")]
+    for label, op, lam, dom, suffix in tri_cases:
         ds = build_tri_from_rbo(op, lam)
-        for rep in check_trialgebra(ds, DomainSpec.basis(-4, 4)):
-            add(f"{rep.check} tri({label}) [-4,4]", "5", "pass", rep)
-        add(f"star.assoc tri({label}) [-4,4]", "5", "pass",
-            check_star_associative(ds, DomainSpec.basis(-4, 4)))
-    miller22 = make_miller(2, 2)
-    ds_miller = build_tri_from_rbo(miller22, 1)
-    for rep in check_trialgebra(ds_miller, DomainSpec.basis(0, 0)):
-        add(f"{rep.check} tri(miller:2,2)", "5", "pass", rep)
-    add("star.assoc tri(miller:2,2)", "5", "pass",
-        check_star_associative(ds_miller, DomainSpec.basis(0, 0)))
+        for rep in check_trialgebra(ds, dom):
+            add(f"{rep.check} tri({label}){suffix}", "5", "pass", rep)
+        add(f"star.assoc tri({label}){suffix}", "5", "pass", check_star_associative(ds, dom))
     # wrong-sign middle product: the two axioms that need the Rota-Baxter
     # relation break, the purely associative ones survive
     from dataclasses import replace as _replace

@@ -224,6 +224,24 @@ def test_bad_miller_parameters_are_named(capsys):
     assert "error: bad miller parameters 'a,b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algebra, selector, name, params", [
+    ("laurent", "ms:3", "ms", "3"),
+    ("miller:2,2", "id:x", "id", "x"),
+    ("laurent", "scale(2,ms-opp:1)", "ms-opp", "1"),
+    ("polynomial", "integration:", "integration", "")])
+def test_a_preset_without_parameters_refuses_one(algebra, selector, name, params, capsys):
+    assert run_cli("check-rbr", "--algebra", algebra, "--operator", selector,
+                   "--weight", "1") == 2
+    assert f"error: operator '{name}' takes no parameters, got '{params}'" \
+        in capsys.readouterr().err
+
+
+def test_a_miller_token_keeps_a_comma_only_between_digits(capsys):
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "sum(miller:2,ms)",
+                   "--weight", "1") == 2
+    assert "error: bad miller parameters '2'" in capsys.readouterr().err
+
+
 # the library constructor of each selector function, independent of the parser's table
 _CONSTRUCTORS = {"scale": scale_operator, "sum": sum_operator, "compose": compose_operator,
                  "modified": modified_of, "opposite": opposite_of,

@@ -245,6 +245,18 @@ def test_splitting_identity_star_equals_sum_of_products():
                 assert ds.star(a, b) == total
 
 
+@pytest.mark.parametrize("build", [build_weight0_pair, lambda R: build_tri_from_rbo(R, 1),
+                                   build_from_nijenhuis], ids=["weight0", "tri", "nijenhuis"])
+@pytest.mark.parametrize("R", [MS, make_miller(2, 2)], ids=["ms", "miller:2,2"])
+def test_operator_built_structures_share_one_splitting(build, R):
+    """Whatever middle product a structure built from R has, its ≺ and ≻
+    are a·R(b) and R(a)·b."""
+    ds = build(R)
+    for a, b in DomainSpec.random(20, seed=7).tuples(R.algebra, 2):
+        assert ds.prec(a, b) == a * R(b)
+        assert ds.succ(a, b) == R(a) * b
+
+
 def test_one_rbr_factorization_at_weight_minus_one():
     """R(a*b) = R(a)·R(b) when R is verified at weight −1 and
     a*b = a·R(b) + R(a)·b + a·b."""

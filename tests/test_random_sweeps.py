@@ -154,9 +154,7 @@ def reference_report(check_id, algebra, operator, weight, dom, arity, sides) -> 
         for unread in ("lo", "hi", "support_bound"):
             del domain[unread]
     return CheckReport(check=check_id, algebra=algebra.describe(), operator=operator,
-                       weight=weight, domain=domain,
-                       status="pass" if witness is None else "fail", tuples=count,
-                       witness=witness)
+                       weight=weight, domain=domain, tuples=count, witness=witness)
 
 
 def empty_window(algebra, dom) -> bool:
