@@ -274,7 +274,8 @@ class RandomSample(DomainSpec):
     Coefficients are p/q with |p| ≤ ``coeff_bound`` and
     1 ≤ q ≤ ``coeff_bound``; a Laurent-type element has at most
     ``support_bound`` terms in the window, and a finite-dimensional one
-    fills every coordinate.  Both bounds must be non-negative.  By the
+    fills every coordinate.  Both bounds must be non-negative, and a
+    sweep refuses a bound that makes every draw zero.  By the
     same multilinearity, a sweep evaluates each drawn tuple as its
     denominator-cleared multiple, which has ``int`` coefficients, and its
     witness is the tuple as drawn (see :mod:`rotabaxter.checks`).  Only
@@ -296,6 +297,9 @@ class RandomSample(DomainSpec):
 
     def tuples(self, algebra: Algebra, arity: int) -> "RandomTuples":
         self._keys(algebra)  # a window with no key would draw only zeros
+        for name in ("coeff_bound",) + (("support_bound",) if algebra.dimension is None else ()):
+            if getattr(self, name) == 0:
+                raise InvalidDomainError(f"random mode with {name} 0 draws only zeros")
         rng = random.Random(self.seed)
         return RandomTuples(tuple(algebra.random_element(self, rng) for _ in range(arity))
                             for _ in range(self.samples))

@@ -194,26 +194,35 @@ def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
 
 
 # ---------------------------------------------------------------------------
-# Identity residuals, as sides(x, y) -> (lhs, rhs) on the term dicts of two
-# elements; no dict that is a side or goes to the operator holds a zero, and
-# the operator's images, which may be its cached ones, are only read.
+# Identity residuals.  A factory takes a product ``mul`` and an operator ``R``
+# on term dicts, and the weight λ, and returns sides(x, y) -> (lhs, rhs) on the
+# term dicts of two elements; no dict that is a side or goes to R holds a
+# zero, and R's images, which may be its cached ones, are only read.
 
 
-def rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
-    """R(x)R(y) + λ·R(xy) = R(R(x)y + xR(y))."""
-    mul, R = algebra.multiply_terms, op.on_terms(algebra)
-
+def _rota_baxter_form(mul, R, lam: Fraction, T):
+    """R(x)R(y) + λ·T(xy) = R(R(x)y + xR(y))."""
     def sides(x, y):
         rx, ry = R(x), R(y)
-        return (add_terms(mul(rx, ry), scale_terms(lam, R(clean_terms(mul(x, y))))),
+        return (add_terms(mul(rx, ry), scale_terms(lam, T(clean_terms(mul(x, y))))),
                 R(add_terms(mul(rx, y), mul(x, ry))))
 
     return sides
 
 
-def modified_rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
+def rbr_sides(mul, R, lam: Fraction):
+    """R(x)R(y) + λ·R(xy) = R(R(x)y + xR(y))."""
+    return _rota_baxter_form(mul, R, lam, R)
+
+
+def nijenhuis_sides(mul, N, lam: Fraction):
+    """N(x)N(y) + λ·N²(xy) = N(N(x)y + xN(y))."""
+    return _rota_baxter_form(mul, N, lam, lambda terms: N(N(terms)))
+
+
+def modified_rbr_sides(mul, B, lam: Fraction):
     """B(x)B(y) = B(B(x)y + xB(y)) − λ²xy."""
-    mul, B, minus_lam2 = algebra.multiply_terms, op.on_terms(algebra), -lam * lam
+    minus_lam2 = -lam * lam
 
     def sides(x, y):
         bx, by = B(x), B(y)
@@ -224,36 +233,14 @@ def modified_rbr_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
     return sides
 
 
-def nijenhuis_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
-    """N(x)N(y) + λ·N²(xy) = N(N(x)y + xN(y))."""
-    mul, N = algebra.multiply_terms, op.on_terms(algebra)
-
-    def sides(x, y):
-        nx, ny = N(x), N(y)
-        return (add_terms(mul(nx, ny), scale_terms(lam, N(N(clean_terms(mul(x, y)))))),
-                N(add_terms(mul(nx, y), mul(x, ny))))
-
-    return sides
+def lie_modified_sides(mul, B, lam: Fraction):
+    """The modified relation in the commutator [a,b] = ab − ba:
+    [B(x),B(y)] = B([B(x),y] + [x,B(y)]) − λ²[x,y]."""
+    return modified_rbr_sides(lambda a, b: add_terms(mul(a, b), scale_terms(-1, mul(b, a))),
+                              B, lam)
 
 
-def lie_modified_sides(algebra: Algebra, op: WeightedOperator, lam: Fraction):
-    """[B(x),B(y)] = B([B(x),y] + [x,B(y)]) − λ²[x,y]."""
-    mul, B, minus_lam2 = algebra.multiply_terms, op.on_terms(algebra), -lam * lam
-
-    def bracket(a, b):
-        return add_terms(mul(a, b), scale_terms(-1, mul(b, a)))
-
-    def sides(x, y):
-        bx, by = B(x), B(y)
-        return (bracket(bx, by),
-                add_terms(B(add_terms(bracket(bx, y), bracket(x, by))),
-                          scale_terms(minus_lam2, bracket(x, y))))
-
-    return sides
-
-
-# name -> sides factory taking (algebra, op, lam); every identity takes two
-# elements
+# name -> sides factory taking (mul, R, lam); every identity takes two elements
 IDENTITIES = {
     "rbr": rbr_sides,
     "modified-rbr": modified_rbr_sides,
@@ -283,7 +270,7 @@ def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
     """The sides of an identity on the terms of a pair's elements."""
     if identity not in IDENTITIES:
         raise InvalidDomainError(f"unknown identity {identity!r}")
-    sides = IDENTITIES[identity](algebra, op, as_rational(lam))
+    sides = IDENTITIES[identity](algebra.multiply_terms, op.on_terms(algebra), as_rational(lam))
     return lambda x, y: sides(x.terms, y.terms)
 
 
@@ -464,7 +451,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                      lam: Fraction, max_range: int = 4) -> CheckReport:
     """Report form of :func:`find_violation`: status "fail" plus witness
     when the search succeeds, "pass" when the budget is exhausted.  The
-    search sweeps the deduplicated basis windows [-k, k] for
+    search sweeps the distinct basis windows [-k, k] for
     k = 0..max_range, and nothing else: every identity is multilinear and
     every operator linear, so the basis pairs of a window decide the
     identity for all elements supported there, and no element drawn
@@ -476,12 +463,18 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
     sides = _term_sides(identity, algebra, op, lam)
-    windows = {}  # basis keys -> the first window [-k, k] that has them
-    for k in range(max_range + 1):
-        windows.setdefault(tuple(algebra.basis_keys(-k, k)), DomainSpec.basis(-k, k))
-    tuples = itertools.chain.from_iterable(
-        dom.tuples(algebra, 2) for dom in windows.values())
-    witness, count = SharedPass(tuples, {identity: sides},
+
+    def tuples():
+        # each window is made when the sweep reaches it; windows are nested,
+        # so a window with the keys of an earlier one comes right after it
+        last = None
+        for k in range(max_range + 1):
+            keys = algebra.basis_keys(-k, k)
+            if keys != last:
+                last = keys
+                yield from DomainSpec.basis(-k, k).tuples(algebra, 2)
+
+    witness, count = SharedPass(tuples(), {identity: sides},
                                 key=_sign_pattern(algebra, op)).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}

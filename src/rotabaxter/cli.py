@@ -117,10 +117,10 @@ def parse_algebra(spec: str):
 
 
 # a preset token carries its parameters, up to a space, a parenthesis or
-# a comma; only miller:s,t keeps one comma, and only when both parameters
-# are digits, so nijenhuis(shift:1,1/2) and sum(miller:2,ms) still split
-# at their argument comma
-_TOKEN_RE = re.compile(r"\s*(miller:(?:\d+(?:,\d+)?(?![^\s(),])|[^\s(),]*(?:,[^\s(),]*)?)"
+# a comma; only a miller: token keeps one comma, unless its first parameter
+# is digits and no digit follows the comma, so nijenhuis(shift:1,1/2) and
+# sum(miller:2,ms) split at their argument comma and miller:2,2x stays whole
+_TOKEN_RE = re.compile(r"\s*(miller:(?:\d+(?:,\d+)?(?![^\s(),])(?!,\d)|[^\s(),]*(?:,[^\s(),]*)?)"
                        r"|[A-Za-z][A-Za-z0-9-]*(?::[^\s(),]*)?|[(),]|-?\d+(?:/\d+)?)")
 
 
@@ -177,8 +177,7 @@ _FUNCTIONS = {
 }
 
 
-def parse_operator(spec: str, algebra: Algebra, context: dict,
-                   weight: Fraction | None) -> WeightedOperator:
+def parse_operator(spec: str, algebra: Algebra, context: dict) -> WeightedOperator:
     """Operator selector -> operator: ``file:PATH`` as a whole selector,
     else a preset or a function of ``_FUNCTIONS`` applied to selectors
     and rationals, parsed by recursive descent over one token list."""
@@ -188,7 +187,7 @@ def parse_operator(spec: str, algebra: Algebra, context: dict,
         if not isinstance(algebra, FiniteAlgebra):
             raise FormatError(
                 "operator-matrix files need a finite-dimensional algebra")
-        return operator_matrix_from_json(load_json(path), algebra, weight=weight)
+        return operator_matrix_from_json(load_json(path), algebra)
     tokens = []
     pos = 0
     while pos < len(spec):
@@ -239,7 +238,8 @@ def load_tensor(path: str):
         raise FormatError(f"{path}: tensor file needs an 'algebra' field")
     algebra, _ = parse_algebra(data["algebra"])
     if not isinstance(algebra, FiniteAlgebra):
-        raise FormatError(f"{path}: tensors need a finite-dimensional algebra")
+        raise FormatError(f"{path}: field 'algebra' must name a finite-dimensional "
+                          f"algebra, got {data['algebra']!r}")
     return tensor2_from_json(data, algebra), algebra
 
 
@@ -360,7 +360,7 @@ def run(args: argparse.Namespace) -> int:
         return _emit(check("rbr", algebra, induced_operator(r), lam, dom), args.output)
     if command == "violate":
         algebra, context = parse_algebra(args.algebra)
-        operator = parse_operator(args.operator, algebra, context, args.weight)
+        operator = parse_operator(args.operator, algebra, context)
         return _emit(violation_report(algebra, args.identity, operator,
                                       _require_weight(args), max_range=args.max_range),
                      args.output)
@@ -379,9 +379,7 @@ def run(args: argparse.Namespace) -> int:
                 f"--support-bound bounds the terms of a Laurent draw; "
                 f"{algebra.describe()} is finite-dimensional and its random "
                 f"elements fill every coordinate")
-    # check-idempotent has no --weight: idempotence involves no λ
-    operator = parse_operator(args.operator, algebra, context,
-                              getattr(args, "weight", None))
+    operator = parse_operator(args.operator, algebra, context)
     if command in _IDENTITY_COMMANDS:
         return _emit(check(_IDENTITY_COMMANDS[command], algebra, operator,
                            _require_weight(args), dom),
@@ -409,10 +407,6 @@ def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
 
     # argparse restricts --construct and --axioms to the choices handled here
     construct = args.construct
-    own = {"weight0": 0, "nijenhuis": 1}.get(construct)
-    if own is not None and args.weight not in (None, own):
-        raise FormatError(f"--construct {construct} builds at weight {own}, "
-                          f"not at --weight {format_rational(args.weight)}")
     if construct == "weight0":
         ds = build_weight0_pair(operator)
     elif construct == "modified":
@@ -422,6 +416,10 @@ def _run_dendriform(args: argparse.Namespace, algebra, operator, dom) -> int:
         ds = build_tri_from_rbo(operator, _require_weight(args))
     else:
         ds = build_from_nijenhuis(operator)
+    if args.weight not in (None, ds.weight):
+        raise FormatError(f"--construct {construct} builds at weight "
+                          f"{format_rational(ds.weight)}, not at --weight "
+                          f"{format_rational(args.weight)}")
 
     axioms = args.axioms or ("tri" if ds.has_middle else "ddi")
     if axioms == "ddi":

@@ -8,8 +8,10 @@ a first-class use case, so a structure built from a bad operator simply
 fails the axiom checks with a witness.
 
 Constructions and the weights they expect (checkers verify, builders
-don't); the three built from an operator R share one splitting, ≺ and ≻,
-and differ in the ∘ they pass, none, −λ·ab or −N(ab):
+don't).  All four return one splitting, a≺b = a·L(b) and a≻b = R(a)·b
+for two maps L and R, plus the ∘ they pass.  The three built from an
+operator take it as both maps; the modified pair takes L = B − λ·id and
+R = B + λ·id.
 
 * ``build_weight0_pair(R)``        a≺b = a·R(b), a≻b = R(a)·b
 * ``build_modified_pair(B, λ)``    a≺b = a·B(b) − λab, a≻b = B(a)·b + λab
@@ -89,23 +91,23 @@ class DendriformStructure:
         return total
 
 
-def _splitting(R: WeightedOperator, middle, provenance: str, weight) -> DendriformStructure:
-    """a≺b = a·R(b), a≻b = R(a)·b, with ∘ the bilinear extension of
-    ``middle``, or none."""
+def _splitting(L, R, middle, provenance: str, weight, source) -> DendriformStructure:
+    """a≺b = a·L(b), a≻b = R(a)·b, with ∘ the bilinear extension of
+    ``middle``, or none; ``source`` is the operator L and R come from."""
     return DendriformStructure(
-        algebra=R.algebra,
-        prec=bilinear_extension(lambda a, b: a * R(b)),
+        algebra=source.algebra,
+        prec=bilinear_extension(lambda a, b: a * L(b)),
         succ=bilinear_extension(lambda a, b: R(a) * b),
         middle=None if middle is None else bilinear_extension(middle),
         provenance=provenance,
         weight=weight,
-        source=R,
+        source=source,
     )
 
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
     """Two-product splitting for a weight-0 operator."""
-    return _splitting(R, None, f"weight0({R.describe()})", Fraction(0))
+    return _splitting(R, R, None, f"weight0({R.describe()})", Fraction(0), R)
 
 
 def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
@@ -114,27 +116,21 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
     At λ = 1 the products agree with −2a·R(b) and 2·(id−R)(a)·b.
     """
     lam = as_rational(lam)
-    return DendriformStructure(
-        algebra=B.algebra,
-        prec=bilinear_extension(lambda a, b: a * B(b) - lam * (a * b)),
-        succ=bilinear_extension(lambda a, b: B(a) * b + lam * (a * b)),
-        middle=None,
-        provenance=f"modified(weight {format_rational(lam)}; {B.describe()})",
-        weight=lam,
-        source=B,
-    )
+    return _splitting(lambda b: B(b) - lam * b, lambda a: B(a) + lam * a, None,
+                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam, B)
 
 
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
     lam = as_rational(lam)
-    return _splitting(R, lambda a, b: (-lam) * (a * b),
-                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam)
+    return _splitting(R, R, lambda a, b: (-lam) * (a * b),
+                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam, R)
 
 
 def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
-    return _splitting(N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})", Fraction(1))
+    return _splitting(N, N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})",
+                      Fraction(1), N)
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,11 @@ def normalize_weight(op: WeightedOperator) -> WeightedOperator:
 # ---------------------------------------------------------------------------
 # Operator-matrix file format (JSON):
 #   {"dim": n, "matrix": [[..], ..]}  row-major, entries "p/q" or int;
-#   column j holds the image of e_j.
+#   column j holds the image of e_j.  The file declares no weight: a check
+#   takes its weight from its caller.
 
 
-def operator_matrix_from_json(data, algebra: FiniteAlgebra,
-                              weight=None) -> WeightedOperator:
+def operator_matrix_from_json(data, algebra: FiniteAlgebra) -> WeightedOperator:
     if not isinstance(data, dict):
         raise FormatError("operator-matrix file must be a JSON object")
     dim = data.get("dim")
@@ -329,7 +329,7 @@ def operator_matrix_from_json(data, algebra: FiniteAlgebra,
     if (not isinstance(rows, list) or len(rows) != dim
             or any(not isinstance(r, list) or len(r) != dim for r in rows)):
         raise FormatError("field 'matrix' must be a dim x dim array")
-    return matrix_operator(algebra, rows, label="matrix-file", weight=weight,
+    return matrix_operator(algebra, rows, label="matrix-file",
                            note="operator matrix from file")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -65,7 +66,7 @@ ONE = Fraction(1)
 
 def identity_sides(identity, algebra, op, lam):
     """The sides of one of the checks' ``IDENTITIES`` as elements."""
-    sides = IDENTITIES[identity](algebra, op, as_rational(lam))
+    sides = IDENTITIES[identity](algebra.multiply_terms, op.on_terms(algebra), as_rational(lam))
     return lambda x, y: tuple(Element._trusted(algebra, side)
                               for side in sides(x.terms, y.terms))
 
@@ -428,6 +429,19 @@ def test_violation_search_budget_counts():
     m2 = make_matrix_algebra(2)
     report = violation_report(m2, "rbr", make_identity_operator(m2), ONE, max_range=4)
     assert report.passed and report.tuples == 16
+
+
+def test_violation_search_makes_each_window_when_it_reaches_it():
+    """A witness at tuple 10 is found without the key lists of all 2,001
+    windows, which took over 100 MB."""
+    tracemalloc.start()
+    try:
+        report = violation_report(L, "rbr", make_shift_truncation(1), ONE, max_range=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.status, report.tuples) == ("fail", 10)
+    assert peak < 4 * 2**20
 
 
 # --- the identities on term dicts --------------------------------------------

@@ -146,7 +146,7 @@ def test_operator_matrix_file_round_trip(tmp_path):
     algebra = miller.algebra
     path = tmp_path / "op.json"
     path.write_text(json.dumps(operator_matrix_to_json(algebra, miller)))
-    loaded = parse_operator(f"file:{path}", algebra, {}, None)
+    loaded = parse_operator(f"file:{path}", algebra, {})
     for j in range(algebra.dimension):
         e = algebra.basis_element(j)
         assert loaded(e) == miller(e)
@@ -159,7 +159,7 @@ def test_operator_matrix_identity_behaves(tmp_path):
     path = tmp_path / "id.json"
     rows = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
     path.write_text(json.dumps({"dim": 3, "matrix": rows}))
-    loaded = parse_operator(f"file:{path}", a3, {}, None)
+    loaded = parse_operator(f"file:{path}", a3, {})
     for j in range(3):
         assert loaded(a3.basis_element(j)) == a3.basis_element(j)
 
@@ -169,6 +169,61 @@ def test_operator_matrix_dimension_mismatch(tmp_path):
     path.write_text(json.dumps({"dim": 2, "matrix": [["1", "0"], ["0", "1"]]}))
     assert run_cli("check-rbr", "--algebra", "componentwise:3", "--operator",
                    f"file:{path}", "--weight", "1") == 2
+
+
+# --- a malformed input file is refused, and the message names the field --------
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1], "structure-constants file must be a JSON object"),
+    ({"dim": "2", "c": []}, "field 'dim' must be a positive integer, got '2'"),
+    ({"dim": 2, "c": [[[0, 0], [0, 0]], [[0, 0]]]}, "field 'c'[1] must be a list of length dim"),
+    ({"dim": 2, "c": [[[0, 0], [0]], [[0, 0], [0, 0]]]},
+     "field 'c'[0][1] must be a list of length dim"),
+    ({"dim": 1, "c": [[[1]]], "unit": [1, 0]}, "field 'unit' must be a list of length dim"),
+], ids=["non-object", "dim", "c[i]", "c[i][j]", "unit"])
+def test_a_malformed_structure_constants_file_names_the_field(data, message, tmp_path,
+                                                              capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("check-rbr", "--algebra", f"file:{path}", "--operator", "id",
+                   "--weight", "1") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra, data, message", [
+    ("componentwise:2", [[1, 0], [0, 1]], "operator-matrix file must be a JSON object"),
+    ("componentwise:2", {"dim": 0, "matrix": []},
+     "field 'dim' must be a positive integer, got 0"),
+    ("componentwise:2", {"dim": 2, "matrix": [[1, 0], [0]]},
+     "field 'matrix' must be a dim x dim array"),
+    ("laurent", {"dim": 2, "matrix": [[1, 0], [0, 1]]},
+     "operator-matrix files need a finite-dimensional algebra"),
+], ids=["non-object", "dim", "non-square", "laurent"])
+def test_a_malformed_operator_matrix_file_names_the_field(algebra, data, message, tmp_path,
+                                                          capsys):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("check-rbr", "--algebra", algebra, "--operator", f"file:{path}",
+                   "--weight", "1") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "tensor file needs an 'algebra' field"),
+    ({"algebra": "matrix:2", "terms": {}}, "field 'terms' must be a list"),
+    ({"algebra": "matrix:2", "terms": [{"i": 0, "j": 0}]},
+     "field 'terms'[0] needs keys i, j, coeff"),
+    ({"algebra": "matrix:2", "terms": [{"i": 0, "j": 1.0, "coeff": "1"}]},
+     "field 'terms'[0]: indices must be integers"),
+    ({"algebra": "laurent", "terms": []},
+     "field 'algebra' must name a finite-dimensional algebra, got 'laurent'"),
+], ids=["non-object", "terms", "keys", "indices", "laurent"])
+def test_a_malformed_tensor_file_names_the_field(data, message, tmp_path, capsys):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("acybe", "--tensor", str(path)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_operator_expressions():
@@ -190,11 +245,11 @@ def test_operator_expressions():
 
 def test_operator_expression_errors():
     with pytest.raises(FormatError):
-        parse_operator("scale(ms)", None, {}, None)
+        parse_operator("scale(ms)", None, {})
     with pytest.raises(FormatError):
-        parse_operator("scale(1,ms", None, {}, None)
+        parse_operator("scale(1,ms", None, {})
     with pytest.raises(FormatError):
-        parse_operator("mystery(ms)", None, {}, None)
+        parse_operator("mystery(ms)", None, {})
 
 
 # --- one grammar for operator selectors ---------------------------------------
@@ -206,7 +261,7 @@ def test_a_preset_with_parameters_parses_inside_an_expression(capsys):
     out = capsys.readouterr().out
     assert "| 1*miller:2,2 |" in out and "tuples=16" in out
     algebra, context = parse_algebra("miller:2,2")
-    assert parse_operator("sum(miller,miller:2,2)", algebra, context, None).describe() \
+    assert parse_operator("sum(miller,miller:2,2)", algebra, context).describe() \
         == "(miller:2,2 + miller:2,2)"
 
 
@@ -240,6 +295,14 @@ def test_a_miller_token_keeps_a_comma_only_between_digits(capsys):
     assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "sum(miller:2,ms)",
                    "--weight", "1") == 2
     assert "error: bad miller parameters '2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector, params", [("miller:2,2x", "2,2x"),
+                                              ("miller:1,3miller", "1,3miller")])
+def test_a_miller_token_keeps_a_comma_that_a_digit_follows(selector, params, capsys):
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", selector,
+                   "--weight", "1") == 2
+    assert f"error: bad miller parameters '{params}'" in capsys.readouterr().err
 
 
 # the library constructor of each selector function, independent of the parser's table
@@ -294,10 +357,10 @@ def test_selector_texts_parse_to_the_operators_the_constructors_build(data):
             want = build()
         except RotaBaxterError as exc:  # e.g. normalize of an operator without a weight
             with pytest.raises(RotaBaxterError) as raised:
-                parse_operator(text, algebra, context, None)
+                parse_operator(text, algebra, context)
             assert type(raised.value) is type(exc)
             continue
-        got = parse_operator(text, algebra, context, None)
+        got = parse_operator(text, algebra, context)
         assert got.expr == want.expr and hash(got.expr) == hash(want.expr)
         assert got.describe() == want.describe() and got.weight == want.weight
         parsed.append(got)
@@ -471,6 +534,27 @@ def test_negative_support_bound_is_refused(capsys):
                    "--weight", "1", "--random", "--samples", "50",
                    "--support-bound", "-1") == 2
     assert "support_bound >= 0" in capsys.readouterr().err
+
+
+# every draw of these sweeps is zero, so each used to pass at exit 0
+@pytest.mark.parametrize("argv, bound", [
+    (["check-rbr", "--algebra", "laurent", "--operator", "shift:2", "--weight", "1",
+      "--coeff-bound", "0"], "coeff_bound"),
+    (["check-rbr", "--algebra", "laurent", "--operator", "shift:2", "--weight", "1",
+      "--support-bound", "0"], "support_bound"),
+    (["check-rbr", "--algebra", "miller:2,2", "--operator", "scale(2,miller)", "--weight", "1",
+      "--coeff-bound", "0"], "coeff_bound"),
+    (["dendriform", "--algebra", "laurent", "--operator", "shift:1", "--weight", "1",
+      "--construct", "tri", "--coeff-bound", "0"], "coeff_bound"),
+    (["induce", "--tensor", "TENSOR", "--weight", "1", "--coeff-bound", "0"], "coeff_bound"),
+], ids=["laurent-coeff", "laurent-support", "miller-coeff", "dendriform", "induce"])
+def test_a_random_sweep_with_a_zero_bound_is_refused(argv, bound, tmp_path, capsys):
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"algebra": "matrix:2",
+                                  "terms": [{"i": 0, "j": 0, "coeff": "1"}]}))
+    argv = [str(tensor) if arg == "TENSOR" else arg for arg in argv]
+    assert run_cli(*argv, "--random", "--samples", "50") == 2
+    assert f"error: random mode with {bound} 0 draws only zeros" in capsys.readouterr().err
 
 
 def test_violate_negative_range_is_refused():

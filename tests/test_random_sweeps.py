@@ -67,6 +67,18 @@ def upper_projector(n):
     return matrix_operator(make_matrix_algebra(n), rows, label=f"upper:{n}", weight=1)
 
 
+def test_a_zero_support_bound_still_sweeps_a_finite_algebra():
+    """A finite draw fills every coordinate, whatever its support bound, so
+    only a zero coefficient bound makes every draw zero there."""
+    miller = make_miller(2, 2)
+    op, dom = scale_operator(2, miller), DomainSpec.random(5, support_bound=0, seed=1)
+    assert check_rbr(miller.algebra, op, 1, dom).status == "fail"
+    with pytest.raises(InvalidDomainError, match="coeff_bound 0 draws only zeros"):
+        check_rbr(miller.algebra, op, 1, DomainSpec.random(5, coeff_bound=0))
+    with pytest.raises(InvalidDomainError, match="support_bound 0 draws only zeros"):
+        check_rbr(laurent(), make_shift_truncation(2), 1, dom)
+
+
 # --- failing random sweeps with fractional witnesses, recorded while random
 # tuples were still swept as drawn ---------------------------------------------
 
@@ -157,15 +169,21 @@ def reference_report(check_id, algebra, operator, weight, dom, arity, sides) -> 
                        weight=weight, domain=domain, tuples=count, witness=witness)
 
 
-def empty_window(algebra, dom) -> bool:
-    """A polynomial window below exponent 0 holds no basis key: its draws
-    would all be zero, so a random sweep refuses it."""
-    return algebra is P and dom.hi < 0
+def refusal(algebra, dom):
+    """The error of a random sweep whose draws would all be zero, or None.
+    A polynomial window below exponent 0 holds no basis key; a zero
+    coefficient bound, or a zero support bound on a Laurent-type algebra,
+    leaves no term nonzero."""
+    if algebra is P and dom.hi < 0:
+        return "empty basis window"
+    if dom.coeff_bound == 0 or (dom.support_bound == 0 and algebra.dimension is None):
+        return "draws only zeros"
+    return None
 
 
-def assert_refused(sweeps):
+def assert_refused(sweeps, message):
     for sweep in sweeps:
-        with pytest.raises(InvalidDomainError, match="empty basis window"):
+        with pytest.raises(InvalidDomainError, match=message):
             sweep()
 
 
@@ -207,9 +225,10 @@ def test_pair_identities_and_idempotence_match_the_reference(data):
     algebra, op, weight = data.draw(st.sampled_from(ORACLE_CASES))
     lam = data.draw(st.sampled_from([weight, weight + 1]))  # the true or a wrong weight
     dom = data.draw(random_domains(algebra, data.draw(st.integers(1, 12))))
-    if empty_window(algebra, dom):
+    message = refusal(algebra, dom)
+    if message is not None:
         assert_refused([lambda i=i: check(i, algebra, op, lam, dom) for i in ELEMENT_FORMULAS]
-                       + [lambda: check_idempotent(algebra, op, dom)])
+                       + [lambda: check_idempotent(algebra, op, dom)], message)
         return
     for identity, formula in ELEMENT_FORMULAS.items():
         reference = reference_report(identity, algebra, op.describe(), lam, dom, 2,
@@ -228,11 +247,12 @@ def test_dendriform_axioms_match_the_reference(data):
     dom = data.draw(random_domains(algebra, data.draw(st.integers(1, 5))))
     ds = (build_weight0_pair(replace(op, algebra=algebra)) if lam == 0
           else build_tri_from_rbo(replace(op, algebra=algebra), lam))
-    if empty_window(algebra, dom):
+    message = refusal(algebra, dom)
+    if message is not None:
         sweeps = [lambda: check_dialgebra(ds, dom), lambda: check_star_associative(ds, dom)]
         if ds.has_middle:
             sweeps.append(lambda: check_trialgebra(ds, dom))
-        assert_refused(sweeps)
+        assert_refused(sweeps, message)
         return
     reports = check_dialgebra(ds, dom) + [check_star_associative(ds, dom)]
     if ds.has_middle:

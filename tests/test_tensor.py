@@ -13,7 +13,7 @@ from rotabaxter.algebras import (
     matrix_basis_index,
 )
 from rotabaxter.checks import check_rbr
-from rotabaxter.errors import UnsupportedDomainError
+from rotabaxter.errors import FormatError, UnsupportedDomainError
 from rotabaxter.tensor import (
     acybe_residual,
     embed,
@@ -128,6 +128,13 @@ def test_tensor_json_round_trip():
     data = tensor2_to_json(r, "matrix:2")
     assert data["algebra"] == "matrix:2"
     assert tensor2_from_json(data, M2) == r
+
+
+def test_tensor_file_must_be_an_object():
+    """The CLI refuses a non-object file before it reads the algebra; a
+    library caller reaches this check."""
+    with pytest.raises(FormatError, match="tensor file must be a JSON object"):
+        tensor2_from_json([], M2)
 
 
 def test_tensor_formatting():
