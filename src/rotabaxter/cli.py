@@ -11,7 +11,9 @@ matched.
 The parsed :class:`argparse.Namespace` is the only form a command line
 takes: :func:`run` reads each option from it directly, and each
 subcommand accepts only the options its path reads (``_COMMANDS``).
-``$ROTABAXTER_SEED`` is read only by the commands that take ``--seed``.
+``$ROTABAXTER_SEED`` is read only by the commands that take ``--seed``, and
+a sweep draws random tuples exactly when ``--samples``, ``--coeff-bound``,
+``--support-bound`` or ``--seed`` is given; ``--help`` names their defaults.
 A call loads only what its command runs: ``dendriform``, ``suite`` and
 ``tensor`` are imported in the branches that use them, and only the
 named subcommand gets its options (:func:`build_parser`).
@@ -78,6 +80,7 @@ from .rationals import format_rational, parse_rational
 from .report import CheckReport, dumps_reports
 
 SEED_ENV_VAR = "ROTABAXTER_SEED"
+DEFAULT_SAMPLES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +120,11 @@ def parse_algebra(spec: str):
 
 
 # a preset token carries its parameters, up to a space, a parenthesis or
-# a comma; only a miller: token keeps one comma, unless its first parameter
-# is digits and no digit follows the comma, so nijenhuis(shift:1,1/2) and
-# sum(miller:2,ms) split at their argument comma and miller:2,2x stays whole
-_TOKEN_RE = re.compile(r"\s*(miller:(?:\d+(?:,\d+)?(?![^\s(),])(?!,\d)|[^\s(),]*(?:,[^\s(),]*)?)"
+# a comma; only a miller: token keeps one comma, unless its first parameter is
+# digits and the comma is followed by no digit or by a whole rational p/q, so
+# nijenhuis(miller:2,1/2) and sum(miller:2,ms) split there; miller:2,2x stays whole
+_TOKEN_RE = re.compile(r"\s*(miller:(?:\d+(?:,\d+)?(?![^\s(),])"
+                       r"(?!,\d(?!\d*/\d+(?![^\s(),])))|[^\s(),]*(?:,[^\s(),]*)?)"
                        r"|[A-Za-z][A-Za-z0-9-]*(?::[^\s(),]*)?|[(),]|-?\d+(?:/\d+)?)")
 
 
@@ -297,17 +301,16 @@ def _seed(args: argparse.Namespace) -> int | None:
         raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _domain(args: argparse.Namespace, window, seed: int) -> DomainSpec:
-    """Basis tuples of the window, or ``--samples`` seeded random tuples
-    inside it with ``--random``."""
-    lo, hi = window
-    if not args.random:
-        return DomainSpec.basis(lo, hi)
-    # induce has no --support-bound; where it is not given, the default holds
-    support_bound = getattr(args, "support_bound", None)
-    bounds = {} if support_bound is None else {"support_bound": support_bound}
-    return DomainSpec.random(args.samples, lo=lo, hi=hi, coeff_bound=args.coeff_bound,
-                             seed=seed, **bounds)
+def _domain(args: argparse.Namespace, window, seed: int | None) -> DomainSpec:
+    """Basis tuples of the window, or seeded random tuples inside it when
+    a sampling option or ``--seed`` is given; a sampling option that is
+    not given, or that the command does not take, keeps its default."""
+    sampling = {name: value for name in ("samples", "coeff_bound", "support_bound")
+                if (value := getattr(args, name, None)) is not None}
+    if not sampling and getattr(args, "seed", None) is None:
+        return DomainSpec.basis(*window)
+    samples = sampling.pop("samples", DEFAULT_SAMPLES)
+    return DomainSpec.random(samples, *window, seed=seed, **sampling)
 
 
 # check command -> identity swept by checks.check
@@ -366,8 +369,7 @@ def run(args: argparse.Namespace) -> int:
                      args.output)
 
     window = args.range or (-4, 4)
-    dom = (DomainSpec.basis(*window) if command == "check-image-closure"
-           else _domain(args, window, seed))
+    dom = _domain(args, window, seed)
     algebra, context = parse_algebra(args.algebra)
     if isinstance(algebra, FiniteAlgebra):
         if args.range is not None:
@@ -459,15 +461,14 @@ _OPTIONS = {
                             "scale/sum/compose/modified/opposite/"
                             "nijenhuis/normalize"),
     "--weight": dict(type=_rational_arg, help="weight λ used by the check (p/q)"),
-    "--samples": dict(type=int, default=200),
+    "--samples": dict(type=int, help=f"random tuples to draw (default {DEFAULT_SAMPLES})"),
     "--seed": dict(type=int, help=f"sampling seed (default ${SEED_ENV_VAR} or 0)"),
     "--output": dict(help="write a JSON report here"),
     "--range": dict(nargs=2, type=int, metavar=("LO", "HI"),
                     help="exponent window for exhaustive basis mode "
                          "(Laurent-type algebras only; default -4 4)"),
-    "--random": dict(action="store_true",
-                     help="random elements instead of exhaustive basis tuples"),
-    "--coeff-bound": dict(type=int, default=5),
+    "--coeff-bound": dict(type=int, help="largest |p| and q of a random coefficient p/q "
+                                         "(default 5)"),
     "--support-bound": dict(type=int,
                             help="most terms of a random element (Laurent-type "
                                  "algebras only; default 3)"),
@@ -479,8 +480,7 @@ _OPTIONS = {
 }
 
 # the domain options and --output of the sweeping checks, in --help order
-_CHECK_OPTIONS = ("--samples --seed --output --range --random --coeff-bound "
-                  "--support-bound")
+_CHECK_OPTIONS = "--samples --seed --output --range --coeff-bound --support-bound"
 
 # command -> the options its path reads, in --help order
 _COMMANDS = {
@@ -491,8 +491,7 @@ _COMMANDS = {
     "dendriform": f"--algebra --operator --weight {_CHECK_OPTIONS} --construct --axioms",
     "violate": "--algebra --operator --weight --output --identity --max-range",
     "acybe": "--tensor --output",
-    "induce": "--tensor --weight --samples --seed --output --random "
-              "--coeff-bound",
+    "induce": "--tensor --weight --samples --seed --output --coeff-bound",
     "suite": "preset --seed --output",
 }
 

@@ -267,6 +267,17 @@ def test_image_closure_laurent_needs_window_and_projector():
         check_image_closure(L, scale_operator(2, MS), DomainSpec.basis(-2, 2))
 
 
+def test_image_closure_refuses_random_samples_and_tensor_algebras():
+    miller = make_miller(2, 2)
+    with pytest.raises(UnsupportedDomainError,
+                       match="^image closure is swept on basis images, not random samples$"):
+        check_image_closure(miller.algebra, miller, DomainSpec.random(3))
+    square = tensor2(make_matrix_algebra(2), {}).algebra
+    with pytest.raises(UnsupportedDomainError,
+                       match=r"^image closure is not defined on matrix\(4\)⊗matrix\(4\)$"):
+        check_image_closure(square, make_identity_operator())
+
+
 def test_image_closure_truncation_above_zero_not_closed():
     r1 = make_shift_truncation(1)
     report = check_image_closure(L, r1, DomainSpec.basis(-2, 2))

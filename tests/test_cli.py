@@ -79,7 +79,7 @@ def test_exit_code_contract_matches_witness_presence(tmp_path):
 def test_report_bytes_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["check-rbr", "--algebra", "laurent", "--operator", "ms",
-            "--weight", "1", "--random", "--samples", "40", "--seed", "7"]
+            "--weight", "1", "--samples", "40", "--seed", "7"]
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -88,7 +88,7 @@ def test_report_bytes_deterministic(tmp_path):
 def test_seed_env_var_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["check-rbr", "--algebra", "laurent", "--operator", "ms",
-            "--weight", "1", "--random", "--samples", "20"]
+            "--weight", "1", "--samples", "20"]
     monkeypatch.setenv("ROTABAXTER_SEED", "123")
     assert main(args + ["--output", str(a)]) == 0
     monkeypatch.delenv("ROTABAXTER_SEED")
@@ -305,6 +305,31 @@ def test_a_miller_token_keeps_a_comma_that_a_digit_follows(selector, params, cap
     assert f"error: bad miller parameters '{params}'" in capsys.readouterr().err
 
 
+def test_a_rational_after_a_miller_token_is_the_next_argument(capsys):
+    """The 1/2 of nijenhuis(miller:2,1/2) is the second argument of
+    nijenhuis, not a parameter of miller:2."""
+    assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator",
+                   "nijenhuis(miller:2,1/2)", "--weight", "1") == 2
+    assert "error: bad miller parameters '2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("shift", "operator 'shift' needs a cutoff, e.g. shift:1"),
+    ("miller", "operator 'miller' needs block sizes (miller:s,t) or an algebra "
+               "selector miller:s,t"),
+    ("miller:2,2", "miller:2,2 acts on componentwise(4), not on laurent"),
+    ("sum(ms,file:x)", "use the full form file:PATH as the operator selector"),
+    ("ms$", "bad operator expression near '$'"),
+    ("scale(2)", "expected ',', got ')'"),
+    ("2", "expected an operator, got '2'"),
+    ("sum(ms,id))", "trailing input in operator expression: ')'"),
+])
+def test_a_malformed_selector_is_refused_with_its_message(selector, message, capsys):
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", selector,
+                   "--weight", "1") == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
 # the library constructor of each selector function, independent of the parser's table
 _CONSTRUCTORS = {"scale": scale_operator, "sum": sum_operator, "compose": compose_operator,
                  "modified": modified_of, "opposite": opposite_of,
@@ -504,7 +529,7 @@ def test_suite_verdicts_insensitive_to_seed(tmp_path):
 
 def test_random_mode_without_samples_is_refused():
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
-                   "--weight", "1", "--random", "--samples", "0") == 2
+                   "--weight", "1", "--samples", "0") == 2
 
 
 # a polynomial window below exponent 0 holds no basis key: every random draw
@@ -513,7 +538,7 @@ def test_random_mode_without_samples_is_refused():
 @pytest.mark.parametrize("argv", [
     ["check-rbr", "--operator", "scale(2,integration)", "--weight", "1"],
     ["check-rbr", "--operator", "scale(2,integration)", "--weight", "1",
-     "--random", "--samples", "5"],
+     "--samples", "5"],
     ["check-image-closure", "--operator", "ms", "--weight", "1"],
 ], ids=["basis", "random", "image-closure"])
 def test_a_window_with_no_basis_key_is_refused(argv, capsys):
@@ -524,14 +549,14 @@ def test_a_window_with_no_basis_key_is_refused(argv, capsys):
 def test_negative_coeff_bound_is_refused(capsys):
     """Bound -3 used to draw only zero elements, so shift:2 passed."""
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "shift:2",
-                   "--weight", "1", "--random", "--samples", "50",
+                   "--weight", "1", "--samples", "50",
                    "--coeff-bound", "-3") == 2
     assert "coeff_bound >= 0" in capsys.readouterr().err
 
 
 def test_negative_support_bound_is_refused(capsys):
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "shift:2",
-                   "--weight", "1", "--random", "--samples", "50",
+                   "--weight", "1", "--samples", "50",
                    "--support-bound", "-1") == 2
     assert "support_bound >= 0" in capsys.readouterr().err
 
@@ -553,7 +578,7 @@ def test_a_random_sweep_with_a_zero_bound_is_refused(argv, bound, tmp_path, caps
     tensor.write_text(json.dumps({"algebra": "matrix:2",
                                   "terms": [{"i": 0, "j": 0, "coeff": "1"}]}))
     argv = [str(tensor) if arg == "TENSOR" else arg for arg in argv]
-    assert run_cli(*argv, "--random", "--samples", "50") == 2
+    assert run_cli(*argv, "--samples", "50") == 2
     assert f"error: random mode with {bound} 0 draws only zeros" in capsys.readouterr().err
 
 
@@ -565,7 +590,7 @@ def test_violate_negative_range_is_refused():
 def test_image_closure_on_laurent_refuses_random_mode():
     with pytest.raises(SystemExit) as exc:
         run_cli("check-image-closure", "--algebra", "laurent", "--operator",
-                "ms", "--weight", "1", "--random", "--samples", "3")
+                "ms", "--weight", "1", "--samples", "3")
     assert exc.value.code == 2
 
 
@@ -580,6 +605,78 @@ def test_acybe_takes_only_tensor_and_output(tmp_path):
     assert json.loads(out.read_text())["algebra"] == "matrix(4)"
     with pytest.raises(SystemExit):
         run_cli("acybe", "--tensor", str(solution), "--weight", "1")
+
+
+# --- a sampling option selects random mode -------------------------------------
+
+# the domain a random check-rbr on laurent draws when no sampling option is given
+RANDOM_DEFAULTS = {"mode": "random", "lo": -4, "hi": 4, "samples": 200, "coeff_bound": 5,
+                   "support_bound": 3, "seed": 0}
+
+
+@pytest.mark.parametrize("option, field, value", [
+    ("--samples", "samples", 7), ("--coeff-bound", "coeff_bound", 2),
+    ("--support-bound", "support_bound", 2), ("--seed", "seed", 3)])
+def test_one_sampling_option_selects_random_mode(option, field, value, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.delenv("ROTABAXTER_SEED", raising=False)
+    out = tmp_path / "r.json"
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
+                   option, str(value), "--output", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["domain"] == {**RANDOM_DEFAULTS, field: value}
+    assert report["tuples"] == report["domain"]["samples"]
+
+
+def test_the_seed_variable_alone_keeps_basis_mode(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROTABAXTER_SEED", "3")
+    out = tmp_path / "r.json"
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
+                   "--output", str(out)) == 0
+    assert json.loads(out.read_text())["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
+
+
+@pytest.mark.parametrize("argv, domain", [
+    (["check-idempotent", "--algebra", "laurent", "--operator", "ms"],
+     {**RANDOM_DEFAULTS, "samples": 7}),
+    (["dendriform", "--algebra", "laurent", "--operator", "ms", "--weight", "1"],
+     {**RANDOM_DEFAULTS, "samples": 7}),
+    (["induce", "--tensor", "TENSOR"],
+     {"mode": "random", "samples": 7, "coeff_bound": 5, "seed": 0}),
+], ids=["check-idempotent", "dendriform", "induce"])
+def test_samples_alone_selects_random_mode(argv, domain, tmp_path, monkeypatch):
+    monkeypatch.delenv("ROTABAXTER_SEED", raising=False)
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"algebra": "matrix:2",
+                                  "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
+    argv = [str(tensor) if arg == "TENSOR" else arg for arg in argv]
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--samples", "7", "--output", str(out)) == 0
+    reports = json.loads(out.read_text())
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert report["domain"] == domain and report["tuples"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1"],
+    ["check-modified", "--algebra", "laurent", "--operator", "modified(ms)", "--weight", "1"],
+    ["check-nijenhuis", "--algebra", "laurent", "--operator", "nijenhuis(ms,2)",
+     "--weight", "1"],
+    ["check-lie-modified", "--algebra", "laurent", "--operator", "modified(ms)",
+     "--weight", "1"],
+    ["check-idempotent", "--algebra", "laurent", "--operator", "ms"],
+    ["dendriform", "--algebra", "laurent", "--operator", "ms", "--weight", "1"],
+    ["induce", "--tensor", "TENSOR"],
+], ids=lambda argv: argv[0])
+def test_there_is_no_random_flag(argv, tmp_path, capsys):
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"algebra": "matrix:2",
+                                  "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
+    argv = [str(tensor) if arg == "TENSOR" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--random", "--samples", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --random" in capsys.readouterr().err
 
 
 # --- violate takes neither a window nor sampling options -----------------------
@@ -619,7 +716,7 @@ def test_support_bound_on_finite_algebra_is_refused(command, capsys):
     """A random element of a finite-dimensional algebra fills every
     coordinate, so a support bound would be ignored: it is refused."""
     assert run_cli(*command, "--algebra", "miller:2,2", "--operator", "miller",
-                   "--random", "--samples", "3", "--support-bound", "1") == 2
+                   "--samples", "3", "--support-bound", "1") == 2
     assert "--support-bound" in capsys.readouterr().err
 
 
@@ -630,14 +727,14 @@ def test_induce_takes_no_support_bound(tmp_path):
         "terms": [{"i": 1, "j": 1, "coeff": "1"}],
     }))
     with pytest.raises(SystemExit) as exc:
-        run_cli("induce", "--tensor", str(solution), "--random", "--support-bound", "1")
+        run_cli("induce", "--tensor", str(solution), "--support-bound", "1")
     assert exc.value.code == 2
 
 
 def test_image_closure_on_finite_algebra_refuses_random_mode():
     with pytest.raises(SystemExit) as exc:
         run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
-                "miller", "--weight", "1", "--random", "--samples", "3")
+                "miller", "--weight", "1", "--samples", "3")
     assert exc.value.code == 2
 
 
@@ -752,19 +849,19 @@ def test_negative_rational_weight_as_separate_argument(tmp_path, capsys):
 def test_finite_random_domain_records_only_what_the_draw_reads(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("check-rbr", "--algebra", "miller:2,2", "--operator", "miller",
-                   "--weight", "1", "--random", "--samples", "5", "--coeff-bound", "4",
+                   "--weight", "1", "--samples", "5", "--coeff-bound", "4",
                    "--seed", "3", "--output", str(out)) == 0
     assert json.loads(out.read_text())["domain"] == {
         "mode": "random", "samples": 5, "coeff_bound": 4, "seed": 3}
     # a Laurent draw reads the window and the support bound, and records them
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
-                   "--weight", "1", "--random", "--samples", "5", "--range", "-2", "2",
+                   "--weight", "1", "--samples", "5", "--range", "-2", "2",
                    "--output", str(out)) == 0
     assert json.loads(out.read_text())["domain"] == {
         "mode": "random", "lo": -2, "hi": 2, "samples": 5, "coeff_bound": 5,
         "support_bound": 3, "seed": 0}
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms",
-                   "--weight", "1", "--random", "--samples", "5", "--support-bound", "2",
+                   "--weight", "1", "--samples", "5", "--support-bound", "2",
                    "--output", str(out)) == 0
     assert json.loads(out.read_text())["domain"]["support_bound"] == 2
 
@@ -805,7 +902,7 @@ def test_command_loads_only_the_modules_it_runs(argv, loads, tmp_path):
 SAMPLE_VALUES = {
     "preset": ["paper-all"], "--tensor": ["r.json"], "--algebra": ["laurent"],
     "--operator": ["ms"], "--weight": ["-1/2"], "--samples": ["3"], "--seed": ["4"],
-    "--output": ["o.json"], "--range": ["-2", "2"], "--random": [],
+    "--output": ["o.json"], "--range": ["-2", "2"],
     "--coeff-bound": ["2"], "--support-bound": ["1"], "--construct": ["modified"],
     "--axioms": ["star"], "--identity": ["nijenhuis"], "--max-range": ["2"],
 }

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotabaxter.algebra import DomainSpec
+from rotabaxter.algebra import DomainSpec, bilinear_extension
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_rbr, sweep_identity
 from rotabaxter.dendriform import (
@@ -21,7 +21,7 @@ from rotabaxter.dendriform import (
     check_star_associative,
     check_trialgebra,
 )
-from rotabaxter.errors import OperatorDomainError, UnsupportedDomainError
+from rotabaxter.errors import AlgebraMismatchError, OperatorDomainError, UnsupportedDomainError
 from rotabaxter.operators import (
     make_integration,
     make_miller,
@@ -138,6 +138,44 @@ def test_dialgebra_fails_for_non_rbo():
     assert failing
     w = failing[0].witness
     assert w is not None and not w.diff.is_zero
+
+
+def _fold_middle(ds, into):
+    """``ds`` with its ∘ added to its ``into`` product ("prec" or "succ")
+    and then dropped: a structure with ≺ and ≻ only."""
+    product = getattr(ds, into)
+    folded = bilinear_extension(lambda a, b: product(a, b) + ds.middle(a, b))
+    return replace(ds, middle=None, provenance=f"{ds.provenance}, ∘ in {into}",
+                   **{into: folded})
+
+
+# case -> ((R, λ, window), (passed, tuples) of ddi.1-ddi.3 for tri(R, λ) with ∘
+# folded into either product); shift:2 is no Rota-Baxter operator
+FOLDED_DIALGEBRAS = {
+    "ms": ((MS, 1, (-4, 4)), [(True, 729)] * 3),
+    "2ms": ((scale_operator(2, MS), 2, (-4, 4)), [(True, 729)] * 3),
+    "-ms": ((scale_operator(-1, MS), -1, (-4, 4)), [(True, 729)] * 3),
+    "miller:2,2": ((make_miller(2, 2), 1, (0, 0)), [(True, 64)] * 3),
+    "row-projector": ((borel_projector_m2(), 1, (0, 0)), [(True, 64)] * 3),
+    "shift:2": ((make_shift_truncation(2), 1, (-3, 3)), [(False, 34), (True, 343), (False, 232)]),
+}
+
+
+@pytest.mark.parametrize("into", ["prec", "succ"])
+@pytest.mark.parametrize("case", list(FOLDED_DIALGEBRAS))
+def test_a_weight_lambda_operator_gives_a_dialgebra_once_the_middle_is_folded(case, into):
+    """The abstract's claim that a weight-λ Rota-Baxter operator gives a
+    dendriform dialgebra: fold the ∘ = −λ·ab of tri(R, λ) into ≺ or into ≻.
+    check_dialgebra reads only ≺ and ≻, and the unfolded pair a·R(b),
+    R(a)·b of every case here fails ddi.1 and ddi.3: at λ ≠ 0 it is no
+    dialgebra."""
+    (op, lam, window), verdicts = FOLDED_DIALGEBRAS[case]
+    ds, dom = build_tri_from_rbo(op, lam), DomainSpec.basis(*window)
+    reports = check_dialgebra(_fold_middle(ds, into), dom)
+    assert [r.check for r in reports] == ["ddi.1", "ddi.2", "ddi.3"]
+    assert [(r.passed, r.tuples) for r in reports] == verdicts
+    unfolded = {r.check: r.passed for r in check_dialgebra(ds, dom)}
+    assert not unfolded["ddi.1"] and not unfolded["ddi.3"]
 
 
 def test_trialgebra_positive_cases():
@@ -290,6 +328,16 @@ def test_products_are_bilinear():
     for product in (ds.prec, ds.succ, ds.middle, ds.star):
         assert product(a + lam * b, c) == product(a, c) + lam * product(b, c)
         assert product(c, a + lam * b) == product(c, a) + lam * product(c, b)
+
+
+def test_a_product_of_elements_of_two_algebras_is_refused():
+    """Operands of two algebras go to the splitting's own a·R(b) and R(a)·b,
+    whose product refuses them."""
+    ds = build_tri_from_rbo(MS, 1)
+    for a, b in ((L.monomial(1), P.monomial(1)), (P.monomial(1), L.monomial(1))):
+        for product in (ds.prec, ds.succ):
+            with pytest.raises(AlgebraMismatchError):
+                product(a, b)
 
 
 # --- products are bilinear maps compiled from their basis values --------------

@@ -15,6 +15,7 @@ from rotabaxter.algebras import (
 from rotabaxter.checks import check_rbr
 from rotabaxter.errors import FormatError, UnsupportedDomainError
 from rotabaxter.tensor import (
+    acybe_report,
     acybe_residual,
     embed,
     induced_operator,
@@ -76,6 +77,15 @@ def test_acybe_residual_examples():
     idem = tensor2(M2, {(E(0, 0), E(0, 0)): 1})
     assert acybe_residual(idem) == tensor3(
         M2, {(E(0, 0), E(0, 0), E(0, 0)): 1})
+
+
+def test_acybe_report_notes_a_residual_other_than_the_recorded_one():
+    idem = tensor2(M2, {(E(0, 0), E(0, 0)): 1})
+    recorded = tensor3(M2, {(E(0, 0), E(0, 0), E(0, 0)): 1})
+    assert list(acybe_report(idem, "E11xE11", expected_residual=recorded).notes) == []
+    report = acybe_report(idem, "E11xE11", expected_residual=2 * recorded)
+    assert list(report.notes) == ["residual differs from the recorded value"]
+    assert not report.passed
 
 
 def test_acybe_residual_is_quadratic():
