@@ -11,9 +11,10 @@ matched.
 The parsed :class:`argparse.Namespace` is the only form a command line
 takes: :func:`run` reads each option from it directly, and each
 subcommand accepts only the options its path reads (``_COMMANDS``).
-``$ROTABAXTER_SEED`` is read only by the commands that take ``--seed``, and
-a sweep draws random tuples exactly when ``--samples``, ``--coeff-bound``,
-``--support-bound`` or ``--seed`` is given; ``--help`` names their defaults.
+No environment variable is read: the command line is a run's whole
+configuration.  A sweep draws random tuples exactly when ``--samples``,
+``--coeff-bound``, ``--support-bound`` or ``--seed`` is given; ``--help``
+names their defaults.
 A call loads only what its command runs: ``dendriform``, ``suite`` and
 ``tensor`` are imported in the branches that use them, and only the
 named subcommand gets its options (:func:`build_parser`).
@@ -34,7 +35,6 @@ such as ``scale(1,miller:2,2)``.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import replace
@@ -79,7 +79,6 @@ from .operators import (
 from .rationals import format_rational, parse_rational
 from .report import CheckReport, dumps_reports
 
-SEED_ENV_VAR = "ROTABAXTER_SEED"
 DEFAULT_SAMPLES = 200
 
 
@@ -254,8 +253,10 @@ def load_tensor(path: str):
 def _print_report(report: CheckReport) -> None:
     weight = "-" if report.weight is None else format_rational(report.weight)
     tag = "PASS" if report.passed else "FAIL"
+    sampled = (f" | random seed={report.domain['seed']}"
+               if report.domain["mode"] == "random" else "")
     print(f"[{tag}] {report.check} | {report.algebra} | {report.operator} "
-          f"| weight={weight} | tuples={report.tuples}")
+          f"| weight={weight} | tuples={report.tuples}{sampled}")
     for note in report.notes:
         print(f"       note: {note}")
     if report.witness is not None:
@@ -285,32 +286,17 @@ def _require_weight(args: argparse.Namespace) -> Fraction:
     return args.weight
 
 
-def _seed(args: argparse.Namespace) -> int | None:
-    """``--seed``, else ``$ROTABAXTER_SEED``, else 0; None for a command
-    without ``--seed``, which samples nothing and never reads the variable."""
-    if not hasattr(args, "seed"):
-        return None
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
-def _domain(args: argparse.Namespace, window, seed: int | None) -> DomainSpec:
+def _domain(args: argparse.Namespace, window) -> DomainSpec:
     """Basis tuples of the window, or seeded random tuples inside it when
-    a sampling option or ``--seed`` is given; a sampling option that is
-    not given, or that the command does not take, keeps its default."""
-    sampling = {name: value for name in ("samples", "coeff_bound", "support_bound")
+    a sampling option is given; a sampling option that is not given, or
+    that the command does not take, keeps its default."""
+    sampling = {name: value
+                for name in ("samples", "coeff_bound", "support_bound", "seed")
                 if (value := getattr(args, name, None)) is not None}
-    if not sampling and getattr(args, "seed", None) is None:
+    if not sampling:
         return DomainSpec.basis(*window)
     samples = sampling.pop("samples", DEFAULT_SAMPLES)
-    return DomainSpec.random(samples, *window, seed=seed, **sampling)
+    return DomainSpec.random(samples, *window, **sampling)
 
 
 # check command -> identity swept by checks.check
@@ -324,15 +310,12 @@ _IDENTITY_COMMANDS = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
-    # a command with --seed refuses a malformed $ROTABAXTER_SEED, whether
-    # or not this run samples
-    seed = _seed(args)
     command = args.command
     if command == "suite":
         from .suite import dumps_suite, run_suite
 
         try:
-            result = run_suite(args.preset, seed=seed)
+            result = run_suite(args.preset)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
         bad = [e for e in result["entries"] if not e["ok"]]
@@ -357,7 +340,7 @@ def run(args: argparse.Namespace) -> int:
         from .tensor import induced_operator
 
         # the sweep covers the whole tensor algebra; reports record the window 0 0
-        dom = _domain(args, (0, 0), seed)
+        dom = _domain(args, (0, 0))
         r, algebra = load_tensor(args.tensor)
         lam = args.weight if args.weight is not None else 0
         return _emit(check("rbr", algebra, induced_operator(r), lam, dom), args.output)
@@ -369,7 +352,7 @@ def run(args: argparse.Namespace) -> int:
                      args.output)
 
     window = args.range or (-4, 4)
-    dom = _domain(args, window, seed)
+    dom = _domain(args, window)
     algebra, context = parse_algebra(args.algebra)
     if isinstance(algebra, FiniteAlgebra):
         if args.range is not None:
@@ -462,7 +445,7 @@ _OPTIONS = {
                             "nijenhuis/normalize"),
     "--weight": dict(type=_rational_arg, help="weight λ used by the check (p/q)"),
     "--samples": dict(type=int, help=f"random tuples to draw (default {DEFAULT_SAMPLES})"),
-    "--seed": dict(type=int, help=f"sampling seed (default ${SEED_ENV_VAR} or 0)"),
+    "--seed": dict(type=int, help="sampling seed (default 0)"),
     "--output": dict(help="write a JSON report here"),
     "--range": dict(nargs=2, type=int, metavar=("LO", "HI"),
                     help="exponent window for exhaustive basis mode "
@@ -492,7 +475,7 @@ _COMMANDS = {
     "violate": "--algebra --operator --weight --output --identity --max-range",
     "acybe": "--tensor --output",
     "induce": "--tensor --weight --samples --seed --output --coeff-bound",
-    "suite": "preset --seed --output",
+    "suite": "preset --output",
 }
 
 

@@ -77,7 +77,6 @@ class DendriformStructure:
     middle: Optional[Callable[[Element, Element], Element]]
     provenance: str
     weight: Fraction | None = None
-    source: WeightedOperator | None = None
 
     @property
     def has_middle(self) -> bool:
@@ -91,23 +90,22 @@ class DendriformStructure:
         return total
 
 
-def _splitting(L, R, middle, provenance: str, weight, source) -> DendriformStructure:
-    """a≺b = a·L(b), a≻b = R(a)·b, with ∘ the bilinear extension of
-    ``middle``, or none; ``source`` is the operator L and R come from."""
+def _splitting(algebra, L, R, middle, provenance: str, weight) -> DendriformStructure:
+    """a≺b = a·L(b), a≻b = R(a)·b on ``algebra``, with ∘ the bilinear
+    extension of ``middle``, or none."""
     return DendriformStructure(
-        algebra=source.algebra,
+        algebra=algebra,
         prec=bilinear_extension(lambda a, b: a * L(b)),
         succ=bilinear_extension(lambda a, b: R(a) * b),
         middle=None if middle is None else bilinear_extension(middle),
         provenance=provenance,
         weight=weight,
-        source=source,
     )
 
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
     """Two-product splitting for a weight-0 operator."""
-    return _splitting(R, R, None, f"weight0({R.describe()})", Fraction(0), R)
+    return _splitting(R.algebra, R, R, None, f"weight0({R.describe()})", Fraction(0))
 
 
 def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
@@ -116,21 +114,21 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
     At λ = 1 the products agree with −2a·R(b) and 2·(id−R)(a)·b.
     """
     lam = as_rational(lam)
-    return _splitting(lambda b: B(b) - lam * b, lambda a: B(a) + lam * a, None,
-                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam, B)
+    return _splitting(B.algebra, lambda b: B(b) - lam * b, lambda a: B(a) + lam * a, None,
+                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam)
 
 
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
     lam = as_rational(lam)
-    return _splitting(R, R, lambda a, b: (-lam) * (a * b),
-                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam, R)
+    return _splitting(R.algebra, R, R, lambda a, b: (-lam) * (a * b),
+                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam)
 
 
 def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
-    return _splitting(N, N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})",
-                      Fraction(1), N)
+    return _splitting(N.algebra, N, N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})",
+                      Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Element arithmetic, operator expressions, and sweep domains."""
 
 import itertools
+import re
 import random
 from fractions import Fraction
 
@@ -17,14 +18,22 @@ from rotabaxter.algebra import (
     apply_operator,
     lie_bracket,
 )
-from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, matrix_basis_index, polynomial
+from rotabaxter.algebras import (
+    FiniteAlgebra,
+    StructureConstants,
+    laurent,
+    make_componentwise,
+    make_matrix_algebra,
+    matrix_basis_index,
+    polynomial,
+)
 from rotabaxter.errors import (
     AlgebraMismatchError,
     FormatError,
     InvalidDomainError,
     OperatorDomainError,
 )
-from rotabaxter.operators import make_rms
+from rotabaxter.operators import make_miller, make_rms
 from test_random_sweeps import draws
 
 L = laurent()
@@ -321,3 +330,27 @@ def test_vector_literal_round_trip():
     assert a3.parse_element(text) == x
     with pytest.raises(FormatError):
         a3.parse_element("[1, 2]")
+
+
+def _set_terms(x):
+    x.terms = {}
+
+
+C2, C3 = make_componentwise(2), make_componentwise(3)
+NON_UNITAL = FiniteAlgebra(StructureConstants.build(1, [[[0]]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _set_terms(L.monomial(1)), AttributeError, "Element is immutable"),
+    (lambda: L.monomial(1).coords(), AlgebraMismatchError,
+     "coords() needs a finite-dimensional algebra"),
+    (lambda: NON_UNITAL.unit(), OperatorDomainError, "structure-constants(1) has no unit"),
+    (lambda: apply_operator(C3, make_miller(1, 1).expr, C3.unit()), OperatorDomainError,
+     "operator 'miller:1,1' needs dimension 2, got componentwise(3)"),
+    (lambda: apply_operator(C3, Identity(), C2.unit()), AlgebraMismatchError,
+     "element does not belong to the given algebra"),
+    (lambda: C2.parse_element("1, 2"), FormatError, "vector literal must be bracketed: '1, 2'"),
+], ids=["immutable", "coords", "unit", "dimension", "algebra", "unbracketed"])
+def test_a_misused_element_or_operator_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

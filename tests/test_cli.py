@@ -85,15 +85,33 @@ def test_report_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_env_var_fallback(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["check-rbr", "--algebra", "laurent", "--operator", "ms",
-            "--weight", "1", "--samples", "20"]
+def test_the_seed_variable_is_not_read(tmp_path, monkeypatch):
+    # the command line is a run's whole configuration: $ROTABAXTER_SEED
+    # neither seeds a draw nor selects random mode
     monkeypatch.setenv("ROTABAXTER_SEED", "123")
-    assert main(args + ["--output", str(a)]) == 0
-    monkeypatch.delenv("ROTABAXTER_SEED")
-    assert main(args + ["--seed", "123", "--output", str(b)]) == 0
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    args = ["check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1"]
+    assert main(args + ["--samples", "20", "--output", str(a)]) == 0
+    assert main(args + ["--samples", "20", "--seed", "0", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert main(args + ["--output", str(c)]) == 0
+    assert json.loads(c.read_text())["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1"],
+    ["suite"],
+    ["acybe", "--tensor", "TENSOR"],
+    ["check-image-closure", "--algebra", "miller:2,2", "--operator", "miller",
+     "--weight", "1"],
+    ["violate", "--algebra", "laurent", "--operator", "ms", "--weight", "1"],
+], ids=lambda argv: argv[0])
+def test_a_malformed_seed_variable_is_not_read(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("ROTABAXTER_SEED", "x")
+    tensor = tmp_path / "sol.json"
+    tensor.write_text(json.dumps({"algebra": "matrix:2",
+                                  "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
+    assert run_cli(*[str(tensor) if arg == "TENSOR" else arg for arg in argv]) == 0
 
 
 def test_missing_weight_is_config_error():
@@ -515,13 +533,23 @@ def test_suite_bytes_deterministic(tmp_path):
     assert hashlib.sha256(a.read_bytes()).hexdigest() == PAPER_ALL_SHA256
 
 
-def test_suite_verdicts_insensitive_to_seed(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli("suite", "paper-all", "--seed", "0", "--output", str(a)) == 0
-    assert run_cli("suite", "paper-all", "--seed", "90210", "--output", str(b)) == 0
-    va = [(e["name"], e["status"]) for e in json.loads(a.read_text())["entries"]]
-    vb = [(e["name"], e["status"]) for e in json.loads(b.read_text())["entries"]]
-    assert va == vb
+def test_suite_bytes_ignore_the_seed_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROTABAXTER_SEED", "5")
+    out = tmp_path / "suite.json"
+    assert run_cli("suite", "paper-all", "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_ALL_SHA256
+
+
+def test_suite_verdicts_insensitive_to_seed():
+    from rotabaxter.suite import run_suite
+
+    verdicts = lambda seed: [(e["name"], e["status"])
+                             for e in run_suite("paper-all", seed=seed)["entries"]]
+    assert verdicts(0) == verdicts(90210)
+    # the suite command takes no --seed: it would change only the report's "seed"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("suite", "paper-all", "--seed", "5")
+    assert exc.value.code == 2
 
 
 # --- sweeps that would test no tuple are refused -----------------------------
@@ -617,9 +645,7 @@ RANDOM_DEFAULTS = {"mode": "random", "lo": -4, "hi": 4, "samples": 200, "coeff_b
 @pytest.mark.parametrize("option, field, value", [
     ("--samples", "samples", 7), ("--coeff-bound", "coeff_bound", 2),
     ("--support-bound", "support_bound", 2), ("--seed", "seed", 3)])
-def test_one_sampling_option_selects_random_mode(option, field, value, tmp_path,
-                                                 monkeypatch):
-    monkeypatch.delenv("ROTABAXTER_SEED", raising=False)
+def test_one_sampling_option_selects_random_mode(option, field, value, tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
                    option, str(value), "--output", str(out)) == 0
@@ -628,12 +654,15 @@ def test_one_sampling_option_selects_random_mode(option, field, value, tmp_path,
     assert report["tuples"] == report["domain"]["samples"]
 
 
-def test_the_seed_variable_alone_keeps_basis_mode(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROTABAXTER_SEED", "3")
-    out = tmp_path / "r.json"
-    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
-                   "--output", str(out)) == 0
-    assert json.loads(out.read_text())["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
+def test_a_random_verdict_line_names_its_seed(capsys):
+    args = ["check-rbr", "--algebra", "laurent", "--operator", "shift:1", "--weight", "1"]
+    assert run_cli(*args, "--samples", "20", "--seed", "4") == 0
+    assert capsys.readouterr().out == (
+        "[PASS] rbr | laurent | shift:1 | weight=1 | tuples=20 | random seed=4\n")
+    # the basis sweep of the same window fails, and its line has no suffix
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().out.startswith(
+        "[FAIL] rbr | laurent | shift:1 | weight=1 | tuples=51\n")
 
 
 @pytest.mark.parametrize("argv, domain", [
@@ -644,8 +673,7 @@ def test_the_seed_variable_alone_keeps_basis_mode(tmp_path, monkeypatch):
     (["induce", "--tensor", "TENSOR"],
      {"mode": "random", "samples": 7, "coeff_bound": 5, "seed": 0}),
 ], ids=["check-idempotent", "dendriform", "induce"])
-def test_samples_alone_selects_random_mode(argv, domain, tmp_path, monkeypatch):
-    monkeypatch.delenv("ROTABAXTER_SEED", raising=False)
+def test_samples_alone_selects_random_mode(argv, domain, tmp_path):
     tensor = tmp_path / "tensor.json"
     tensor.write_text(json.dumps({"algebra": "matrix:2",
                                   "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
@@ -803,29 +831,6 @@ def test_image_closure_with_wrong_weight_is_refused(capsys):
     assert run_cli("check-image-closure", "--algebra", "laurent", "--operator",
                    "ms", "--weight", "2", "--range", "-2", "2") == 2
     assert "projector" in capsys.readouterr().err
-
-
-def test_seed_env_var_ignored_by_commands_that_do_not_sample(tmp_path, monkeypatch):
-    solution = tmp_path / "sol.json"
-    solution.write_text(json.dumps({
-        "algebra": "matrix:2",
-        "terms": [{"i": 1, "j": 1, "coeff": "1"}],
-    }))
-    monkeypatch.setenv("ROTABAXTER_SEED", "x")
-    assert run_cli("acybe", "--tensor", str(solution)) == 0
-    assert run_cli("check-image-closure", "--algebra", "miller:2,2", "--operator",
-                   "miller", "--weight", "1") == 0
-    assert run_cli("violate", "--algebra", "laurent", "--operator", "ms",
-                   "--weight", "1") == 0
-
-
-def test_malformed_seed_env_var_refused_by_commands_with_seed(monkeypatch, capsys):
-    monkeypatch.setenv("ROTABAXTER_SEED", "x")
-    for argv in (["check-rbr", "--algebra", "laurent", "--operator", "ms",
-                  "--weight", "1"],
-                 ["suite"]):
-        assert run_cli(*argv) == 2
-        assert "ROTABAXTER_SEED must be an integer, got 'x'" in capsys.readouterr().err
 
 
 def test_negative_rational_weight_as_separate_argument(tmp_path, capsys):

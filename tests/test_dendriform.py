@@ -314,8 +314,7 @@ def test_trialgebra_with_zero_middle_dominates_dialgebra():
     with_zero_middle = DendriformStructure(
         algebra=base.algebra, prec=base.prec, succ=base.succ,
         middle=lambda a, b: base.algebra.zero(),
-        provenance="weight0-with-zero-middle", weight=base.weight,
-        source=base.source)
+        provenance="weight0-with-zero-middle", weight=base.weight)
     dom = DomainSpec.basis(0, 3)
     assert all(r.passed for r in check_trialgebra(with_zero_middle, dom))
     assert all(r.passed for r in check_dialgebra(base, dom))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rotabaxter.algebra import DomainSpec, apply_operator
-from rotabaxter.algebras import FiniteAlgebra, laurent, make_matrix_algebra, polynomial
+from rotabaxter.algebras import FiniteAlgebra, laurent, make_componentwise, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_idempotent, check_rbr
 from rotabaxter.errors import (
     CannotNormalizeError,
@@ -241,3 +241,8 @@ def test_operators_built_and_dropped_in_a_loop_never_share_images():
         assert op(x) == apply_operator(L, op.expr, x)
         del op
 
+
+def test_a_matrix_of_the_wrong_size_is_refused():
+    with pytest.raises(InvalidDimensionError,
+                       match=re.escape("matrix must be 2x2 for componentwise(2)")):
+        matrix_operator(make_componentwise(2), [[1]])

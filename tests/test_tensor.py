@@ -1,5 +1,6 @@
 """Tensor squares/cubes and the associative Yang-Baxter residual."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,9 @@ def test_tensors_are_elements_of_tensor_algebras():
         tensor2(M2, {(0,): 1})
     with pytest.raises(FormatError, match="must have 3 indices"):
         tensor3(M2, {(0, 0): 1})
+
+
+def test_an_unknown_slot_pair_is_refused():
+    r = tensor2(M2, {(E(0, 0), E(0, 0)): 1})
+    with pytest.raises(FormatError, match=re.escape("slot pair must be 12, 13 or 23, got '21'")):
+        embed(r, "21")
