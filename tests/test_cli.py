@@ -87,15 +87,21 @@ def test_report_bytes_deterministic(tmp_path):
 
 def test_the_seed_variable_is_not_read(tmp_path, monkeypatch):
     # the command line is a run's whole configuration: $ROTABAXTER_SEED
-    # neither seeds a draw nor selects random mode
+    # does not seed a draw
     monkeypatch.setenv("ROTABAXTER_SEED", "123")
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1"]
     assert main(args + ["--samples", "20", "--output", str(a)]) == 0
     assert main(args + ["--samples", "20", "--seed", "0", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert main(args + ["--output", str(c)]) == 0
-    assert json.loads(c.read_text())["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
+
+
+def test_the_seed_variable_alone_keeps_basis_mode(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROTABAXTER_SEED", "3")
+    out = tmp_path / "r.json"
+    assert run_cli("check-rbr", "--algebra", "laurent", "--operator", "ms", "--weight", "1",
+                   "--output", str(out)) == 0
+    assert json.loads(out.read_text())["domain"] == {"mode": "basis", "lo": -4, "hi": 4}
 
 
 @pytest.mark.parametrize("argv", [
