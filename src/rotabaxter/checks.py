@@ -14,8 +14,8 @@ first tuple in sweep order that violates the identity becomes the witness.  Ever
 identity or of several that share work per tuple (such as the axioms of
 one dendriform structure), runs in a :class:`SharedPass`, the one loop
 that compares sides and builds a witness; each identity still gets the
-report of a sweep of its own.  The pair identities are evaluated on
-term dicts, and elements are built only for a witness.
+report of a sweep of its own.  Every identity is evaluated on term
+dicts, and elements are built only for a witness.
 
 Every identity checked here is multilinear in its element slots, and
 every intermediate of its two sides (R(x), xy, R(x)y + xR(y), a ≺ b,
@@ -69,29 +69,23 @@ from .rationals import as_rational, div, integral
 from .report import CheckReport, Witness
 
 
-def _cleared(x: Element) -> Element:
-    """d·x, for d the lcm of the denominators of x's coefficients."""
-    numerators, d = integral(x.terms)
-    return x if d == 1 else Element._trusted(x.algebra, numerators)
-
-
-def _divided(x: Element, d: int) -> Element:
-    """x/d, exactly."""
-    return x if d == 1 else Element._trusted(x.algebra, {k: div(c, d) for k, c in x.terms.items()})
+def _element(algebra: Algebra, terms: dict, d: int) -> Element:
+    """The element terms/d of ``algebra``, exactly."""
+    return Element._trusted(algebra, terms if d == 1 else {k: div(c, d) for k, c in terms.items()})
 
 
 class SharedPass:
     """One sweep of a tuple stream that decides several identities together.
 
-    ``identities`` maps an id to its ``sides(*args) -> (lhs, rhs)``, where
-    ``args`` is the tuple itself.  With ``prepare``, the stream may yield
-    any item that names a tuple, such as its positions in a basis, and
-    ``prepare(item)`` returns ``(tuple, args)``: ``args`` is the work the
-    identities of a tuple share, done once per tuple.  The
-    sides are two elements, or two term dicts that only a witness turns
-    into elements of the tuple's algebra.  They agree when they are the
-    same object or compare equal; two differing term dicts are compared
-    again as elements, which drops their zeros.  An identity is decided at
+    ``identities`` maps an id to its ``sides(*args) -> (lhs, rhs)``, two
+    term dicts of the tuple's algebra; without ``prepare``, ``args`` are
+    the term dicts of the tuple's elements.  With ``prepare``, the stream
+    may yield any item that names a tuple, such as its positions in a
+    basis, and ``prepare(item)`` returns ``(tuple, args)``: ``args`` is the
+    work the identities of a tuple share, done once per tuple.  The sides
+    agree when they are the same object or compare equal; two differing
+    dicts are compared again as elements, which drops their zeros, and
+    only a witness builds elements from them.  An identity is decided at
     its first witness, or at the end of the stream, and then drops out of
     the pass.
 
@@ -103,9 +97,9 @@ class SharedPass:
     in basis mode number their values and keep each product's value on a
     pair of numbers.
 
-    Over :class:`RandomTuples`, the sides and ``prepare`` see each tuple's
-    denominator-cleared multiple, and a witness is divided back onto the
-    tuple as drawn.
+    Over :class:`RandomTuples`, the sides and ``prepare`` see the cleared
+    numerators ``integral(x.terms)[0]`` of each tuple's elements, and a
+    witness is divided back onto the tuple as drawn.
 
     With ``key``, an item whose ``key(item)`` was met before is counted
     but not evaluated.  The caller guarantees that items with equal keys
@@ -122,7 +116,7 @@ class SharedPass:
             on_cleared = prepare
 
             def prepare(tup):
-                swept = tuple(map(_cleared, tup))
+                swept = tuple(integral(x.terms)[0] for x in tup)
                 return tup, swept if on_cleared is None else on_cleared(swept)[1]
         self._prepare = prepare
         self._key, self._keys_met = key, set()
@@ -145,18 +139,18 @@ class SharedPass:
                 if k in keys_met:
                     continue
                 keys_met.add(k)
-            tup, args = (item, item) if prepare is None else prepare(item)
+            if prepare is None:
+                tup, args = item, [x.terms for x in item]
+            else:
+                tup, args = prepare(item)
             for i, sides in open_sides:
                 lhs, rhs = sides(*args)
                 if lhs is not rhs and lhs != rhs:
-                    if isinstance(lhs, dict):
-                        algebra = tup[0].algebra
-                        lhs, rhs = Element._trusted(algebra, lhs), Element._trusted(algebra, rhs)
-                        if lhs == rhs:
-                            continue
-                    if self._cleared:
-                        d = prod(integral(x.terms)[1] for x in tup)
-                        lhs, rhs = _divided(lhs, d), _divided(rhs, d)
+                    algebra = tup[0].algebra
+                    d = prod(integral(x.terms)[1] for x in tup) if self._cleared else 1
+                    lhs, rhs = _element(algebra, lhs, d), _element(algebra, rhs, d)
+                    if lhs == rhs:
+                        continue
                     decided[i] = Witness(tup, lhs, rhs, lhs - rhs), count
                     # rebinding leaves this tuple's loop on the list it started with
                     open_sides = [(j, s) for j, s in open_sides if j not in decided]
@@ -170,17 +164,11 @@ class SharedPass:
 
 
 def sweep_identity(check_id: str, algebra: Algebra, operator_desc: str,
-                   weight: Fraction | None, dom: DomainSpec, arity: int,
-                   sides, notes: tuple = ()) -> CheckReport:
-    """Evaluate ``sides(*tuple) -> (lhs, rhs)`` over the domain, in a pass
-    of its own.
-
-    ``sides`` may instead be a :class:`SharedPass` over the same domain
-    that decides ``check_id`` together with other identities.
-    """
-    if not isinstance(sides, SharedPass):
-        sides = SharedPass(dom.tuples(algebra, arity), {check_id: sides})
-    witness, count = sides.outcome(check_id)
+                   weight: Fraction | None, dom: DomainSpec, shared: SharedPass,
+                   notes: tuple = ()) -> CheckReport:
+    """The report of ``check_id``, decided by ``shared``, a
+    :class:`SharedPass` over the tuples of ``dom``."""
+    witness, count = shared.outcome(check_id)
     return CheckReport(
         check=check_id,
         algebra=algebra.describe(),
@@ -267,11 +255,10 @@ def _sign_pattern(algebra: Algebra, op: WeightedOperator):
 
 
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
-    """The sides of an identity on the terms of a pair's elements."""
+    """The sides of an identity on the term dicts of a pair."""
     if identity not in IDENTITIES:
         raise InvalidDomainError(f"unknown identity {identity!r}")
-    sides = IDENTITIES[identity](algebra.multiply_terms, op.on_terms(algebra), as_rational(lam))
-    return lambda x, y: sides(x.terms, y.terms)
+    return IDENTITIES[identity](algebra.multiply_terms, op.on_terms(algebra), as_rational(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +273,7 @@ def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
     sides = _term_sides(identity, algebra, op, lam)
     key = _sign_pattern(algebra, op) if isinstance(dom, BasisWindow) else None
     shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
-    return sweep_identity(identity, algebra, op.describe(), lam, dom, 2, shared)
+    return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
 
 def check_rbr(algebra: Algebra, op: WeightedOperator, lam: Fraction,
@@ -311,11 +298,14 @@ def check_lie_modified(algebra: Algebra, op: WeightedOperator, lam: Fraction,
 
 def check_idempotent(algebra: Algebra, op: WeightedOperator,
                      dom: DomainSpec) -> CheckReport:
-    def sides(x):
-        rx = op(x)
-        return op(rx), rx
+    R = op.on_terms(algebra)
 
-    return sweep_identity("idempotent", algebra, op.describe(), None, dom, 1, sides)
+    def sides(x):
+        rx = R(x)
+        return R(rx), rx
+
+    shared = SharedPass(dom.tuples(algebra, 1), {"idempotent": sides})
+    return sweep_identity("idempotent", algebra, op.describe(), None, dom, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +352,14 @@ def _reduce_against(basis_rows: list, pivots: list, vec: list) -> list:
 def _span_image(algebra: FiniteAlgebra, weighted: WeightedOperator) -> tuple:
     """A basis of the span of the weighted(e_j), and sides that reduce a
     product of two of them against that span."""
-    rows, pivots = _rref([weighted(algebra.basis_element(j)).coords()
-                          for j in range(algebra.dimension)])
+    n = algebra.dimension
+    rows, pivots = _rref([weighted(algebra.basis_element(j)).coords() for j in range(n)])
 
     def sides(x, y):
-        xy = algebra.multiply(x, y)
-        remainder = _reduce_against(rows, pivots, xy.coords())
+        xy = algebra.multiply_terms(x, y)
+        remainder = _reduce_against(rows, pivots, [xy.get(i, 0) for i in range(n)])
         if any(remainder):
-            return xy, xy - algebra.from_coords(remainder)
+            return xy, add_terms(xy, {i: -c for i, c in enumerate(remainder) if c})
         return xy, xy
 
     return [algebra.from_coords(row) for row in rows], sides, f"rank {len(rows)}"
@@ -388,7 +378,13 @@ def _fixed_image(algebra: LaurentAlgebra, weighted: WeightedOperator,
             raise UnsupportedDomainError(
                 f"operator is not an idempotent monomial projector "
                 f"on the window: maps {mono} to {image}")
-    return kept, lambda x, y: (x * y, weighted(x * y)), f"rank {len(kept)} on window"
+    W = weighted.on_terms(algebra)
+
+    def sides(x, y):
+        xy = clean_terms(algebra.multiply_terms(x, y))
+        return xy, W(xy)
+
+    return kept, sides, f"rank {len(kept)} on window"
 
 
 def check_image_closure(algebra: Algebra, op: WeightedOperator,

@@ -443,7 +443,8 @@ _OPTIONS = {
                             "miller, id, file:PATH) or expression over "
                             "scale/sum/compose/modified/opposite/"
                             "nijenhuis/normalize"),
-    "--weight": dict(type=_rational_arg, help="weight λ used by the check (p/q)"),
+    "--weight": dict(type=_rational_arg,
+                     help="weight λ used by the check (p/q; induce: default 0)"),
     "--samples": dict(type=int, help=f"random tuples to draw (default {DEFAULT_SAMPLES})"),
     "--seed": dict(type=int, help="sampling seed (default 0)"),
     "--output": dict(help="write a JSON report here"),

@@ -60,7 +60,7 @@ from .algebra import (
     bilinear_extension,
     clean_terms,
 )
-from .checks import SharedPass, check_idempotent, check_rbr, sweep_identity
+from .checks import SharedPass, check_idempotent, check_rbr, rbr_sides, sweep_identity
 from .errors import UnsupportedDomainError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
@@ -238,14 +238,14 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) 
 
         tuples = itertools.product(range(n), repeat=3)
     else:
-        def prepare(tup):
-            a, b, c = (x.terms for x in tup)
-            return tup, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
+        def prepare(terms):
+            a, b, c = terms
+            return terms, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
 
         tuples = dom.tuples(algebra, 3)
     axioms = make_axioms(*muls)
     shared = SharedPass(tuples, axioms, prepare)
-    return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, 3, shared)
+    return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, shared)
             for axiom_id in axioms]
 
 
@@ -294,28 +294,28 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
 
         R(x) ≺ R(y) + R(x ≺ y) = R(R(x) ≺ y + x ≺ R(y))
 
-    and likewise for ≻.  When the precondition fails (operator not
-    idempotent, or not weight 1 on this domain), the verdicts are still
-    computed and the reports are flagged.
+    and likewise for ≻: :func:`checks.rbr_sides` at weight 1 with ≺ or ≻
+    as the product, both decided in one pass.  When the precondition fails
+    (operator not idempotent, or not weight 1 on this domain), the verdicts
+    are still computed and the reports are flagged.
     """
+    algebra = ds.algebra
     notes = []
-    if not check_idempotent(ds.algebra, R, dom).passed:
+    if not check_idempotent(algebra, R, dom).passed:
         notes.append("precondition-unmet: operator is not idempotent on this domain")
-    if not check_rbr(ds.algebra, R, Fraction(1), dom).passed:
+    if not check_rbr(algebra, R, Fraction(1), dom).passed:
         notes.append("precondition-unmet: operator is not weight 1 on this domain")
 
-    def composition_sides(product):
-        def sides(x, y):
-            rx, ry = R(x), R(y)
-            return (product(rx, ry) + R(product(x, y)),
-                    R(product(rx, y) + product(x, ry)))
+    def through_elements(product):
+        # a wrapper of the product sees this call; ROADMAP item 1 moves it to on_terms
+        return lambda x, y: product(Element._trusted(algebra, x),
+                                    Element._trusted(algebra, y)).terms
 
-        return sides
-
-    reports = []
-    for axiom_id, product in (("rbr.on.prec", ds.prec), ("rbr.on.succ", ds.succ)):
-        reports.append(sweep_identity(axiom_id, ds.algebra, ds.provenance,
-                                      Fraction(1), dom, 2,
-                                      composition_sides(product),
-                                      notes=tuple(notes)))
-    return reports
+    R_terms = R.on_terms(algebra)
+    shared = SharedPass(dom.tuples(algebra, 2), {
+        "rbr.on.prec": rbr_sides(through_elements(ds.prec), R_terms, 1),
+        "rbr.on.succ": rbr_sides(through_elements(ds.succ), R_terms, 1),
+    })
+    return [sweep_identity(axiom_id, algebra, ds.provenance, Fraction(1), dom, shared,
+                           notes=tuple(notes))
+            for axiom_id in ("rbr.on.prec", "rbr.on.succ")]

@@ -925,6 +925,17 @@ def help_text(parser, argv, capsys):
     return capsys.readouterr().out
 
 
+def test_induce_help_names_the_default_weight(tmp_path, capsys):
+    """induce checks at weight 0 when --weight is absent, and says so."""
+    text = " ".join(help_text(build_parser(["induce"]), ["induce", "--help"], capsys).split())
+    assert "--weight WEIGHT weight λ used by the check (p/q; induce: default 0)" in text
+    tensor, out = tmp_path / "tensor.json", tmp_path / "r.json"
+    tensor.write_text(json.dumps({"algebra": "matrix:2",
+                                  "terms": [{"i": 1, "j": 1, "coeff": "1"}]}))
+    run_cli("induce", "--tensor", str(tensor), "--output", str(out))
+    assert json.loads(out.read_text())["weight"] == "0"
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_one_command_parser_matches_the_full_parser(command, capsys):
     full, one = build_parser(), build_parser([command])

@@ -9,7 +9,7 @@ import pytest
 
 from rotabaxter.algebra import DomainSpec, bilinear_extension
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
-from rotabaxter.checks import check_rbr, sweep_identity
+from rotabaxter.checks import check_rbr
 from rotabaxter.dendriform import (
     DendriformStructure,
     build_from_nijenhuis,
@@ -32,7 +32,7 @@ from rotabaxter.operators import (
     nijenhuis_family,
     scale_operator,
 )
-from rotabaxter.report import dumps_reports
+from rotabaxter.report import CheckReport, Witness, dumps_reports
 from rotabaxter.suite import borel_projector_m2
 
 L = laurent()
@@ -262,6 +262,24 @@ def test_rbr_on_compositions_flags_unmet_precondition():
     assert all(any("precondition-unmet" in n for n in r.notes) for r in reports)
 
 
+def test_failing_rbr_on_compositions_reports_are_pinned():
+    """Reports of operators that are not weight 1 (shift:2) or neither
+    idempotent nor weight 1 (2·ms), in basis and random mode, recorded
+    while each composition had a sweep of its own on elements."""
+    reports = []
+    for R in (make_shift_truncation(2), scale_operator(2, MS)):
+        ds = build_tri_from_rbo(R, 1)
+        for dom in (DomainSpec.basis(-3, 3), DomainSpec.random(30, seed=2)):
+            reports += check_rbr_on_compositions(ds, R, dom)
+    assert [(r.check, r.status, r.tuples, str(r.witness.diff)) for r in reports] == [
+        ("rbr.on.prec", "fail", 34, "z^3"), ("rbr.on.succ", "fail", 34, "z^3"),
+        ("rbr.on.prec", "fail", 18, "3/2 z^3"), ("rbr.on.succ", "fail", 18, "3/2 z^3"),
+        ("rbr.on.prec", "fail", 1, "-4 z^-6"), ("rbr.on.succ", "fail", 1, "-4 z^-6"),
+        ("rbr.on.prec", "fail", 8, "12/5 z^-2"), ("rbr.on.succ", "fail", 6, "3 z^-1")]
+    assert hashlib.sha256(dumps_reports(reports).encode()).hexdigest() == \
+        "8b5add04011850aec5d8c76757a01608a3f3a69f2d28f14423edc40bb7bf5fd0"
+
+
 def test_rbr_on_compositions_zero_inputs_pass():
     ds = build_tri_from_rbo(MS, 1)
     zero = L.zero()
@@ -410,11 +428,22 @@ def element_axioms(ds):
 
 
 def assert_reports_match_one_sweep_per_axiom(ds, dom, reports):
+    """Each report is that of a plain sweep of its axiom on elements: the
+    first tuple, as drawn, whose sides differ, and the tuples swept up to
+    it."""
     axioms = element_axioms(ds)
     axioms["nij.star.assoc"] = axioms["star.assoc"]
     for report in reports:
-        alone = sweep_identity(report.check, ds.algebra, ds.provenance, ds.weight,
-                               dom, 3, axioms[report.check])
+        witness, count = None, 0
+        for tup in dom.tuples(ds.algebra, 3):
+            count += 1
+            lhs, rhs = axioms[report.check](*tup)
+            if lhs != rhs:
+                witness = Witness(tup, lhs, rhs, lhs - rhs)
+                break
+        alone = CheckReport(check=report.check, algebra=ds.algebra.describe(),
+                            operator=ds.provenance, weight=ds.weight,
+                            domain=dom.describe(ds.algebra), tuples=count, witness=witness)
         assert report == alone
         assert report.to_json() == alone.to_json()
 
