@@ -34,20 +34,25 @@ non-integer matrix entries, or a rational weight, still brings
 A basis window of a Laurent-type algebra, swept for an operator built
 by scale, sum and compose from ``id`` and the truncations ``ms``,
 ``ms-opp`` and ``shift:r`` (:func:`~rotabaxter.operators.thresholds`),
-evaluates one pair per sign pattern.  Such an operator maps z^e to
+evaluates one tuple per sign pattern.  Such an operator maps z^e to
 c(e)·z^e, where c(e) depends only on which of its cuts t have e ≤ t.
 On (z^a, z^b) each side of a pair identity is then a scalar times
-z^(a+b), and both scalars depend only on c(a), c(b) and c(a+b).  So two
-pairs with the same pattern of a, b and a+b against the cuts have the
-same verdict, and the first failing pair in sweep order is the first of
-its pattern.  The pass counts every pair, and evaluates the first of
+z^(a+b), and both scalars depend only on c(a), c(b) and c(a+b).  On
+(z^a, z^b, z^c) each side of a dendriform axiom of a splitting of such
+an operator is a scalar times z^(a+b+c), fixed by the sides of a, b, c,
+a+b, b+c and a+b+c (see :mod:`rotabaxter.dendriform`).  So two tuples
+whose contiguous sums have the same pattern against the cuts have the
+same verdict, and the first failing tuple in sweep order is the first of
+its pattern.  The pass counts every tuple, and evaluates the first of
 each pattern only: the verdict, the tuple count and the witness are
-those of the full sweep.
+those of the full sweep.  On any window, ``rbr`` of ``ms`` evaluates at
+most 6 pairs, and the ``tri`` axioms of its splitting at most 24 triples.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
@@ -237,19 +242,31 @@ IDENTITIES = {
 }
 
 
-def _sign_pattern(algebra: Algebra, op: WeightedOperator):
-    """The key of a pair's verdict on a basis window (see the module
-    docstring): the pattern of a, b and a+b against the cuts of ``op``
-    for the pair (z^a, z^b).  None unless the algebra is Laurent-type and
-    ``op`` is built from ``id`` and truncations."""
-    cuts = thresholds(op.expr) if isinstance(algebra, LaurentAlgebra) else None
-    if cuts is None:
+def _sign_pattern(algebra: Algebra, cuts, arity: int, lo: int, hi: int):
+    """The key of a tuple's verdict on the basis window [lo, hi] (see the
+    module docstring): for the exponents of a tuple of ``arity`` (2 or 3)
+    monomials, the side of every cut for each of their contiguous sums.
+    None unless the algebra is Laurent-type and ``cuts`` are known.  The
+    side of each exponent a sum can take is found once, so a key costs a
+    few lookups."""
+    if cuts is None or not isinstance(algebra, LaurentAlgebra):
         return None
     cuts = sorted(cuts)
+    side = {e: bisect_left(cuts, e) for e in range(min(lo, arity * lo), max(hi, arity * hi) + 1)}
+    if arity == 2:
+        return lambda a, b: (side[a], side[b], side[a + b])
+    return lambda a, b, c: (side[a], side[b], side[c], side[a + b], side[b + c], side[a + b + c])
+
+
+def _pair_key(algebra: Algebra, cuts, lo: int, hi: int):
+    """:func:`_sign_pattern` on a pair of monomials of the window [lo, hi]."""
+    pattern = _sign_pattern(algebra, cuts, 2, lo, hi)
+    if pattern is None:
+        return None
 
     def key(pair):
         (a,), (b,) = pair[0].terms, pair[1].terms
-        return tuple([s <= t for s in (a, b, a + b) for t in cuts])
+        return pattern(a, b)
 
     return key
 
@@ -271,7 +288,8 @@ def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
     a Laurent basis window of a truncation-built operator evaluates one
     pair per sign pattern (see the module docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    key = _sign_pattern(algebra, op) if isinstance(dom, BasisWindow) else None
+    key = _pair_key(algebra, thresholds(op.expr), dom.lo, dom.hi) \
+        if isinstance(dom, BasisWindow) else None
     shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
     return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
@@ -470,8 +488,8 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                 last = keys
                 yield from DomainSpec.basis(-k, k).tuples(algebra, 2)
 
-    witness, count = SharedPass(tuples(), {identity: sides},
-                                key=_sign_pattern(algebra, op)).outcome(identity)
+    key = _pair_key(algebra, thresholds(op.expr), -max_range, max_range)
+    witness, count = SharedPass(tuples(), {identity: sides}, key=key).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}
     note = ("witness found by expanding search",) if witness is not None \

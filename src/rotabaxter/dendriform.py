@@ -42,6 +42,14 @@ per distinct pair of numbers; the numbering follows the order in which
 values are first met and hashes only ``int`` and ``Fraction`` terms, never
 an ``Element``, so the work does not depend on ``PYTHONHASHSEED``.  Each
 axiom still gets the report of a sweep of its own.
+
+Each constructor gives each of its products the cuts of its operator
+(:func:`operators.thresholds`), or None outside the truncation class.
+A basis pass on a Laurent-type algebra whose products all carry cuts
+evaluates one triple per sign pattern, as :func:`checks.check` evaluates
+one pair: at most 24 triples of any window for ``ms``.  A plain function
+of elements, such as a ∘ swapped in with ``dataclasses.replace``,
+carries no cuts, and the passes that use it evaluate every triple.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import checks
 from .algebra import (
     Algebra,
     BasisWindow,
@@ -62,7 +71,7 @@ from .algebra import (
 )
 from .checks import SharedPass, check_idempotent, check_rbr, rbr_sides, sweep_identity
 from .errors import UnsupportedDomainError
-from .operators import WeightedOperator
+from .operators import WeightedOperator, thresholds
 from .rationals import as_rational, format_rational
 from .report import CheckReport
 
@@ -90,14 +99,22 @@ class DendriformStructure:
         return total
 
 
-def _splitting(algebra, L, R, middle, provenance: str, weight) -> DendriformStructure:
+def _splitting(algebra, L, R, middle, provenance: str, weight, cuts) -> DendriformStructure:
     """a≺b = a·L(b), a≻b = R(a)·b on ``algebra``, with ∘ the bilinear
-    extension of ``middle``, or none."""
+    extension of ``middle``, or none.  Each product carries ``cuts``, the
+    cuts of L, R and ∘ (see :func:`operators.thresholds`), or None when
+    they are not known: an axiom pass whose products all carry cuts
+    evaluates one triple per sign pattern (see :func:`_axiom_reports`)."""
+
+    def with_cuts(product):
+        product.cuts = cuts
+        return product
+
     return DendriformStructure(
         algebra=algebra,
-        prec=bilinear_extension(lambda a, b: a * L(b)),
-        succ=bilinear_extension(lambda a, b: R(a) * b),
-        middle=None if middle is None else bilinear_extension(middle),
+        prec=with_cuts(bilinear_extension(lambda a, b: a * L(b))),
+        succ=with_cuts(bilinear_extension(lambda a, b: R(a) * b)),
+        middle=None if middle is None else with_cuts(bilinear_extension(middle)),
         provenance=provenance,
         weight=weight,
     )
@@ -105,7 +122,8 @@ def _splitting(algebra, L, R, middle, provenance: str, weight) -> DendriformStru
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
     """Two-product splitting for a weight-0 operator."""
-    return _splitting(R.algebra, R, R, None, f"weight0({R.describe()})", Fraction(0))
+    return _splitting(R.algebra, R, R, None, f"weight0({R.describe()})", Fraction(0),
+                      thresholds(R.expr))
 
 
 def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
@@ -115,20 +133,22 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
     """
     lam = as_rational(lam)
     return _splitting(B.algebra, lambda b: B(b) - lam * b, lambda a: B(a) + lam * a, None,
-                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam)
+                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam,
+                      thresholds(B.expr))
 
 
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
     lam = as_rational(lam)
     return _splitting(R.algebra, R, R, lambda a, b: (-lam) * (a * b),
-                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam)
+                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam,
+                      thresholds(R.expr))
 
 
 def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
     return _splitting(N.algebra, N, N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})",
-                      Fraction(1))
+                      Fraction(1), thresholds(N.expr))
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +186,18 @@ def _star_axiom(axiom_id: str):
     return lambda star: {axiom_id: lambda a, c, ab, bc: (star(ab[-1], c), star(a, bc[-1]))}
 
 
-def _on_terms(ds: DendriformStructure, products) -> list:
-    """The term-level entries of ``products`` on the structure's algebra."""
-    return [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(ds.algebra)
+def _on_terms(ds: DendriformStructure, products) -> tuple:
+    """The term-level entries of ``products`` on the structure's algebra,
+    and the union of the cuts the products carry: None when one carries
+    none, as a product given as a plain function does."""
+    muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(ds.algebra)
             for p in products]
+    return muls, _union([getattr(p, "cuts", None) for p in products])
+
+
+def _union(cut_sets: list) -> frozenset | None:
+    """The union of ``cut_sets``, or None when one of them is not known."""
+    return None if None in cut_sets else frozenset().union(*cut_sets)
 
 
 def _pair_products(muls, x, y) -> list:
@@ -178,9 +206,18 @@ def _pair_products(muls, x, y) -> list:
     return found
 
 
-def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) -> list:
+def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, cuts) -> list:
     """One report per axiom of ``make_axioms(*muls)``, all decided in one
     shared pass.
+
+    On (z^a, z^b, z^c), a product of a splitting whose maps and ∘ act on
+    monomials by scalars fixed by ``cuts`` gives a scalar times z^(a+b+c)
+    on every side of an axiom.  A ≺, ≻ or ∘ of two operands of exponents p
+    and q has a scalar fixed by the sides of p, q and p+q, and the
+    operands of the axioms are a, c, a+b and b+c.  So in basis mode, with
+    ``cuts`` known, the pass evaluates the first triple of each sign
+    pattern of a, b, c, a+b, b+c and a+b+c only (see
+    :func:`checks._sign_pattern`): at most 24 triples for ``ms``.
 
     In basis mode every operand of the pass gets a value number, keyed by
     its clean terms: the basis elements of the window, and the products of
@@ -237,14 +274,22 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls) 
                     (operands[p], operands[r], pair(p, q), pair(q, r)))
 
         tuples = itertools.product(range(n), repeat=3)
+        pattern = checks._sign_pattern(algebra, cuts, 3, dom.lo, dom.hi)
+        key = None
+        if pattern is not None:
+            exponents = [e for x in basis for e in x.terms]
+
+            def key(positions):
+                p, q, r = positions
+                return pattern(exponents[p], exponents[q], exponents[r])
     else:
         def prepare(terms):
             a, b, c = terms
             return terms, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
 
-        tuples = dom.tuples(algebra, 3)
+        tuples, key = dom.tuples(algebra, 3), None
     axioms = make_axioms(*muls)
-    shared = SharedPass(tuples, axioms, prepare)
+    shared = SharedPass(tuples, axioms, prepare, key)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, shared)
             for axiom_id in axioms]
 
@@ -256,7 +301,7 @@ def check_dialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
         a≻(b≺c) = (a≻b)≺c
         a≻(b≻c) = (a≺b)≻c + (a≻b)≻c
     """
-    return _axiom_reports(ds, dom, _dialgebra_axioms, _on_terms(ds, (ds.prec, ds.succ)))
+    return _axiom_reports(ds, dom, _dialgebra_axioms, *_on_terms(ds, (ds.prec, ds.succ)))
 
 
 def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
@@ -271,19 +316,19 @@ def check_trialgebra(ds: DendriformStructure, dom: DomainSpec) -> list:
             f"{ds.provenance} has no middle product ∘; the trialgebra axioms "
             f"need ≺, ≻ and ∘, the dialgebra axioms only ≺ and ≻")
     return _axiom_reports(ds, dom, _trialgebra_axioms,
-                          _on_terms(ds, (ds.prec, ds.succ, ds.middle)))
+                          *_on_terms(ds, (ds.prec, ds.succ, ds.middle)))
 
 
 def check_star_associative(ds: DendriformStructure, dom: DomainSpec) -> CheckReport:
     """(a*b)*c = a*(b*c) for the recombined product."""
     axiom_id = "nij.star.assoc" if ds.provenance.startswith("nijenhuis") \
         else "star.assoc"
-    muls = _on_terms(ds, [p for p in (ds.prec, ds.succ, ds.middle) if p is not None])
+    muls, cuts = _on_terms(ds, [p for p in (ds.prec, ds.succ, ds.middle) if p is not None])
 
     def star(x: dict, y: dict) -> dict:
         return add_terms(*[mul(x, y) for mul in muls])
 
-    [report] = _axiom_reports(ds, dom, _star_axiom(axiom_id), [star])
+    [report] = _axiom_reports(ds, dom, _star_axiom(axiom_id), [star], cuts)
     return report
 
 
@@ -295,7 +340,10 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
         R(x) ≺ R(y) + R(x ≺ y) = R(R(x) ≺ y + x ≺ R(y))
 
     and likewise for ≻: :func:`checks.rbr_sides` at weight 1 with ≺ or ≻
-    as the product, both decided in one pass.  When the precondition fails
+    as the product, both decided in one pass.  On a Laurent basis window,
+    with the cuts of ≺, ≻ and R known, the pass evaluates one pair per
+    sign pattern of a, b and a+b, as :func:`checks.check` does: 6 pairs
+    for ``ms``.  When the precondition fails
     (operator not idempotent, or not weight 1 on this domain), the verdicts
     are still computed and the reports are flagged.
     """
@@ -312,10 +360,15 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
                                     Element._trusted(algebra, y)).terms
 
     R_terms = R.on_terms(algebra)
+    key = None
+    if isinstance(dom, BasisWindow):
+        cuts = _union([getattr(ds.prec, "cuts", None), getattr(ds.succ, "cuts", None),
+                       thresholds(R.expr)])
+        key = checks._pair_key(algebra, cuts, dom.lo, dom.hi)
     shared = SharedPass(dom.tuples(algebra, 2), {
         "rbr.on.prec": rbr_sides(through_elements(ds.prec), R_terms, 1),
         "rbr.on.succ": rbr_sides(through_elements(ds.succ), R_terms, 1),
-    })
+    }, key=key)
     return [sweep_identity(axiom_id, algebra, ds.provenance, Fraction(1), dom, shared,
                            notes=tuple(notes))
             for axiom_id in ("rbr.on.prec", "rbr.on.succ")]

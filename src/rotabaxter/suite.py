@@ -127,13 +127,12 @@ def build_entries() -> list:
         for rep in check_trialgebra(ds, dom):
             add(f"{rep.check} tri({label}){suffix}", "5", "pass", rep)
         add(f"star.assoc tri({label}){suffix}", "5", "pass", check_star_associative(ds, dom))
-    # wrong-sign middle product: the two axioms that need the Rota-Baxter
-    # relation break, the purely associative ones survive
+    # wrong-sign middle product a∘b = ab, the splitting of ms at weight -1
+    # checked at weight 1: the two axioms that need the Rota-Baxter relation
+    # break, the purely associative ones survive
     from dataclasses import replace as _replace
 
-    wrong = _replace(build_tri_from_rbo(ms, 1),
-                     middle=lambda a, b: a * b,
-                     provenance="tri-wrong-sign(ms)")
+    wrong = _replace(build_tri_from_rbo(ms, -1), provenance="tri-wrong-sign(ms)", weight=one)
     wrong_expect = {"tri.1": "fail", "tri.3": "fail"}
     for rep in check_trialgebra(wrong, DomainSpec.basis(-4, 4)):
         add(f"{rep.check} tri-wrong-sign(ms) [-4,4]", "5",

@@ -30,6 +30,9 @@ from rotabaxter.dendriform import (
     build_from_nijenhuis,
     build_modified_pair,
     build_tri_from_rbo,
+    build_weight0_pair,
+    check_dialgebra,
+    check_rbr_on_compositions,
     check_star_associative,
     check_trialgebra,
 )
@@ -621,7 +624,7 @@ def truncation_ops(depth: int):
 
 def full_sweep(fn, *args):
     """``fn(*args)`` with no sign-pattern key, so every tuple is evaluated."""
-    with mock.patch.object(checks, "_sign_pattern", lambda algebra, op: None):
+    with mock.patch.object(checks, "_sign_pattern", lambda *args: None):
         return fn(*args)
 
 
@@ -645,6 +648,38 @@ def test_sign_pattern_sweeps_match_full_sweeps():
             report = fn(*args)
             assert report.to_json() == full_sweep(fn, *args).to_json()
             statuses.add(report.status)
+
+    one_case()
+    assert statuses == {"pass", "fail"}
+
+
+def test_sign_pattern_axiom_passes_match_full_passes():
+    """The dendriform axioms and the ≺/≻ compositions of a truncation
+    splitting, decided one tuple per sign pattern, give the reports of
+    passes that evaluate every tuple."""
+    statuses = set()
+    splittings = [lambda op, lam: build_weight0_pair(op), build_modified_pair,
+                  build_tri_from_rbo, lambda op, lam: build_from_nijenhuis(op)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def one_case(data):
+        algebra = data.draw(st.sampled_from([L, P]))
+        op = replace(data.draw(truncation_ops(2)), algebra=algebra)
+        lam = data.draw(st.sampled_from([ONE, Fraction(-1), Fraction(1, 2)]))
+        ds = data.draw(st.sampled_from(splittings))(op, lam)
+        # an offset window at most 5 wide; a polynomial one must hold an exponent >= 0
+        lo = data.draw(st.integers(-4 if algebra is P else -6, 6))
+        hi = data.draw(st.integers(max(lo, 0) if algebra is P else lo, lo + 4))
+        dom = DomainSpec.basis(lo, hi)
+        runs = [(check_dialgebra, ds), (check_star_associative, ds),
+                (check_rbr_on_compositions, ds, op)]
+        if ds.has_middle:
+            runs.append((check_trialgebra, ds))
+        for fn, *args in runs:
+            reports, full = fn(*args, dom), full_sweep(fn, *args, dom)
+            assert dumps_reports(reports) == dumps_reports(full)
+            statuses.update(r.status for r in (reports if isinstance(reports, list) else [reports]))
 
     one_case()
     assert statuses == {"pass", "fail"}

@@ -1,5 +1,6 @@
 """Dendriform constructions and their axiom checks."""
 
+import collections
 import hashlib
 import re
 from dataclasses import replace
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotabaxter import dendriform
 from rotabaxter.algebra import DomainSpec, bilinear_extension
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_rbr
@@ -536,6 +538,62 @@ def test_basis_pass_computes_a_product_once_per_distinct_operand_pair(name):
     assert 0 < counter.calls <= 729
     assert reports == check_trialgebra(ds, dom)
     assert dumps_reports(reports) == dumps_reports(check_trialgebra(ds, dom))
+
+
+# --- one tuple per sign pattern ------------------------------------------------
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of tuples on which each identity of a dendriform pass is
+    evaluated while it is open."""
+    counts = collections.Counter()
+
+    def counted(identity, sides):
+        def sides_counted(*args):
+            counts[identity] += 1
+            return sides(*args)
+
+        return sides_counted
+
+    class CountingPass(dendriform.SharedPass):
+        def __init__(self, tuples, identities, *args, **kwargs):
+            super().__init__(tuples, {i: counted(i, s) for i, s in identities.items()},
+                             *args, **kwargs)
+
+    monkeypatch.setattr(dendriform, "SharedPass", CountingPass)
+    return counts
+
+
+def test_truncation_splitting_evaluates_one_tuple_per_sign_pattern(evaluated):
+    """On [-12, 12] each axiom of tri(ms) covers 15,625 triples and
+    evaluates the first of each of the 24 sign patterns of a, b, c, a+b,
+    b+c and a+b+c; the ≺/≻ compositions cover 625 pairs and evaluate the
+    first of each of the 6 patterns of a, b and a+b."""
+    ds = build_tri_from_rbo(MS, 1)
+    dom = DomainSpec.basis(-12, 12)
+    reports = check_trialgebra(ds, dom)
+    assert outcomes(reports) == [(f"tri.{i}", "pass", 15625) for i in range(1, 8)]
+    assert evaluated == {f"tri.{i}": 24 for i in range(1, 8)}
+    evaluated.clear()
+    assert outcomes(check_rbr_on_compositions(ds, MS, dom)) == [
+        ("rbr.on.prec", "pass", 625), ("rbr.on.succ", "pass", 625)]
+    assert evaluated == {"rbr.on.prec": 6, "rbr.on.succ": 6}
+
+
+@pytest.mark.parametrize("ds, dom", [
+    (replace(build_tri_from_rbo(MS, 1), middle=lambda a, b: -(a * b)), DomainSpec.basis(-2, 2)),
+    (build_weight0_pair(INTEG), DomainSpec.basis(0, 4)),
+], ids=["plain-middle", "weight0-integration"])
+def test_passes_without_known_cuts_evaluate_every_triple(evaluated, ds, dom):
+    """A product given as a plain function carries no cuts, and
+    integration has none: such passes evaluate every triple."""
+    reports = (check_trialgebra if ds.has_middle else check_dialgebra)(ds, dom)
+    reports.append(check_star_associative(ds, dom))
+    assert {(r.status, r.tuples) for r in reports} == {("pass", 125)}
+    assert set(evaluated.values()) == {125}
+    assert len(evaluated) == len(reports)
+    assert_reports_match_one_sweep_per_axiom(ds, dom, reports)
 
 
 # --- domain errors of the axiom checks -----------------------------------------
