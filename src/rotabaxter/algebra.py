@@ -10,10 +10,9 @@ syntactic and exact.
 Operator expressions form a small tree closed under identity, scaling,
 sum, and composition.  ``Compose(f, g)`` applies ``g`` first, then ``f``.
 
-Linear and bilinear maps are fixed by their values on basis keys:
-:func:`linear_extension` and :func:`bilinear_extension` compute those
-values once per algebra and extend from them, which is how operators
-and dendriform products are evaluated.
+A linear map is fixed by its values on basis keys:
+:func:`linear_extension` computes those values once per algebra and
+extends from them, which is how operators are evaluated.
 """
 
 from __future__ import annotations
@@ -459,7 +458,7 @@ def apply_operator(algebra: Algebra, op: OperatorExpr, x: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Linear and bilinear maps extended from their values on basis keys
+# Linear maps extended from their values on basis keys
 
 
 class _PerAlgebra:
@@ -489,14 +488,6 @@ class _PerAlgebra:
             value = self._values[key] = self._make(algebra)
         self._last = (algebra, value)
         return value
-
-
-# A zero operand of a product is taken as the one pseudo-key None, whose
-# basis element is zero: fn of a key paired with zero is computed once and
-# cached like any other value, so a product that raises there still
-# raises, while the zero operands that nested products often give (a ≺ b
-# is zero whenever R(b) is) cost table lookups instead of calls of fn.
-_ZERO_OPERAND = {None: 0}
 
 
 def _basis(algebra: Algebra, key) -> Element:
@@ -555,60 +546,6 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
 
     apply.on_terms = images
     return apply
-
-
-def bilinear_extension(fn: Callable[[Element, Element], Element]
-                       ) -> Callable[[Element, Element], Element]:
-    """The bilinear map (a, b) ↦ Σ a_i·b_j·fn(e_i, e_j).
-
-    Each fn(e_i, e_j), and fn of a key paired with zero, is computed once
-    per algebra, on basis elements that are built once per table.
-    Operands that are not the same algebra object go to ``fn`` itself.
-
-    The returned product has a term-level entry for callers that chain
-    products without building elements: ``product.on_terms(algebra)`` is
-    ``mul(a, b)``, which returns the product of the term dicts ``a`` and
-    ``b`` of two elements of ``algebra`` as a new dict.  It reads the same
-    tables.  The result may hold zero coefficients, which a caller drops
-    before it compares the dict or uses it as an operand.
-    """
-
-    def compile_on(algebra: Algebra):
-        table: dict = {}
-        basis: dict = {}  # key -> e_key, built once per table
-
-        def element(key) -> Element:
-            e = basis.get(key)
-            if e is None:
-                e = basis[key] = _basis(algebra, key)
-            return e
-
-        def mul(a: dict, b: dict) -> dict:
-            acc: dict = {}
-            for i, ci in (a or _ZERO_OPERAND).items():
-                row = table.get(i)
-                if row is None:
-                    row = table[i] = {}
-                unit_i = ci is _ONE
-                for j, cj in (b or _ZERO_OPERAND).items():
-                    value = row.get(j)
-                    if value is None:
-                        value = row[j] = fn(element(i), element(j)).terms
-                    accumulate(acc, cj if unit_i else ci if cj is _ONE else ci * cj, value)
-            return acc
-
-        return mul
-
-    on_terms = _PerAlgebra(compile_on)
-
-    def product(a: Element, b: Element) -> Element:
-        algebra = a.algebra
-        if b.algebra is not algebra:
-            return fn(a, b)
-        return Element._trusted(algebra, on_terms(algebra)(a.terms, b.terms))
-
-    product.on_terms = on_terms
-    return product
 
 
 # ---------------------------------------------------------------------------

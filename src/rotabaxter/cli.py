@@ -6,7 +6,9 @@ Exit codes: 0 when every requested check passed (no witnesses),
 offending field), malformed option values such as ``--weight 1/0``
 included.  The ``suite`` command compares outcomes against expectations
 instead: 0 means every entry, including the deliberately negative ones,
-matched.
+matched.  The listing on stdout is best effort: once its reader has
+gone, the rest of it is discarded, and the ``--output`` file and the
+exit code are still the run's.
 
 The parsed :class:`argparse.Namespace` is the only form a command line
 takes: :func:`run` reads each option from it directly, and each
@@ -35,6 +37,7 @@ such as ``scale(1,miller:2,2)``.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import replace
@@ -250,22 +253,35 @@ def load_tensor(path: str):
 # Execution
 
 
+def _say(line: str) -> None:
+    """Print one line of the listing.  When stdout's reader has gone, stdout
+    is pointed at the null device (the recipe of the ``signal`` module's
+    note on SIGPIPE), so the run goes on and the interpreter's last flush
+    does not fail."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_report(report: CheckReport) -> None:
     weight = "-" if report.weight is None else format_rational(report.weight)
     tag = "PASS" if report.passed else "FAIL"
     sampled = (f" | random seed={report.domain['seed']}"
                if report.domain["mode"] == "random" else "")
-    print(f"[{tag}] {report.check} | {report.algebra} | {report.operator} "
-          f"| weight={weight} | tuples={report.tuples}{sampled}")
+    _say(f"[{tag}] {report.check} | {report.algebra} | {report.operator} "
+         f"| weight={weight} | tuples={report.tuples}{sampled}")
     for note in report.notes:
-        print(f"       note: {note}")
+        _say(f"       note: {note}")
     if report.witness is not None:
         w = report.witness
         inputs = ", ".join(str(x) for x in w.inputs)
-        print(f"       witness: ({inputs})")
-        print(f"         lhs  = {w.lhs}")
-        print(f"         rhs  = {w.rhs}")
-        print(f"         diff = {w.diff}")
+        _say(f"       witness: ({inputs})")
+        _say(f"         lhs  = {w.lhs}")
+        _say(f"         rhs  = {w.rhs}")
+        _say(f"         diff = {w.diff}")
 
 
 def _emit(reports, output: str | None) -> int:
@@ -321,11 +337,11 @@ def run(args: argparse.Namespace) -> int:
         bad = [e for e in result["entries"] if not e["ok"]]
         for entry in result["entries"]:
             marker = "ok " if entry["ok"] else "BAD"
-            print(f"[{marker}] criterion {entry['criterion']:>2} | "
-                  f"expected {entry['expected']:<6} got {entry['status']:<4} | "
-                  f"{entry['name']}")
-        print(f"suite {result['suite']}: {len(result['entries'])} entries, "
-              f"{len(bad)} unexpected")
+            _say(f"[{marker}] criterion {entry['criterion']:>2} | "
+                 f"expected {entry['expected']:<6} got {entry['status']:<4} | "
+                 f"{entry['name']}")
+        _say(f"suite {result['suite']}: {len(result['entries'])} entries, "
+             f"{len(bad)} unexpected")
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(dumps_suite(result))

@@ -8,10 +8,11 @@ a first-class use case, so a structure built from a bad operator simply
 fails the axiom checks with a witness.
 
 Constructions and the weights they expect (checkers verify, builders
-don't).  All four return one splitting, a≺b = a·L(b) and a≻b = R(a)·b
-for two maps L and R, plus the ∘ they pass.  The three built from an
-operator take it as both maps; the modified pair takes L = B − λ·id and
-R = B + λ·id.
+don't).  All four return one splitting, a≺b = a·L(b), a≻b = R(a)·b and
+a∘b = M(ab), for three operators L, R and M, with no ∘ when M is None.
+The three built from an operator take it as L and R; the modified pair
+takes L = B − λ·id and R = B + λ·id, the trialgebra M = −λ·id, and the
+Nijenhuis structure M = −N.
 
 * ``build_weight0_pair(R)``        a≺b = a·R(b), a≻b = R(a)·b
 * ``build_modified_pair(B, λ)``    a≺b = a·B(b) − λab, a≻b = B(a)·b + λab
@@ -26,11 +27,13 @@ chosen so that ≺+≻+∘ equals the associative product
 a·N(b) + N(a)·b − N(ab); only axioms 1–4 of the seven are forced by
 the Nijenhuis relation, so the checker reports the rest per case.
 
-Every product is bilinear, so it is fixed by its values on basis pairs:
-the constructors wrap each product in :func:`bilinear_extension`, whose
-tables are computed once and shared by every axiom checked on the
-structure, ``star`` included.  The axiom checks extend a product given
-as a plain function of elements from its basis values the same way.
+Each product is written once, in the algebra product and L, R and M,
+and built from that one definition twice: on elements, with ``*`` and
+the operators, and as its ``on_terms(algebra)``, on term dicts, with
+``multiply_terms`` and the operators' ``on_terms``.  The operators keep
+their images of basis keys, so no product keeps a table of its own.  The
+axiom checks call a product given as a plain function of elements on the
+pass's operands themselves.
 
 The axioms of a structure are decided in one pass over the domain: the
 products of a pair of elements are computed on term dicts through the
@@ -43,8 +46,8 @@ values are first met and hashes only ``int`` and ``Fraction`` terms, never
 an ``Element``, so the work does not depend on ``PYTHONHASHSEED``.  Each
 axiom still gets the report of a sweep of its own.
 
-Each constructor gives each of its products the cuts of its operator
-(:func:`operators.thresholds`), or None outside the truncation class.
+Each product carries the cuts of L, R and M (:func:`operators.thresholds`),
+or None when one of them is outside the truncation class.
 A basis pass on a Laurent-type algebra whose products all carry cuts
 evaluates one triple per sign pattern, as :func:`checks.check` evaluates
 one pair: at most 24 triples of any window for ``ms``.  A plain function
@@ -55,6 +58,7 @@ carries no cuts, and the passes that use it evaluate every triple.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -66,12 +70,17 @@ from .algebra import (
     DomainSpec,
     Element,
     add_terms,
-    bilinear_extension,
     clean_terms,
 )
 from .checks import SharedPass, check_idempotent, check_rbr, rbr_sides, sweep_identity
 from .errors import UnsupportedDomainError
-from .operators import WeightedOperator, thresholds
+from .operators import (
+    WeightedOperator,
+    make_identity_operator,
+    scale_operator,
+    sum_operator,
+    thresholds,
+)
 from .rationals import as_rational, format_rational
 from .report import CheckReport
 
@@ -99,31 +108,46 @@ class DendriformStructure:
         return total
 
 
-def _splitting(algebra, L, R, middle, provenance: str, weight, cuts) -> DendriformStructure:
-    """a≺b = a·L(b), a≻b = R(a)·b on ``algebra``, with ∘ the bilinear
-    extension of ``middle``, or none.  Each product carries ``cuts``, the
-    cuts of L, R and ∘ (see :func:`operators.thresholds`), or None when
-    they are not known: an axiom pass whose products all carry cuts
-    evaluates one triple per sign pattern (see :func:`_axiom_reports`)."""
+def _products(mul, L, R, M) -> list:
+    """a≺b = a·L(b), a≻b = R(a)·b and a∘b = M(ab) in the product ``mul``
+    and the maps L, R and M, with no ∘ when M is None."""
+    products = [lambda a, b: mul(a, L(b)), lambda a, b: mul(R(a), b)]
+    if M is not None:
+        products.append(lambda a, b: M(mul(a, b)))
+    return products
 
-    def with_cuts(product):
+
+def _splitting(L: WeightedOperator, R: WeightedOperator, M: Optional[WeightedOperator],
+               provenance: str, weight) -> DendriformStructure:
+    """The splitting of :func:`_products` by the operators L, R and M.
+
+    Each product is built from that one definition twice: on elements,
+    with ``*`` and the operators, and as its ``on_terms(algebra)``, with
+    ``multiply_terms`` and the operators' ``on_terms``, the input of M
+    cleaned first.  Each carries ``cuts``, the union of the cuts of L, R
+    and M (see :func:`operators.thresholds`), or None when one is not
+    known: an axiom pass whose products all carry cuts evaluates one
+    triple per sign pattern (see :func:`_axiom_reports`)."""
+    cuts = _union([thresholds(op.expr) for op in (L, R, M) if op is not None])
+
+    def on_terms(algebra: Algebra) -> list:
+        M_terms = None if M is None else M.on_terms(algebra)
+        return _products(algebra.multiply_terms, L.on_terms(algebra), R.on_terms(algebra),
+                         None if M is None else lambda terms: M_terms(clean_terms(terms)))
+
+    products = _products(operator.mul, L, R, M)
+    for i, product in enumerate(products):
+        product.on_terms = lambda algebra, i=i: on_terms(algebra)[i]
         product.cuts = cuts
-        return product
-
-    return DendriformStructure(
-        algebra=algebra,
-        prec=with_cuts(bilinear_extension(lambda a, b: a * L(b))),
-        succ=with_cuts(bilinear_extension(lambda a, b: R(a) * b)),
-        middle=None if middle is None else with_cuts(bilinear_extension(middle)),
-        provenance=provenance,
-        weight=weight,
-    )
+    prec, succ, *middle = products
+    return DendriformStructure(algebra=L.algebra, prec=prec, succ=succ,
+                               middle=middle[0] if middle else None, provenance=provenance,
+                               weight=weight)
 
 
 def build_weight0_pair(R: WeightedOperator) -> DendriformStructure:
     """Two-product splitting for a weight-0 operator."""
-    return _splitting(R.algebra, R, R, None, f"weight0({R.describe()})", Fraction(0),
-                      thresholds(R.expr))
+    return _splitting(R, R, None, f"weight0({R.describe()})", Fraction(0))
 
 
 def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
@@ -132,23 +156,22 @@ def build_modified_pair(B: WeightedOperator, lam) -> DendriformStructure:
     At λ = 1 the products agree with −2a·R(b) and 2·(id−R)(a)·b.
     """
     lam = as_rational(lam)
-    return _splitting(B.algebra, lambda b: B(b) - lam * b, lambda a: B(a) + lam * a, None,
-                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam,
-                      thresholds(B.expr))
+    identity = make_identity_operator(B.algebra)
+    return _splitting(sum_operator(B, scale_operator(-lam, identity)),
+                      sum_operator(B, scale_operator(lam, identity)), None,
+                      f"modified(weight {format_rational(lam)}; {B.describe()})", lam)
 
 
 def build_tri_from_rbo(R: WeightedOperator, lam) -> DendriformStructure:
     """Three-product splitting for a weight-λ operator, λ ≠ 0."""
     lam = as_rational(lam)
-    return _splitting(R.algebra, R, R, lambda a, b: (-lam) * (a * b),
-                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam,
-                      thresholds(R.expr))
+    return _splitting(R, R, scale_operator(-lam, make_identity_operator(R.algebra)),
+                      f"tri(weight {format_rational(lam)}; {R.describe()})", lam)
 
 
 def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
     """Three-product splitting for a weight-1 Nijenhuis operator."""
-    return _splitting(N.algebra, N, N, lambda a, b: -N(a * b), f"nijenhuis({N.describe()})",
-                      Fraction(1), thresholds(N.expr))
+    return _splitting(N, N, scale_operator(-1, N), f"nijenhuis({N.describe()})", Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +180,9 @@ def build_from_nijenhuis(N: WeightedOperator) -> DendriformStructure:
 # Each axiom maps (a, c, ab, bc) to its two sides, each one product of two
 # operands: ab and bc hold the products of (a, b) and of (b, c) in the order
 # ≺, ≻ (, ∘), then their sum.  An operand is a term dict, or in basis mode its
-# value number, and a product mul(x, y) returns a term dict (see
-# bilinear_extension).  A side may hold zero coefficients; the pass drops them
-# before it compares differing sides.
+# value number, and a product mul(x, y) returns a term dict (see _products).
+# A side may hold zero coefficients; the pass drops them before it compares
+# differing sides.
 
 
 def _dialgebra_axioms(lt, gt):
@@ -186,11 +209,18 @@ def _star_axiom(axiom_id: str):
     return lambda star: {axiom_id: lambda a, c, ab, bc: (star(ab[-1], c), star(a, bc[-1]))}
 
 
+def _through_elements(product, algebra: Algebra):
+    """``product``, a function of elements of ``algebra``, on term dicts."""
+    return lambda x, y: product(Element._trusted(algebra, x), Element._trusted(algebra, y)).terms
+
+
 def _on_terms(ds: DendriformStructure, products) -> tuple:
     """The term-level entries of ``products`` on the structure's algebra,
     and the union of the cuts the products carry: None when one carries
-    none, as a product given as a plain function does."""
-    muls = [(p if hasattr(p, "on_terms") else bilinear_extension(p)).on_terms(ds.algebra)
+    none, as a product given as a plain function does, which is called on
+    the pass's operands themselves."""
+    algebra = ds.algebra
+    muls = [p.on_terms(algebra) if hasattr(p, "on_terms") else _through_elements(p, algebra)
             for p in products]
     return muls, _union([getattr(p, "cuts", None) for p in products])
 
@@ -354,11 +384,6 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
     if not check_rbr(algebra, R, Fraction(1), dom).passed:
         notes.append("precondition-unmet: operator is not weight 1 on this domain")
 
-    def through_elements(product):
-        # a wrapper of the product sees this call; ROADMAP item 1 moves it to on_terms
-        return lambda x, y: product(Element._trusted(algebra, x),
-                                    Element._trusted(algebra, y)).terms
-
     R_terms = R.on_terms(algebra)
     key = None
     if isinstance(dom, BasisWindow):
@@ -366,8 +391,9 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
                        thresholds(R.expr)])
         key = checks._pair_key(algebra, cuts, dom.lo, dom.hi)
     shared = SharedPass(dom.tuples(algebra, 2), {
-        "rbr.on.prec": rbr_sides(through_elements(ds.prec), R_terms, 1),
-        "rbr.on.succ": rbr_sides(through_elements(ds.succ), R_terms, 1),
+        # on elements, so that a wrapper of a product sees the calls (ROADMAP item 1)
+        "rbr.on.prec": rbr_sides(_through_elements(ds.prec, algebra), R_terms, 1),
+        "rbr.on.succ": rbr_sides(_through_elements(ds.succ, algebra), R_terms, 1),
     }, key=key)
     return [sweep_identity(axiom_id, algebra, ds.provenance, Fraction(1), dom, shared,
                            notes=tuple(notes))

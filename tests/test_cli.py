@@ -945,3 +945,32 @@ def test_one_command_parser_matches_the_full_parser(command, capsys):
     for option in _COMMANDS[command].split():
         argv += ([option] if option.startswith("-") else []) + SAMPLE_VALUES[option]
     assert one.parse_args(argv) == full.parse_args(argv)
+
+
+# --- a closed stdout changes neither the report nor the exit code --------------
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_keeps_the_report_and_the_verdict(unbuffered, tmp_path, capsys):
+    """With stdout's reader gone before the run starts, the listing is
+    dropped: the --output file holds the bytes of a normal run, the exit
+    code is the verdict's, and stderr stays empty."""
+    argv = ["check-rbr", "--algebra", "laurent", "--operator", "shift:2", "--weight", "1",
+            "--range", "-3", "3", "--output"]
+    assert run_cli(*argv, str(tmp_path / "normal.json")) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(rotabaxter.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rotabaxter", *argv, "f.json"],
+                              cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    assert (tmp_path / "f.json").read_bytes() == (tmp_path / "normal.json").read_bytes()

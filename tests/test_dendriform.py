@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rotabaxter import dendriform
-from rotabaxter.algebra import DomainSpec, bilinear_extension
+from rotabaxter.algebra import DomainSpec
 from rotabaxter.algebras import laurent, make_matrix_algebra, polynomial
 from rotabaxter.checks import check_rbr
 from rotabaxter.dendriform import (
@@ -146,7 +146,7 @@ def _fold_middle(ds, into):
     """``ds`` with its ∘ added to its ``into`` product ("prec" or "succ")
     and then dropped: a structure with ≺ and ≻ only."""
     product = getattr(ds, into)
-    folded = bilinear_extension(lambda a, b: product(a, b) + ds.middle(a, b))
+    folded = lambda a, b: product(a, b) + ds.middle(a, b)
     return replace(ds, middle=None, provenance=f"{ds.provenance}, ∘ in {into}",
                    **{into: folded})
 
@@ -350,8 +350,8 @@ def test_products_are_bilinear():
 
 
 def test_a_product_of_elements_of_two_algebras_is_refused():
-    """Operands of two algebras go to the splitting's own a·R(b) and R(a)·b,
-    whose product refuses them."""
+    """a·R(b) and R(a)·b refuse operands of two algebras: the algebra
+    product does."""
     ds = build_tri_from_rbo(MS, 1)
     for a, b in ((L.monomial(1), P.monomial(1)), (P.monomial(1), L.monomial(1))):
         for product in (ds.prec, ds.succ):
@@ -359,7 +359,7 @@ def test_a_product_of_elements_of_two_algebras_is_refused():
                 product(a, b)
 
 
-# --- products are bilinear maps compiled from their basis values --------------
+# --- products are computed from the operators' cached basis images -----------
 
 
 def test_structures_built_and_dropped_in_a_loop_never_share_tables():
@@ -394,16 +394,20 @@ def test_product_domain_errors_survive_compiled_tables():
         with pytest.raises(OperatorDomainError, match=undefined):
             product(m2.zero(), m2.zero())
     # R(b) is undefined, so a≺b is, even for a = 0 and after a≺b was
-    # computed for b in R's domain
+    # computed for b in R's domain, on elements and on term dicts
     w0 = build_weight0_pair(INTEG)
     assert w0.prec(L.zero(), L.monomial(1)).is_zero
     negative = re.escape("integration undefined on exponent -1 < 0")
-    # twice each: a zero operand is cached only where the product is defined
+    # twice each: R caches no image where it is undefined
     for a, b in ((L.zero(), L.monomial(-1)), (L.monomial(2), L.monomial(-1))) * 2:
         with pytest.raises(OperatorDomainError, match=negative):
             w0.prec(a, b)
         with pytest.raises(OperatorDomainError, match=negative):
             w0.succ(b, a)
+        with pytest.raises(OperatorDomainError, match=negative):
+            w0.prec.on_terms(L)(a.terms, b.terms)
+        with pytest.raises(OperatorDomainError, match=negative):
+            w0.succ.on_terms(L)(b.terms, a.terms)
 
 
 
