@@ -143,6 +143,9 @@ class Algebra:
     kind: str = "abstract"
     dimension = None
     unital: bool = False
+    # e_i·e_j == e_j·e_i for every pair of basis keys; a fact of the product
+    # that lets a pair sweep decide (x, y) and (y, x) once (see ``checks``)
+    commutative: bool = False
     variable: str = "z"
 
     def validate_key(self, key) -> None:
@@ -593,7 +596,9 @@ def add_terms(first: Mapping, *rest: Mapping) -> dict:
 
 
 def scale_terms(c, terms: Mapping) -> Mapping:
-    """c·terms, with no products for c = ±1; holds zeros for c = 0."""
+    """c·terms, with no products for c = ±1, and ``{}`` for c = 0."""
+    if not c:
+        return {}
     if c == 1:
         return terms
     if c == -1:

@@ -36,6 +36,7 @@ class LaurentAlgebra(Algebra):
     kind = "laurent"
     dimension = None
     unital = True
+    commutative = True
     variable = "z"
 
     def validate_key(self, key) -> None:
@@ -159,6 +160,9 @@ class FiniteAlgebra(Algebra):
         self.kind = kind
         self.dimension = constants.dim
         self.unital = constants.unit is not None
+        table = constants.table
+        self.commutative = all(table[i][j] == table[j][i]
+                               for i in range(self.dimension) for j in range(i))
         # _rows[i][j] is e_i · e_j as a sparse {k: c_ijk} mapping, for the
         # nonzero products only; built once and handed out read-only
         products = ([{k: c for k, c in enumerate(row) if c != 0} for row in plane]

@@ -47,6 +47,24 @@ its pattern.  The pass counts every tuple, and evaluates the first of
 each pattern only: the verdict, the tuple count and the witness are
 those of the full sweep.  On any window, ``rbr`` of ``ms`` evaluates at
 most 6 pairs, and the ``tri`` axioms of its splitting at most 24 triples.
+
+On a commutative algebra (``Algebra.commutative``: Laurent-type ones,
+and a finite-dimensional one whose table is symmetric) each side of an
+identity of :data:`IDENTITIES` at (y, x) is its side at (x, y), since
+xy = yx, R(x)y = yR(x), and so on; for ``lie-modified`` both sides only
+change sign.  The same holds for the product of an image-closure pair.
+So (x, y) and (y, x) have the same verdict, and the operator sees the
+same inputs on both, so one raises when the other does.  A basis window
+lists its keys in key order, so of each pair (a, b) and its transpose
+the one with a ≤ b comes first in sweep order, and the first failing
+pair of a full sweep is always the first of its class.  A pass keyed on
+the sorted pair of basis keys (the transposition key; positions in the
+image basis for image closure) counts every pair and evaluates the first
+of each class only: n(n + 1)/2 of the n² pairs of an n-element window.
+The key is applied only where the product is the algebra's own and no
+sign key applies, which already evaluates at most 6 pairs; never to
+random tuples, to the dendriform axioms, or to ``rbr.on.*``, whose ≺ and
+≻ do not commute.
 """
 
 from __future__ import annotations
@@ -271,6 +289,30 @@ def _pair_key(algebra: Algebra, cuts, lo: int, hi: int):
     return key
 
 
+def _unordered(pair: tuple) -> tuple:
+    """The transposition key of a pair: its two members in sorted order,
+    the same for (a, b) and (b, a)."""
+    a, b = pair
+    return pair if a <= b else (b, a)
+
+
+def _transposition_key(pair) -> tuple:
+    """:func:`_unordered` on the basis keys of a pair of basis elements."""
+    (a,), (b,) = pair[0].terms, pair[1].terms
+    return _unordered((a, b))
+
+
+def _basis_pair_key(algebra: Algebra, op: WeightedOperator, lo: int, hi: int):
+    """The key of an identity of the algebra's own product on the basis
+    pairs of the window [lo, hi]: the sign pattern (:func:`_pair_key`) of a
+    truncation-built operator on a Laurent-type algebra, otherwise the
+    transposition key on a commutative algebra, otherwise None."""
+    key = _pair_key(algebra, thresholds(op.expr), lo, hi)
+    if key is None and algebra.commutative:
+        return _transposition_key
+    return key
+
+
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
     """The sides of an identity on the term dicts of a pair."""
     if identity not in IDENTITIES:
@@ -286,10 +328,10 @@ def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
     """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``;
     a Laurent basis window of a truncation-built operator evaluates one
-    pair per sign pattern (see the module docstring)."""
+    pair per sign pattern, and any other basis window of a commutative
+    algebra one pair per transposition class (see the module docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    key = _pair_key(algebra, thresholds(op.expr), dom.lo, dom.hi) \
-        if isinstance(dom, BasisWindow) else None
+    key = _basis_pair_key(algebra, op, dom.lo, dom.hi) if isinstance(dom, BasisWindow) else None
     shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
     return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
@@ -416,7 +458,9 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     remainder against it.  Laurent-type algebras need a window (``dom``)
     and an operator acting diagonally and idempotently on the swept
     monomials; its image is then the fixed subspace, and a product must
-    be fixed.  Random-mode domains are refused for both kinds.
+    be fixed.  Random-mode domains are refused for both kinds.  On a
+    commutative algebra, each pair of positions in the image basis and its
+    transpose are decided once (see the module docstring).
     """
     if isinstance(dom, RandomSample):
         raise UnsupportedDomainError(
@@ -435,9 +479,14 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
             f"image closure is not defined on {algebra.describe()}")
     total = 0
     notes = []
+    key = _unordered if algebra.commutative else None
     for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
-        witness, count = SharedPass(itertools.product(basis, repeat=2),
-                                    {tag: sides}).outcome(tag)
+        def prepare(ij, basis=basis):
+            pair = basis[ij[0]], basis[ij[1]]
+            return pair, [x.terms for x in pair]
+
+        positions = itertools.product(range(len(basis)), repeat=2)
+        witness, count = SharedPass(positions, {tag: sides}, prepare, key).outcome(tag)
         total += count
         notes.append(f"{tag} {rank}")
         if witness is not None:
@@ -471,7 +520,10 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     identity for all elements supported there, and no element drawn
     inside the last window could add a witness.  As in :func:`check`, a
     Laurent-type algebra and a truncation-built operator evaluate the
-    first pair of each sign pattern only.  The ``domain`` records
+    first pair of each sign pattern only, and otherwise a commutative
+    algebra the first pair of each transposition class.  One set of keys
+    serves the whole search, so a pair that an earlier window decided is
+    counted again but not evaluated.  The ``domain`` records
     ``samples`` and ``seed`` as 0, so that its keys stay those of the
     reports pinned in the ``paper-all`` output."""
     if max_range < 0:
@@ -488,7 +540,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                 last = keys
                 yield from DomainSpec.basis(-k, k).tuples(algebra, 2)
 
-    key = _pair_key(algebra, thresholds(op.expr), -max_range, max_range)
+    key = _basis_pair_key(algebra, op, -max_range, max_range)
     witness, count = SharedPass(tuples(), {identity: sides}, key=key).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}

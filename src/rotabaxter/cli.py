@@ -253,13 +253,16 @@ def load_tensor(path: str):
 # Execution
 
 
-def _say(line: str) -> None:
-    """Print one line of the listing.  When stdout's reader has gone, stdout
-    is pointed at the null device (the recipe of the ``signal`` module's
-    note on SIGPIPE), so the run goes on and the interpreter's last flush
-    does not fail."""
+def _say(line: str | None = None) -> None:
+    """Print one line of the listing, or with no line flush what stdout
+    holds.  When stdout's reader has gone, stdout is pointed at the null
+    device (the recipe of the ``signal`` module's note on SIGPIPE), so the
+    run goes on and the interpreter's last flush does not fail."""
     try:
-        print(line, flush=True)
+        if line is None:
+            sys.stdout.flush()
+        else:
+            print(line, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -539,7 +542,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """:func:`main` as a program.  Output that argparse leaves in stdout's
+    buffer (``--help``) is flushed through :func:`_say`, so a reader that
+    has gone does not change the exit code."""
+    try:
+        sys.exit(main())
+    finally:
+        _say()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Identity checkers: positives, refutations, witness soundness."""
 
 import hashlib
+import json
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 from rotabaxter import checks
 from rotabaxter.algebra import DomainSpec, Element, apply_operator, lie_bracket
-from rotabaxter.algebras import laurent, make_componentwise, make_matrix_algebra, polynomial
+from rotabaxter.algebras import (
+    LaurentAlgebra,
+    laurent,
+    make_componentwise,
+    make_matrix_algebra,
+    polynomial,
+    structure_constants_to_json,
+)
 from rotabaxter.checks import (
     IDENTITIES,
     check,
@@ -26,6 +35,7 @@ from rotabaxter.checks import (
     find_violation,
     violation_report,
 )
+from rotabaxter.cli import parse_algebra, parse_operator
 from rotabaxter.dendriform import (
     build_from_nijenhuis,
     build_modified_pair,
@@ -57,7 +67,7 @@ from rotabaxter.operators import (
 from rotabaxter.rationals import as_rational
 from rotabaxter.report import dumps_reports
 from rotabaxter.suite import borel_projector_m2
-from rotabaxter.tensor import induced_operator, tensor2
+from rotabaxter.tensor import TensorAlgebra, induced_operator, tensor2
 
 L = laurent()
 P = polynomial()
@@ -623,8 +633,10 @@ def truncation_ops(depth: int):
 
 
 def full_sweep(fn, *args):
-    """``fn(*args)`` with no sign-pattern key, so every tuple is evaluated."""
-    with mock.patch.object(checks, "_sign_pattern", lambda *args: None):
+    """``fn(*args)`` with no sign-pattern key and no transposition key, so
+    every tuple is evaluated."""
+    with mock.patch.object(checks, "_sign_pattern", lambda *args: None), \
+            mock.patch.object(LaurentAlgebra, "commutative", False):
         return fn(*args)
 
 
@@ -766,12 +778,126 @@ def test_violation_search_evaluates_one_pair_per_sign_pattern(evaluated):
     assert len(evaluated) < 30
 
 
-@pytest.mark.parametrize("algebra, op, lam, dom, tuples", [
-    (P, INTEG, Fraction(0), DomainSpec.basis(0, 20), 441),
-    (L, MS, ONE, DomainSpec.random(50, seed=2), 50),
-    (MILLER.algebra, MILLER, ONE, DomainSpec.basis(0, 0), 16),
+@pytest.mark.parametrize("algebra, op, lam, dom, tuples, pairs", [
+    (P, INTEG, Fraction(0), DomainSpec.basis(0, 20), 441, 231),
+    (L, MS, ONE, DomainSpec.random(50, seed=2), 50, 50),
+    (MILLER.algebra, MILLER, ONE, DomainSpec.basis(0, 0), 16, 10),
 ], ids=["integration", "random", "finite"])
-def test_other_sweeps_evaluate_every_pair(evaluated, algebra, op, lam, dom, tuples):
+def test_other_sweeps_evaluate_every_pair(evaluated, algebra, op, lam, dom, tuples, pairs):
+    """Without a sign key, a basis sweep of a commutative algebra evaluates
+    every pair up to transposition, n(n + 1)/2 of n², and a random sweep
+    every tuple."""
     report = check_rbr(algebra, op, lam, dom)
     assert (report.status, report.tuples) == ("pass", tuples)
-    assert len(evaluated) == tuples
+    assert len(evaluated) == pairs
+
+
+# --- the transposition key of commutative algebras ---------------------------------
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The number of tuples on which each identity of a SharedPass is
+    evaluated, by identity id."""
+    calls = Counter()
+    init = checks.SharedPass.__init__
+
+    def counted(check_id, sides):
+        def evaluate(*args):
+            calls[check_id] += 1
+            return sides(*args)
+
+        return evaluate
+
+    def counting_init(self, tuples, identities, prepare=None, key=None):
+        init(self, tuples, {i: counted(i, s) for i, s in identities.items()}, prepare, key)
+
+    monkeypatch.setattr(checks.SharedPass, "__init__", counting_init)
+    return calls
+
+
+def keyless(algebra, sweep):
+    """``sweep()`` with ``algebra.commutative`` off, so every pair is evaluated."""
+    with mock.patch.object(algebra, "commutative", False):
+        return sweep()
+
+
+# K[x]/(x³) on the basis 1, x, x², and the operator R(x²) = 1, R(1) = R(x) = 0
+TRUNCATED_POLYNOMIALS = {"dim": 3, "unit": ["1", "0", "0"],
+                         "c": [[[int(i + j == k) for k in range(3)] for j in range(3)]
+                               for i in range(3)]}
+LAST_TO_FIRST = {"dim": 3, "matrix": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]}
+C3 = make_componentwise(3)
+# im(R) = span(e0, e1 + 2e2), which holds e0·e0 and e0·(e1 + 2e2) = 0 but not (e1 + 2e2)²
+NOT_CLOSED = matrix_operator(C3, [[1, 0, 0], [0, 1, 0], [0, 2, 0]], label="not-closed")
+MILLER_12 = make_miller(1, 2)
+
+# (algebra, sweep, tuples, pairs evaluated); each failure is at a pair with a
+# transpose met before it
+KEY_SITES = {
+    **{f"polynomial-integration-{identity}": (
+        P, lambda identity=identity: check(identity, P, INTEG, Fraction(0),
+                                           DomainSpec.basis(0, 20)), 441, 231)
+       for identity in IDENTITIES},
+    "polynomial-violation": (
+        P, lambda: violation_report(P, "rbr", compose_operator(INTEG, make_shift_truncation(3)),
+                                    Fraction(0)), 11, 5),
+    "miller-22": (MILLER.algebra, lambda: check_rbr(MILLER.algebra, MILLER, ONE,
+                                                    DomainSpec.basis(0, 0)), 16, 10),
+    "miller-12-modified": (MILLER_12.algebra, lambda: check_modified_rbr(
+        MILLER_12.algebra, MILLER_12, ONE, DomainSpec.basis(0, 0)), 5, 4),
+    "finite-image-closure": (C3, lambda: check_image_closure(C3, NOT_CLOSED), 4, 3),
+    "laurent-image-closure": (L, lambda: check_image_closure(
+        L, make_shift_truncation(2), DomainSpec.basis(-3, 3)), 30, 20),
+}
+
+
+@pytest.mark.parametrize("algebra, sweep, tuples, pairs", KEY_SITES.values(), ids=KEY_SITES)
+def test_transposition_key_sweeps_match_full_sweeps(decided, algebra, sweep, tuples, pairs):
+    report = sweep()
+    assert (report.tuples, sum(decided.values())) == (tuples, pairs)
+    assert report.to_json() == keyless(algebra, sweep).to_json()
+    assert sum(decided.values()) == pairs + tuples
+
+
+def test_transposition_key_on_a_file_table(decided, tmp_path):
+    (tmp_path / "a.json").write_text(json.dumps(TRUNCATED_POLYNOMIALS))
+    (tmp_path / "r.json").write_text(json.dumps(LAST_TO_FIRST))
+    algebra, context = parse_algebra(f"file:{tmp_path / 'a.json'}")
+    op = parse_operator(f"file:{tmp_path / 'r.json'}", algebra, context)
+    assert algebra.commutative
+    # at weight 0 the witness is (x², x²), after three skipped transposes
+    for lam, tuples, pairs in ((Fraction(0), 9, 6), (ONE, 3, 3)):
+        decided.clear()
+        sweep = lambda: check_rbr(algebra, op, lam, DomainSpec.basis(0, 0))
+        report = sweep()
+        assert (report.status, report.tuples, decided["rbr"]) == ("fail", tuples, pairs)
+        assert report.to_json() == keyless(algebra, sweep).to_json()
+
+
+def test_a_noncommutative_sweep_keeps_every_pair(evaluated):
+    report = check_rbr(M2, borel_projector_m2(), ONE, DomainSpec.basis(0, 0))
+    assert (report.status, report.tuples) == ("pass", 16)
+    assert len(evaluated) == 16
+
+
+def test_compositions_with_prec_and_succ_keep_every_pair(decided):
+    """≺ and ≻ do not commute, even on a commutative algebra: with an
+    operator that has no cuts, ``rbr.on.*`` evaluates every pair."""
+    assert MILLER.algebra.commutative and thresholds(MILLER.expr) is None
+    reports = check_rbr_on_compositions(build_tri_from_rbo(MILLER, ONE), MILLER,
+                                        DomainSpec.basis(0, 0))
+    assert [(r.check, r.status, r.tuples) for r in reports] == \
+        [("rbr.on.prec", "pass", 16), ("rbr.on.succ", "pass", 16)]
+    assert decided["rbr.on.prec"] == decided["rbr.on.succ"] == 16
+
+
+def test_commutative_is_read_off_the_product(tmp_path):
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(structure_constants_to_json(M2.constants)))
+    (tmp_path / "a.json").write_text(json.dumps(TRUNCATED_POLYNOMIALS))
+    assert L.commutative and P.commutative and C3.commutative
+    assert parse_algebra(f"file:{tmp_path / 'a.json'}")[0].commutative
+    assert not M2.commutative
+    assert not parse_algebra(f"file:{path}")[0].commutative
+    assert not TensorAlgebra(C3, 2).commutative

@@ -950,14 +950,9 @@ def test_one_command_parser_matches_the_full_parser(command, capsys):
 # --- a closed stdout changes neither the report nor the exit code --------------
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_keeps_the_report_and_the_verdict(unbuffered, tmp_path, capsys):
-    """With stdout's reader gone before the run starts, the listing is
-    dropped: the --output file holds the bytes of a normal run, the exit
-    code is the verdict's, and stderr stays empty."""
-    argv = ["check-rbr", "--algebra", "laurent", "--operator", "shift:2", "--weight", "1",
-            "--range", "-3", "3", "--output"]
-    assert run_cli(*argv, str(tmp_path / "normal.json")) == 1
+def run_with_closed_stdout(argv, cwd, unbuffered=False):
+    """``python -m rotabaxter *argv`` with stdout the write end of a pipe
+    whose read end is closed."""
     env = dict(os.environ, PYTHONPATH=str(Path(rotabaxter.__file__).parents[1]),
                PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)
@@ -966,11 +961,31 @@ def test_a_closed_stdout_keeps_the_report_and_the_verdict(unbuffered, tmp_path, 
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "rotabaxter", *argv, "f.json"],
-                              cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+        return subprocess.run([sys.executable, "-m", "rotabaxter", *argv],
+                              cwd=cwd, env=env, stdout=write_end, stderr=subprocess.PIPE,
                               timeout=60)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_keeps_the_report_and_the_verdict(unbuffered, tmp_path, capsys):
+    """With stdout's reader gone before the run starts, the listing is
+    dropped: the --output file holds the bytes of a normal run, the exit
+    code is the verdict's, and stderr stays empty."""
+    argv = ["check-rbr", "--algebra", "laurent", "--operator", "shift:2", "--weight", "1",
+            "--range", "-3", "3", "--output"]
+    assert run_cli(*argv, str(tmp_path / "normal.json")) == 1
+    proc = run_with_closed_stdout([*argv, "f.json"], tmp_path, unbuffered)
     assert proc.returncode == 1
     assert proc.stderr == b""
     assert (tmp_path / "f.json").read_bytes() == (tmp_path / "normal.json").read_bytes()
+
+
+def test_help_with_a_closed_stdout_exits_0(tmp_path):
+    """``--help`` leaves its text in a buffered stdout; with the reader
+    gone, the top-level help and each command's help still exit 0, and
+    stderr stays empty."""
+    for argv in [[], *([command] for command in _COMMANDS)]:
+        proc = run_with_closed_stdout([*argv, "--help"], tmp_path)
+        assert (argv, proc.returncode, proc.stderr) == (argv, 0, b"")
