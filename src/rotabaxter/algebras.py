@@ -40,7 +40,7 @@ class LaurentAlgebra(Algebra):
     variable = "z"
 
     def validate_key(self, key) -> None:
-        if not isinstance(key, int):
+        if type(key) is not int:
             raise FormatError(f"Laurent exponent must be an integer, got {key!r}")
 
     def basis_product(self, i: int, j: int):
@@ -170,7 +170,7 @@ class FiniteAlgebra(Algebra):
         self._rows = tuple({j: p for j, p in enumerate(plane) if p} for plane in products)
 
     def validate_key(self, key) -> None:
-        if not isinstance(key, int) or not 0 <= key < self.dimension:
+        if type(key) is not int or not 0 <= key < self.dimension:
             raise FormatError(
                 f"basis index {key!r} outside 0..{self.dimension - 1}")
 
@@ -308,7 +308,7 @@ def structure_constants_from_json(data) -> StructureConstants:
     if "dim" not in data:
         raise FormatError("missing field 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FormatError(f"field 'dim' must be a positive integer, got {dim!r}")
     table = data.get("c")
     if not isinstance(table, list) or len(table) != dim:

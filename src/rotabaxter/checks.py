@@ -31,40 +31,37 @@ d_1···d_n, exactly.  Only the inputs are cleared: an operator with
 non-integer matrix entries, or a rational weight, still brings
 ``Fraction`` arithmetic into a sweep.
 
-A basis window of a Laurent-type algebra, swept for an operator built
-by scale, sum and compose from ``id`` and the truncations ``ms``,
-``ms-opp`` and ``shift:r`` (:func:`~rotabaxter.operators.thresholds`),
-evaluates one tuple per sign pattern.  Such an operator maps z^e to
-c(e)·z^e, where c(e) depends only on which of its cuts t have e ≤ t.
-On (z^a, z^b) each side of a pair identity is then a scalar times
-z^(a+b), and both scalars depend only on c(a), c(b) and c(a+b).  On
-(z^a, z^b, z^c) each side of a dendriform axiom of a splitting of such
-an operator is a scalar times z^(a+b+c), fixed by the sides of a, b, c,
-a+b, b+c and a+b+c (see :mod:`rotabaxter.dendriform`).  So two tuples
-whose contiguous sums have the same pattern against the cuts have the
-same verdict, and the first failing tuple in sweep order is the first of
-its pattern.  The pass counts every tuple, and evaluates the first of
-each pattern only: the verdict, the tuple count and the witness are
-those of the full sweep.  On any window, ``rbr`` of ``ms`` evaluates at
-most 6 pairs, and the ``tri`` axioms of its splitting at most 24 triples.
+A basis sweep evaluates the first tuple of each verdict key
+(:func:`_basis_key`) only, and counts every tuple.  Tuples with equal
+keys have the same verdict, and raise the same error if any, so the
+first failing tuple in sweep order is the first of its key: the verdict,
+the tuple count, the witness and any error are those of the full sweep.
+There are two keys, and random tuples get neither.
 
-On a commutative algebra (``Algebra.commutative``: Laurent-type ones,
-and a finite-dimensional one whose table is symmetric) each side of an
+The sign pattern, on a Laurent-type algebra, for an operator built by
+scale, sum and compose from ``id`` and the truncations ``ms``,
+``ms-opp`` and ``shift:r`` (:func:`~rotabaxter.operators.thresholds`).
+Such an operator maps z^e to c(e)·z^e, where c(e) depends only on which
+of its cuts t have e ≤ t.  On (z^a, z^b) each side of a pair identity is
+then a scalar times z^(a+b), and both scalars depend only on c(a), c(b)
+and c(a+b).  On (z^a, z^b, z^c) each side of a dendriform axiom of a
+splitting of such an operator is a scalar times z^(a+b+c), fixed by the
+sides of a, b, c, a+b, b+c and a+b+c (see :mod:`rotabaxter.dendriform`).
+The key is the side of every cut for each of these contiguous sums.  On
+any window, ``rbr`` of ``ms`` evaluates at most 6 pairs, and the ``tri``
+axioms of its splitting at most 24 triples.
+
+Otherwise the transposition key, the sorted pair, on a commutative
+algebra (``Algebra.commutative``: Laurent-type ones, and a
+finite-dimensional one whose table is symmetric).  Each side of an
 identity of :data:`IDENTITIES` at (y, x) is its side at (x, y), since
 xy = yx, R(x)y = yR(x), and so on; for ``lie-modified`` both sides only
-change sign.  The same holds for the product of an image-closure pair.
-So (x, y) and (y, x) have the same verdict, and the operator sees the
-same inputs on both, so one raises when the other does.  A basis window
-lists its keys in key order, so of each pair (a, b) and its transpose
-the one with a ≤ b comes first in sweep order, and the first failing
-pair of a full sweep is always the first of its class.  A pass keyed on
-the sorted pair of basis keys (the transposition key; positions in the
-image basis for image closure) counts every pair and evaluates the first
-of each class only: n(n + 1)/2 of the n² pairs of an n-element window.
-The key is applied only where the product is the algebra's own and no
-sign key applies, which already evaluates at most 6 pairs; never to
-random tuples, to the dendriform axioms, or to ``rbr.on.*``, whose ≺ and
-≻ do not commute.
+change sign.  The same holds for the product of an image-closure pair,
+keyed on positions in the image basis.  The operator sees the same
+inputs on both, so one raises when the other does.  Basis order is key
+order, so of n² pairs the n(n + 1)/2 with a ≤ b are evaluated.  The key
+applies only where the product is the algebra's own: never to the
+dendriform axioms, or to ``rbr.on.*``, whose ≺ and ≻ do not commute.
 """
 
 from __future__ import annotations
@@ -260,14 +257,17 @@ IDENTITIES = {
 }
 
 
-def _sign_pattern(algebra: Algebra, cuts, arity: int, lo: int, hi: int):
-    """The key of a tuple's verdict on the basis window [lo, hi] (see the
-    module docstring): for the exponents of a tuple of ``arity`` (2 or 3)
-    monomials, the side of every cut for each of their contiguous sums.
-    None unless the algebra is Laurent-type and ``cuts`` are known.  The
-    side of each exponent a sum can take is found once, so a key costs a
-    few lookups."""
+def _basis_key(algebra: Algebra, cuts, arity: int, lo: int, hi: int, transposable: bool):
+    """The verdict key (see the module docstring) of a tuple of ``arity``
+    (2 or 3) members of the basis window [lo, hi], as a function of the
+    members' basis keys, or positions in an image basis, passed as
+    separate arguments.  The sign pattern when the algebra is Laurent-type
+    and ``cuts`` are known: the side of each exponent a sum can take is
+    found once, so a key costs a few lookups.  Otherwise the sorted pair,
+    for a ``transposable`` pair on a commutative algebra; otherwise None."""
     if cuts is None or not isinstance(algebra, LaurentAlgebra):
+        if transposable and algebra.commutative:
+            return lambda a, b: (a, b) if a <= b else (b, a)
         return None
     cuts = sorted(cuts)
     side = {e: bisect_left(cuts, e) for e in range(min(lo, arity * lo), max(hi, arity * hi) + 1)}
@@ -276,41 +276,17 @@ def _sign_pattern(algebra: Algebra, cuts, arity: int, lo: int, hi: int):
     return lambda a, b, c: (side[a], side[b], side[c], side[a + b], side[b + c], side[a + b + c])
 
 
-def _pair_key(algebra: Algebra, cuts, lo: int, hi: int):
-    """:func:`_sign_pattern` on a pair of monomials of the window [lo, hi]."""
-    pattern = _sign_pattern(algebra, cuts, 2, lo, hi)
-    if pattern is None:
+def _pair_key(algebra: Algebra, cuts, lo: int, hi: int, transposable: bool):
+    """:func:`_basis_key` on a pair of basis elements of the window [lo, hi]."""
+    key = _basis_key(algebra, cuts, 2, lo, hi, transposable)
+    if key is None:
         return None
 
-    def key(pair):
+    def pair_key(pair):
         (a,), (b,) = pair[0].terms, pair[1].terms
-        return pattern(a, b)
+        return key(a, b)
 
-    return key
-
-
-def _unordered(pair: tuple) -> tuple:
-    """The transposition key of a pair: its two members in sorted order,
-    the same for (a, b) and (b, a)."""
-    a, b = pair
-    return pair if a <= b else (b, a)
-
-
-def _transposition_key(pair) -> tuple:
-    """:func:`_unordered` on the basis keys of a pair of basis elements."""
-    (a,), (b,) = pair[0].terms, pair[1].terms
-    return _unordered((a, b))
-
-
-def _basis_pair_key(algebra: Algebra, op: WeightedOperator, lo: int, hi: int):
-    """The key of an identity of the algebra's own product on the basis
-    pairs of the window [lo, hi]: the sign pattern (:func:`_pair_key`) of a
-    truncation-built operator on a Laurent-type algebra, otherwise the
-    transposition key on a commutative algebra, otherwise None."""
-    key = _pair_key(algebra, thresholds(op.expr), lo, hi)
-    if key is None and algebra.commutative:
-        return _transposition_key
-    return key
+    return pair_key
 
 
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
@@ -327,11 +303,11 @@ def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
 def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
     """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``;
-    a Laurent basis window of a truncation-built operator evaluates one
-    pair per sign pattern, and any other basis window of a commutative
-    algebra one pair per transposition class (see the module docstring)."""
+    a basis window evaluates one pair per verdict key (see the module
+    docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    key = _basis_pair_key(algebra, op, dom.lo, dom.hi) if isinstance(dom, BasisWindow) else None
+    key = _pair_key(algebra, thresholds(op.expr), dom.lo, dom.hi, True) \
+        if isinstance(dom, BasisWindow) else None
     shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
     return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
@@ -458,9 +434,8 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     remainder against it.  Laurent-type algebras need a window (``dom``)
     and an operator acting diagonally and idempotently on the swept
     monomials; its image is then the fixed subspace, and a product must
-    be fixed.  Random-mode domains are refused for both kinds.  On a
-    commutative algebra, each pair of positions in the image basis and its
-    transpose are decided once (see the module docstring).
+    be fixed.  Random-mode domains are refused for both kinds.  Pairs of
+    positions in the image basis are keyed (see the module docstring).
     """
     if isinstance(dom, RandomSample):
         raise UnsupportedDomainError(
@@ -479,7 +454,8 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
             f"image closure is not defined on {algebra.describe()}")
     total = 0
     notes = []
-    key = _unordered if algebra.commutative else None
+    order = _basis_key(algebra, None, 2, 0, 0, True)
+    key = None if order is None else lambda ij: order(*ij)
     for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
         def prepare(ij, basis=basis):
             pair = basis[ij[0]], basis[ij[1]]
@@ -518,14 +494,11 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     k = 0..max_range, and nothing else: every identity is multilinear and
     every operator linear, so the basis pairs of a window decide the
     identity for all elements supported there, and no element drawn
-    inside the last window could add a witness.  As in :func:`check`, a
-    Laurent-type algebra and a truncation-built operator evaluate the
-    first pair of each sign pattern only, and otherwise a commutative
-    algebra the first pair of each transposition class.  One set of keys
-    serves the whole search, so a pair that an earlier window decided is
-    counted again but not evaluated.  The ``domain`` records
-    ``samples`` and ``seed`` as 0, so that its keys stay those of the
-    reports pinned in the ``paper-all`` output."""
+    inside the last window could add a witness.  Pairs are keyed as in
+    :func:`check`, with one set of keys for the whole search, so a pair
+    that an earlier window decided is counted again but not evaluated.
+    The ``domain`` records ``samples`` and ``seed`` as 0, so that its keys
+    stay those of the reports pinned in the ``paper-all`` output."""
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
     sides = _term_sides(identity, algebra, op, lam)
@@ -540,7 +513,7 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
                 last = keys
                 yield from DomainSpec.basis(-k, k).tuples(algebra, 2)
 
-    key = _basis_pair_key(algebra, op, -max_range, max_range)
+    key = _pair_key(algebra, thresholds(op.expr), -max_range, max_range, True)
     witness, count = SharedPass(tuples(), {identity: sides}, key=key).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}

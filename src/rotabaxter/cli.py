@@ -242,6 +242,8 @@ def load_tensor(path: str):
     data = load_json(path)
     if not isinstance(data, dict) or "algebra" not in data:
         raise FormatError(f"{path}: tensor file needs an 'algebra' field")
+    if not isinstance(data["algebra"], str):
+        raise FormatError(f"{path}: field 'algebra' must be a string, got {data['algebra']!r}")
     algebra, _ = parse_algebra(data["algebra"])
     if not isinstance(algebra, FiniteAlgebra):
         raise FormatError(f"{path}: field 'algebra' must name a finite-dimensional "

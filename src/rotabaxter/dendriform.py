@@ -47,12 +47,11 @@ an ``Element``, so the work does not depend on ``PYTHONHASHSEED``.  Each
 axiom still gets the report of a sweep of its own.
 
 Each product carries the cuts of L, R and M (:func:`operators.thresholds`),
-or None when one of them is outside the truncation class.
-A basis pass on a Laurent-type algebra whose products all carry cuts
-evaluates one triple per sign pattern, as :func:`checks.check` evaluates
-one pair: at most 24 triples of any window for ``ms``.  A plain function
-of elements, such as a ∘ swapped in with ``dataclasses.replace``,
-carries no cuts, and the passes that use it evaluate every triple.
+or None when one of them is outside the truncation class, and a basis
+pass whose products all carry cuts is keyed on them (see :mod:`checks`).
+A plain function of elements, such as a ∘ swapped in with
+``dataclasses.replace``, carries no cuts, and the passes that use it
+evaluate every triple.
 """
 
 from __future__ import annotations
@@ -126,8 +125,7 @@ def _splitting(L: WeightedOperator, R: WeightedOperator, M: Optional[WeightedOpe
     ``multiply_terms`` and the operators' ``on_terms``, the input of M
     cleaned first.  Each carries ``cuts``, the union of the cuts of L, R
     and M (see :func:`operators.thresholds`), or None when one is not
-    known: an axiom pass whose products all carry cuts evaluates one
-    triple per sign pattern (see :func:`_axiom_reports`)."""
+    known."""
     cuts = _union([thresholds(op.expr) for op in (L, R, M) if op is not None])
 
     def on_terms(algebra: Algebra) -> list:
@@ -240,14 +238,11 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
     """One report per axiom of ``make_axioms(*muls)``, all decided in one
     shared pass.
 
-    On (z^a, z^b, z^c), a product of a splitting whose maps and ∘ act on
-    monomials by scalars fixed by ``cuts`` gives a scalar times z^(a+b+c)
-    on every side of an axiom.  A ≺, ≻ or ∘ of two operands of exponents p
-    and q has a scalar fixed by the sides of p, q and p+q, and the
-    operands of the axioms are a, c, a+b and b+c.  So in basis mode, with
-    ``cuts`` known, the pass evaluates the first triple of each sign
-    pattern of a, b, c, a+b, b+c and a+b+c only (see
-    :func:`checks._sign_pattern`): at most 24 triples for ``ms``.
+    With ``cuts`` known, a ≺, ≻ or ∘ of monomials of exponents p and q is
+    z^(p+q) times a scalar fixed by the sides of p, q and p+q, and the
+    operands of the axioms are a, c, a+b and b+c.  So in basis mode the
+    pass is keyed on the sign pattern of a, b, c, a+b, b+c and a+b+c
+    (:func:`checks._basis_key`): at most 24 triples for ``ms``.
 
     In basis mode every operand of the pass gets a value number, keyed by
     its clean terms: the basis elements of the window, and the products of
@@ -304,7 +299,7 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
                     (operands[p], operands[r], pair(p, q), pair(q, r)))
 
         tuples = itertools.product(range(n), repeat=3)
-        pattern = checks._sign_pattern(algebra, cuts, 3, dom.lo, dom.hi)
+        pattern = checks._basis_key(algebra, cuts, 3, dom.lo, dom.hi, False)
         key = None
         if pattern is not None:
             exponents = [e for x in basis for e in x.terms]
@@ -370,12 +365,10 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
         R(x) ≺ R(y) + R(x ≺ y) = R(R(x) ≺ y + x ≺ R(y))
 
     and likewise for ≻: :func:`checks.rbr_sides` at weight 1 with ≺ or ≻
-    as the product, both decided in one pass.  On a Laurent basis window,
-    with the cuts of ≺, ≻ and R known, the pass evaluates one pair per
-    sign pattern of a, b and a+b, as :func:`checks.check` does: 6 pairs
-    for ``ms``.  When the precondition fails
-    (operator not idempotent, or not weight 1 on this domain), the verdicts
-    are still computed and the reports are flagged.
+    as the product, both decided in one pass, keyed on the cuts of ≺, ≻
+    and R but not on transposition (see :mod:`checks`).  When the
+    precondition fails (operator not idempotent, or not weight 1 on this
+    domain), the verdicts are still computed and the reports are flagged.
     """
     algebra = ds.algebra
     notes = []
@@ -389,7 +382,7 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
     if isinstance(dom, BasisWindow):
         cuts = _union([getattr(ds.prec, "cuts", None), getattr(ds.succ, "cuts", None),
                        thresholds(R.expr)])
-        key = checks._pair_key(algebra, cuts, dom.lo, dom.hi)
+        key = checks._pair_key(algebra, cuts, dom.lo, dom.hi, False)
     shared = SharedPass(dom.tuples(algebra, 2), {
         # on elements, so that a wrapper of a product sees the calls (ROADMAP item 1)
         "rbr.on.prec": rbr_sides(_through_elements(ds.prec, algebra), R_terms, 1),

@@ -319,7 +319,7 @@ def operator_matrix_from_json(data, algebra: FiniteAlgebra) -> WeightedOperator:
     if not isinstance(data, dict):
         raise FormatError("operator-matrix file must be a JSON object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FormatError(f"field 'dim' must be a positive integer, got {dim!r}")
     if dim != algebra.dimension:
         raise InvalidDimensionError(

@@ -158,7 +158,7 @@ def tensor2_from_json(data, algebra: FiniteAlgebra) -> Element:
         if not isinstance(entry, dict) or not {"i", "j", "coeff"} <= set(entry):
             raise FormatError(f"field 'terms'[{k}] needs keys i, j, coeff")
         i, j = entry["i"], entry["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise FormatError(f"field 'terms'[{k}]: indices must be integers")
         key = (i, j)
         terms[key] = terms.get(key, 0) + as_rational(entry["coeff"])

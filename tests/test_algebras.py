@@ -325,14 +325,18 @@ def test_verify_associativity_witness_past_empty_operands():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: L.element({"a": 1}), FormatError, "Laurent exponent must be an integer, got 'a'"),
+    (lambda: L.element({True: 1}), FormatError, "Laurent exponent must be an integer, got True"),
     (lambda: make_componentwise(2).element({5: 1}), FormatError, "basis index 5 outside 0..1"),
+    (lambda: make_componentwise(2).element({True: 1}), FormatError,
+     "basis index True outside 0..1"),
     (lambda: make_componentwise(2).from_coords([1]), FormatError,
      "1 coordinates for dimension 2"),
     (lambda: StructureConstants.build(0, []), InvalidDimensionError,
      "dimension must be >= 1, got 0"),
     (lambda: StructureConstants.build(1, [[[1]]], unit=[1, 0]), InvalidDimensionError,
      "unit coordinate count != dimension"),
-], ids=["laurent-key", "finite-key", "coords", "dimension", "unit"])
+], ids=["laurent-key", "laurent-bool", "finite-key", "finite-bool", "coords", "dimension",
+        "unit"])
 def test_a_malformed_key_or_table_is_refused_with_its_message(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

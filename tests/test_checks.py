@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotabaxter import checks
-from rotabaxter.algebra import DomainSpec, Element, apply_operator, lie_bracket
+from rotabaxter.algebra import DomainSpec, Element, apply_operator, clean_terms, lie_bracket
 from rotabaxter.algebras import (
     LaurentAlgebra,
     laurent,
@@ -635,7 +635,7 @@ def truncation_ops(depth: int):
 def full_sweep(fn, *args):
     """``fn(*args)`` with no sign-pattern key and no transposition key, so
     every tuple is evaluated."""
-    with mock.patch.object(checks, "_sign_pattern", lambda *args: None), \
+    with mock.patch.object(checks, "_basis_key", lambda *args: None), \
             mock.patch.object(LaurentAlgebra, "commutative", False):
         return fn(*args)
 
@@ -901,3 +901,94 @@ def test_commutative_is_read_off_the_product(tmp_path):
     assert not M2.commutative
     assert not parse_algebra(f"file:{path}")[0].commutative
     assert not TensorAlgebra(C3, 2).commutative
+
+
+# --- the premise of the verdict key: equal keys, equal verdicts ------------------
+
+
+def keyed_passes(sweep):
+    """Run ``sweep()``; return the stream, sides, ``prepare`` and key of
+    each keyed SharedPass it made, the stream as a list."""
+    passes = []
+    init = checks.SharedPass.__init__
+
+    def recording_init(self, tuples, identities, prepare=None, key=None):
+        tuples = list(tuples)
+        if key is not None:
+            passes.append((tuples, identities, prepare, key))
+        init(self, tuples, identities, prepare, key)
+
+    with mock.patch.object(checks.SharedPass, "__init__", recording_init):
+        sweep()
+    return passes
+
+
+def assert_one_verdict_per_key(sweeps):
+    """Every item of a keyed pass of ``sweeps`` has, under each identity of
+    the pass, the verdict of every other item of its key."""
+    for sweep in sweeps:
+        for items, identities, prepare, key in keyed_passes(sweep):
+            verdicts = {}
+            for item in items:
+                tup, args = (item, [x.terms for x in item]) if prepare is None else prepare(item)
+                verdict = tuple(clean_terms(lhs) == clean_terms(rhs)
+                                for lhs, rhs in (sides(*args) for sides in identities.values()))
+                assert verdicts.setdefault(key(item), verdict) == verdict, tup
+
+
+WEIGHTS = [Fraction(0), ONE, Fraction(-1), Fraction(1, 2)]
+SPLITTINGS = [lambda op, lam: build_weight0_pair(op), build_modified_pair, build_tri_from_rbo,
+              lambda op, lam: build_from_nijenhuis(op)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_sign_pattern_class_has_one_verdict(data):
+    """On a Laurent-type window at most 5 wide, every pair or triple of
+    one sign pattern has the verdict of the others, under each pair
+    identity, the ≺/≻ compositions and each axiom of a splitting."""
+    algebra = data.draw(st.sampled_from([L, P]))
+    op = replace(data.draw(truncation_ops(2)), algebra=algebra)
+    lam = data.draw(st.sampled_from(WEIGHTS))
+    lo = data.draw(st.integers(-4 if algebra is P else -6, 6))
+    dom = DomainSpec.basis(lo, data.draw(st.integers(max(lo, 0) if algebra is P else lo, lo + 4)))
+    ds = data.draw(st.sampled_from(SPLITTINGS))(op, lam or ONE)
+    sweeps = [lambda identity=identity: check(identity, algebra, op, lam, dom)
+              for identity in IDENTITIES]
+    sweeps += [lambda: violation_report(algebra, "rbr", op, lam, 2),
+               lambda: check_dialgebra(ds, dom), lambda: check_star_associative(ds, dom),
+               lambda: check_rbr_on_compositions(ds, op, dom)]
+    if ds.has_middle:
+        sweeps.append(lambda: check_trialgebra(ds, dom))
+    assert_one_verdict_per_key(sweeps)
+
+
+def matrix_ops(n: int):
+    """Operators on ``componentwise:n`` with entries in [-1, 2]."""
+    row = st.lists(st.integers(-1, 2), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(
+        lambda rows: matrix_operator(make_componentwise(n), rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_transposition_class_has_one_verdict(data):
+    """On a commutative algebra, for an operator without cuts, a pair and
+    its transpose have one verdict under each pair identity and in both
+    image closures.  The ≺/≻ compositions and the axioms are swept too, so
+    a key given to their passes would be tested as well."""
+    op = data.draw(st.one_of(
+        matrix_ops(2), matrix_ops(3),
+        st.builds(make_miller, st.integers(1, 2), st.integers(1, 2)),
+        st.just(INTEG)))
+    algebra, lam = op.algebra, data.draw(st.sampled_from(WEIGHTS))
+    lo = data.draw(st.integers(0, 4))
+    dom = DomainSpec.basis(lo, data.draw(st.integers(lo, lo + 4)))
+    ds = build_tri_from_rbo(op, lam or ONE)
+    sweeps = [lambda identity=identity: check(identity, algebra, op, lam, dom)
+              for identity in IDENTITIES]
+    sweeps += [lambda: violation_report(algebra, "rbr", op, lam, 2),
+               lambda: check_rbr_on_compositions(ds, op, dom), lambda: check_dialgebra(ds, dom)]
+    if algebra is not P:
+        sweeps.append(lambda: check_image_closure(algebra, replace(op, weight=lam)))
+    assert_one_verdict_per_key(sweeps)

@@ -201,11 +201,13 @@ def test_operator_matrix_dimension_mismatch(tmp_path):
 @pytest.mark.parametrize("data, message", [
     ([1], "structure-constants file must be a JSON object"),
     ({"dim": "2", "c": []}, "field 'dim' must be a positive integer, got '2'"),
+    ({"dim": True, "c": [[[1]]], "unit": ["1"]},
+     "field 'dim' must be a positive integer, got True"),
     ({"dim": 2, "c": [[[0, 0], [0, 0]], [[0, 0]]]}, "field 'c'[1] must be a list of length dim"),
     ({"dim": 2, "c": [[[0, 0], [0]], [[0, 0], [0, 0]]]},
      "field 'c'[0][1] must be a list of length dim"),
     ({"dim": 1, "c": [[[1]]], "unit": [1, 0]}, "field 'unit' must be a list of length dim"),
-], ids=["non-object", "dim", "c[i]", "c[i][j]", "unit"])
+], ids=["non-object", "dim", "dim-bool", "c[i]", "c[i][j]", "unit"])
 def test_a_malformed_structure_constants_file_names_the_field(data, message, tmp_path,
                                                               capsys):
     path = tmp_path / "algebra.json"
@@ -219,11 +221,13 @@ def test_a_malformed_structure_constants_file_names_the_field(data, message, tmp
     ("componentwise:2", [[1, 0], [0, 1]], "operator-matrix file must be a JSON object"),
     ("componentwise:2", {"dim": 0, "matrix": []},
      "field 'dim' must be a positive integer, got 0"),
+    ("componentwise:1", {"dim": True, "matrix": [["1"]]},
+     "field 'dim' must be a positive integer, got True"),
     ("componentwise:2", {"dim": 2, "matrix": [[1, 0], [0]]},
      "field 'matrix' must be a dim x dim array"),
     ("laurent", {"dim": 2, "matrix": [[1, 0], [0, 1]]},
      "operator-matrix files need a finite-dimensional algebra"),
-], ids=["non-object", "dim", "non-square", "laurent"])
+], ids=["non-object", "dim", "dim-bool", "non-square", "laurent"])
 def test_a_malformed_operator_matrix_file_names_the_field(algebra, data, message, tmp_path,
                                                           capsys):
     path = tmp_path / "operator.json"
@@ -240,9 +244,12 @@ def test_a_malformed_operator_matrix_file_names_the_field(algebra, data, message
      "field 'terms'[0] needs keys i, j, coeff"),
     ({"algebra": "matrix:2", "terms": [{"i": 0, "j": 1.0, "coeff": "1"}]},
      "field 'terms'[0]: indices must be integers"),
+    ({"algebra": "matrix:2", "terms": [{"i": True, "j": True, "coeff": "1"}]},
+     "field 'terms'[0]: indices must be integers"),
     ({"algebra": "laurent", "terms": []},
      "field 'algebra' must name a finite-dimensional algebra, got 'laurent'"),
-], ids=["non-object", "terms", "keys", "indices", "laurent"])
+    ({"algebra": 5, "terms": []}, "field 'algebra' must be a string, got 5"),
+], ids=["non-object", "terms", "keys", "indices", "indices-bool", "laurent", "algebra"])
 def test_a_malformed_tensor_file_names_the_field(data, message, tmp_path, capsys):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(data))
