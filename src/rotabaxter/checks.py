@@ -31,12 +31,13 @@ d_1···d_n, exactly.  Only the inputs are cleared: an operator with
 non-integer matrix entries, or a rational weight, still brings
 ``Fraction`` arithmetic into a sweep.
 
-A basis sweep evaluates the first tuple of each verdict key
-(:func:`_basis_key`) only, and counts every tuple.  Tuples with equal
-keys have the same verdict, and raise the same error if any, so the
-first failing tuple in sweep order is the first of its key: the verdict,
-the tuple count, the witness and any error are those of the full sweep.
-There are two keys, and random tuples get neither.
+A basis sweep visits and evaluates only the first tuple of each verdict
+key (:func:`_basis_key`), and takes each tuple's count from its place in
+sweep order and the count of a passing sweep from the window's size.
+Tuples with equal keys have the same verdict, and raise the same error
+if any, so the first failing tuple in sweep order is the first of its
+key: the verdict, the tuple count, the witness and any error are those
+of the full sweep.  There are two keys, and random tuples get neither.
 
 The sign pattern, on a Laurent-type algebra, for an operator built by
 scale, sum and compose from ``id`` and the truncations ``ms``,
@@ -50,6 +51,20 @@ sides of a, b, c, a+b, b+c and a+b+c (see :mod:`rotabaxter.dendriform`).
 The key is the side of every cut for each of these contiguous sums.  On
 any window, ``rbr`` of ``ms`` evaluates at most 6 pairs, and the ``tri``
 axioms of its splitting at most 24 triples.
+
+The first tuple of each sign pattern is found without visiting the
+others.  Along the last member, with the members before it fixed, a side
+can change only where that member, or a contiguous sum ending in it,
+crosses a cut.  So the key is constant on the runs between those places,
+and the first tuple of a key starts a run: its last member is the
+window's start, or the first exponent past t − s, for a cut t and s such
+a sum less the member, found by bisecting the window's exponents.  Each
+earlier member of a first tuple is likewise the least value its pattern
+allows given the members before it, but a sum that holds later members
+bounds it too, by a cut less what those members can at most add: that
+least value is a longest path in the pattern's difference constraints
+(:func:`_least_members`).  So a sweep visits a few tuples per cut,
+however wide the window: 72 triples for the ``tri`` axioms of ``ms``.
 
 Otherwise the transposition key, the sorted pair, on a commutative
 algebra (``Algebra.commutative``: Laurent-type ones, and a
@@ -97,17 +112,25 @@ def _element(algebra: Algebra, terms: dict, d: int) -> Element:
 class SharedPass:
     """One sweep of a tuple stream that decides several identities together.
 
-    ``identities`` maps an id to its ``sides(*args) -> (lhs, rhs)``, two
-    term dicts of the tuple's algebra; without ``prepare``, ``args`` are
-    the term dicts of the tuple's elements.  With ``prepare``, the stream
-    may yield any item that names a tuple, such as its positions in a
-    basis, and ``prepare(item)`` returns ``(tuple, args)``: ``args`` is the
-    work the identities of a tuple share, done once per tuple.  The sides
-    agree when they are the same object or compare equal; two differing
-    dicts are compared again as elements, which drops their zeros, and
-    only a witness builds elements from them.  An identity is decided at
-    its first witness, or at the end of the stream, and then drops out of
-    the pass.
+    ``indexed`` yields ``(index, item)`` pairs in sweep order, the index
+    counting the tuples of the sweep up to and including the item's, and
+    ``total`` is the number of tuples of the whole sweep, or a function
+    that gives it once ``indexed`` is exhausted.  A basis sweep
+    yields only the first tuple of each verdict key (:func:`_first_of_keys`),
+    so its indices skip the others; an unkeyed stream is
+    ``enumerate(tuples, 1)``, and a :class:`RandomTuples` stream is numbered
+    so by the pass itself.  ``identities`` maps an id to its
+    ``sides(*args) -> (lhs, rhs)``, two term dicts of the tuple's algebra;
+    without ``prepare``, an item is a tuple of elements and ``args`` their
+    term dicts.  With ``prepare``, an item may be anything that names a
+    tuple, such as its positions in a basis, and ``prepare(item)`` returns
+    ``(tuple, args)``: ``args`` is the work the identities of a tuple
+    share, done once per tuple.  The sides agree when they are the same
+    object or compare equal; two differing dicts are compared again as
+    elements, which drops their zeros, and only a witness builds elements
+    from them.  An identity is decided at its first witness, with the
+    index of its tuple as its count, or with ``total`` at the end of the
+    stream, and then drops out of the pass.
 
     :meth:`outcome` advances the pass only until the identity asked for is
     decided; the identities decided on the way keep their witness and
@@ -120,29 +143,22 @@ class SharedPass:
     Over :class:`RandomTuples`, the sides and ``prepare`` see the cleared
     numerators ``integral(x.terms)[0]`` of each tuple's elements, and a
     witness is divided back onto the tuple as drawn.
-
-    With ``key``, an item whose ``key(item)`` was met before is counted
-    but not evaluated.  The caller guarantees that items with equal keys
-    have the same verdict, and raise the same error if any, under every
-    identity of the pass.  A witness is then always the first item of its
-    key, which is evaluated, so the witnesses, tuple counts and errors
-    are those of a pass that evaluates every item.
     """
 
-    def __init__(self, tuples, identities: dict, prepare=None, key=None):
-        self._tuples = iter(tuples)
-        self._cleared = isinstance(tuples, RandomTuples)
+    def __init__(self, indexed, total: int, identities: dict, prepare=None):
+        self._cleared = isinstance(indexed, RandomTuples)
         if self._cleared:
+            indexed = enumerate(indexed, 1)
             on_cleared = prepare
 
             def prepare(tup):
                 swept = tuple(integral(x.terms)[0] for x in tup)
                 return tup, swept if on_cleared is None else on_cleared(swept)[1]
+        self._indexed = iter(indexed)
+        self._total = total
         self._prepare = prepare
-        self._key, self._keys_met = key, set()
         self._open = list(identities.items())
         self._decided: dict = {}  # id -> (witness or None, tuples swept)
-        self._count = 0
 
     def outcome(self, check_id: str) -> tuple:
         """The first witness of ``check_id`` (or None) and the number of
@@ -150,15 +166,8 @@ class SharedPass:
         decided = self._decided
         if check_id in decided:
             return decided[check_id]
-        prepare, open_sides, count = self._prepare, self._open, self._count
-        key, keys_met = self._key, self._keys_met
-        for item in self._tuples:
-            count += 1
-            if key is not None:
-                k = key(item)
-                if k in keys_met:
-                    continue
-                keys_met.add(k)
+        prepare, open_sides = self._prepare, self._open
+        for count, item in self._indexed:
             if prepare is None:
                 tup, args = item, [x.terms for x in item]
             else:
@@ -177,9 +186,10 @@ class SharedPass:
             if check_id in decided:
                 break
         else:
-            decided.update((i, (None, count)) for i, _ in open_sides)
+            total = self._total() if callable(self._total) else self._total
+            decided.update((i, (None, total)) for i, _ in open_sides)
             open_sides = []
-        self._open, self._count = open_sides, count
+        self._open = open_sides
         return decided[check_id]
 
 
@@ -276,17 +286,111 @@ def _basis_key(algebra: Algebra, cuts, arity: int, lo: int, hi: int, transposabl
     return lambda a, b, c: (side[a], side[b], side[c], side[a + b], side[b + c], side[a + b + c])
 
 
-def _pair_key(algebra: Algebra, cuts, lo: int, hi: int, transposable: bool):
-    """:func:`_basis_key` on a pair of basis elements of the window [lo, hi]."""
-    key = _basis_key(algebra, cuts, 2, lo, hi, transposable)
+def _first_of_keys(algebra: Algebra, cuts, arity: int, keys: list, transposable: bool,
+                   seen: set | None = None):
+    """``(index, positions)`` of the first tuple of each verdict key
+    (:func:`_basis_key`) among the ``arity``-tuples of the window whose
+    members have the sorted basis keys ``keys``, in the sweep order of
+    ``itertools.product(range(len(keys)), repeat=arity)``; ``index`` is
+    the tuple's place in that order, counted from 1.  Only tuples that can
+    be first are visited: for the sign pattern, each member at one of its
+    candidates (:func:`_least_members`) given the members before it; for
+    the transposition key, the pairs p <= q.  A key in ``seen`` was met
+    before, and each key met is added to it.  Every tuple when no key
+    applies."""
+    n = len(keys)
+    key = _basis_key(algebra, cuts, arity, min(keys, default=0), max(keys, default=0),
+                     transposable)
     if key is None:
-        return None
+        return enumerate(itertools.product(range(n), repeat=arity), 1)
+    if cuts is None or not isinstance(algebra, LaurentAlgebra):
+        candidates = ((p * n + q + 1, (p, q)) for p in range(n) for q in range(p, n))
+        return candidates if seen is None else _unseen(candidates, key, keys, seen)
+    least = _least_members(sorted(cuts), arity, keys[0], keys[-1])
+    found, seen = [], set() if seen is None else seen
 
-    def pair_key(pair):
-        (a,), (b,) = pair[0].terms, pair[1].terms
-        return key(a, b)
+    def visit(index: int, positions: tuple, members: list, sums: list) -> None:
+        # sums[i] is the sum of the first i members; the next member's
+        # candidates are its least values, in order
+        j, s = len(positions), sums[-1]
+        candidates = {bisect_left(keys, sums[i] + w - s) for i, w in least[j]}
+        candidates.discard(n)
+        for p in sorted(candidates):
+            if j + 1 < arity:
+                visit(index * n + p, positions + (p,), members + [keys[p]],
+                      sums + [s + keys[p]])
+            else:
+                k = key(*members, keys[p])
+                if k not in seen:
+                    seen.add(k)
+                    found.append((index * n + p + 1, positions + (p,)))
 
-    return pair_key
+    visit(0, (), [], [0])
+    return iter(found)
+
+
+def _unseen(indexed, key, keys: list, seen: set):
+    """The items of ``indexed`` whose key is not in ``seen``, which gets it."""
+    for index, positions in indexed:
+        k = key(*[keys[p] for p in positions])
+        if k not in seen:
+            seen.add(k)
+            yield index, positions
+
+
+def _least_members(cuts: list, arity: int, lo: int, hi: int) -> list:
+    """Where the first tuple of a sign pattern can put each member, for
+    ``arity`` members taken from the consecutive exponents [lo, hi].
+
+    Write S_i for the sum of the first i members, S_0 = 0.  A sign pattern
+    bounds each contiguous sum S_v − S_u by the cuts around it, as
+    S_v − S_u >= t + 1 or S_v − S_u <= t for cuts t, and each member lies
+    in [lo, hi].  These are difference constraints with integer bounds:
+    with the members before member j fixed, the least S_(j+1) over the
+    pattern's tuples is the longest path to it from a fixed S_i through
+    later S only, in the graph with an edge u -> v of weight b for each
+    bound S_v − S_u >= b (a bound S_v − S_u <= t is the edge v -> u of
+    weight −t).  The first tuple of the pattern in sweep order holds, for
+    each j in turn, the least member j given the members before it.  A
+    path's weight is a sum of cuts, cuts plus 1, lo and −hi, whatever the
+    pattern, so entry j lists the pairs (i, w) of a fixed S_i and a path
+    weight w, and member j's candidates are S_i + w − S_j: lo, the
+    window's start, among them.  On the last member they are the run
+    starts of the module docstring."""
+    nodes = range(arity + 1)
+    # the weights each edge u -> v can have
+    bounds = {(u, v): ({t + 1 for t in cuts} | ({lo} if v == u + 1 else set())) if u < v
+              else ({-t for t in cuts} | ({-hi} if u == v + 1 else set()))
+              for u in nodes for v in nodes if u != v}
+    least = []
+    for j in range(arity):
+        target, weights = j + 1, set()
+        # (fixed start, last node, later nodes passed, weights so far)
+        paths = [(i, i, set(), {0}) for i in range(target)]
+        while paths:
+            start, node, passed, total = paths.pop()
+            for step in set(range(target, arity + 1)) - passed:
+                reached = {w + b for w in total for b in bounds[node, step]}
+                if step == target:
+                    weights.update((start, w) for w in reached)
+                else:
+                    paths.append((start, step, passed | {step}, reached))
+        least.append(sorted(weights))
+    return least
+
+
+def _indexed_tuples(algebra: Algebra, dom: DomainSpec, arity: int, cuts=None,
+                    transposable: bool = False) -> tuple:
+    """The stream of a :class:`SharedPass` over the ``arity``-tuples of
+    ``dom``, and their number: over a basis window, the first tuple of each
+    verdict key (:func:`_first_of_keys`), as basis elements."""
+    if isinstance(dom, RandomSample):
+        return dom.tuples(algebra, arity), dom.samples
+    basis = dom.basis(algebra)
+    firsts = _first_of_keys(algebra, cuts, arity, [k for x in basis for k in x.terms],
+                            transposable)
+    return ((i, tuple(basis[p] for p in positions)) for i, positions in firsts), \
+        len(basis) ** arity
 
 
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
@@ -303,12 +407,11 @@ def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
 def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
           dom: DomainSpec) -> CheckReport:
     """Sweep one of the :data:`IDENTITIES` at weight ``lam`` over ``dom``;
-    a basis window evaluates one pair per verdict key (see the module
+    a basis window visits one pair per verdict key (see the module
     docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    key = _pair_key(algebra, thresholds(op.expr), dom.lo, dom.hi, True) \
-        if isinstance(dom, BasisWindow) else None
-    shared = SharedPass(dom.tuples(algebra, 2), {identity: sides}, key=key)
+    shared = SharedPass(*_indexed_tuples(algebra, dom, 2, thresholds(op.expr), True),
+                        {identity: sides})
     return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
 
@@ -340,7 +443,7 @@ def check_idempotent(algebra: Algebra, op: WeightedOperator,
         rx = R(x)
         return R(rx), rx
 
-    shared = SharedPass(dom.tuples(algebra, 1), {"idempotent": sides})
+    shared = SharedPass(*_indexed_tuples(algebra, dom, 1), {"idempotent": sides})
     return sweep_identity("idempotent", algebra, op.describe(), None, dom, shared)
 
 
@@ -454,15 +557,14 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
             f"image closure is not defined on {algebra.describe()}")
     total = 0
     notes = []
-    order = _basis_key(algebra, None, 2, 0, 0, True)
-    key = None if order is None else lambda ij: order(*ij)
     for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
         def prepare(ij, basis=basis):
             pair = basis[ij[0]], basis[ij[1]]
             return pair, [x.terms for x in pair]
 
-        positions = itertools.product(range(len(basis)), repeat=2)
-        witness, count = SharedPass(positions, {tag: sides}, prepare, key).outcome(tag)
+        n = len(basis)
+        firsts = _first_of_keys(algebra, None, 2, list(range(n)), True)
+        witness, count = SharedPass(firsts, n * n, {tag: sides}, prepare).outcome(tag)
         total += count
         notes.append(f"{tag} {rank}")
         if witness is not None:
@@ -495,26 +597,41 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     every operator linear, so the basis pairs of a window decide the
     identity for all elements supported there, and no element drawn
     inside the last window could add a witness.  Pairs are keyed as in
-    :func:`check`, with one set of keys for the whole search, so a pair
-    that an earlier window decided is counted again but not evaluated.
+    :func:`check`, one window at a time with one set of keys for the whole
+    search, so a pair that an earlier window decided is counted again but
+    not visited; a pair's count adds the sizes of the earlier windows.
     The ``domain`` records ``samples`` and ``seed`` as 0, so that its keys
     stay those of the reports pinned in the ``paper-all`` output."""
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
     sides = _term_sides(identity, algebra, op, lam)
 
-    def tuples():
-        # each window is made when the sweep reaches it; windows are nested,
-        # so a window with the keys of an earlier one comes right after it
+    cuts, seen = thresholds(op.expr), set()
+
+    def windows():
+        # the keys of each distinct window, made when the sweep reaches it,
+        # so a witness in a small window is found without the large ones;
+        # windows are nested, so a window with the keys of an earlier one
+        # comes right after it
         last = None
         for k in range(max_range + 1):
             keys = algebra.basis_keys(-k, k)
             if keys != last:
                 last = keys
-                yield from DomainSpec.basis(-k, k).tuples(algebra, 2)
+                yield keys
 
-    key = _pair_key(algebra, thresholds(op.expr), -max_range, max_range, True)
-    witness, count = SharedPass(tuples(), {identity: sides}, key=key).outcome(identity)
+    swept = 0  # the pairs of the windows swept so far
+
+    def indexed():
+        nonlocal swept
+        for keys in windows():
+            basis = [algebra.basis_element(e) for e in keys]
+            for i, (p, q) in _first_of_keys(algebra, cuts, 2, keys, True, seen):
+                yield swept + i, (basis[p], basis[q])
+            swept += len(keys) ** 2
+
+    witness, count = SharedPass(indexed(), lambda: swept,
+                                {identity: sides}).outcome(identity)
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}
     note = ("witness found by expanding search",) if witness is not None \

@@ -56,7 +56,6 @@ evaluate every triple.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,12 +241,14 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
     z^(p+q) times a scalar fixed by the sides of p, q and p+q, and the
     operands of the axioms are a, c, a+b and b+c.  So in basis mode the
     pass is keyed on the sign pattern of a, b, c, a+b, b+c and a+b+c
-    (:func:`checks._basis_key`): at most 24 triples for ``ms``.
+    (:func:`checks._basis_key`), and visits only the first triple of each
+    pattern (:func:`checks._first_of_keys`): at most 24 triples for
+    ``ms``.
 
     In basis mode every operand of the pass gets a value number, keyed by
     its clean terms: the basis elements of the window, and the products of
-    each pair of them with their sum, which a |B|² table indexed by the
-    pair's positions keeps as numbers, filled on first use.  Each product
+    each pair of them with their sum, which a table keyed by the pair's
+    positions keeps as numbers, filled on first use.  Each product
     keeps its value on a pair of numbers, so an axiom side is computed once
     per distinct pair of operands and is a lookup after that; on a graded
     algebra, z^p·z^q depends only on p + q.  The numbers are given in the
@@ -283,13 +284,12 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
 
         muls = [on_numbers(mul) for mul in muls]
         operands = [number(e.terms) for e in basis]
-        n = len(basis)
-        table = [[None] * n for _ in range(n)]
+        table: dict = {}  # (p, q) -> the numbers of the products of basis[p] and basis[q]
 
         def pair(p: int, q: int) -> list:
-            found = table[p][q]
+            found = table.get((p, q))
             if found is None:
-                found = table[p][q] = [number(terms) for terms in _pair_products(
+                found = table[p, q] = [number(terms) for terms in _pair_products(
                     muls, operands[p], operands[q])]
             return found
 
@@ -298,23 +298,16 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
             return ((basis[p], basis[q], basis[r]),
                     (operands[p], operands[r], pair(p, q), pair(q, r)))
 
-        tuples = itertools.product(range(n), repeat=3)
-        pattern = checks._basis_key(algebra, cuts, 3, dom.lo, dom.hi, False)
-        key = None
-        if pattern is not None:
-            exponents = [e for x in basis for e in x.terms]
-
-            def key(positions):
-                p, q, r = positions
-                return pattern(exponents[p], exponents[q], exponents[r])
+        exponents = [e for x in basis for e in x.terms]
+        tuples = checks._first_of_keys(algebra, cuts, 3, exponents, False), len(basis) ** 3
     else:
         def prepare(terms):
             a, b, c = terms
             return terms, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
 
-        tuples, key = dom.tuples(algebra, 3), None
+        tuples = dom.tuples(algebra, 3), dom.samples
     axioms = make_axioms(*muls)
-    shared = SharedPass(tuples, axioms, prepare, key)
+    shared = SharedPass(*tuples, axioms, prepare)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, shared)
             for axiom_id in axioms]
 
@@ -378,16 +371,13 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
         notes.append("precondition-unmet: operator is not weight 1 on this domain")
 
     R_terms = R.on_terms(algebra)
-    key = None
-    if isinstance(dom, BasisWindow):
-        cuts = _union([getattr(ds.prec, "cuts", None), getattr(ds.succ, "cuts", None),
-                       thresholds(R.expr)])
-        key = checks._pair_key(algebra, cuts, dom.lo, dom.hi, False)
-    shared = SharedPass(dom.tuples(algebra, 2), {
+    cuts = _union([getattr(ds.prec, "cuts", None), getattr(ds.succ, "cuts", None),
+                   thresholds(R.expr)])
+    shared = SharedPass(*checks._indexed_tuples(algebra, dom, 2, cuts), {
         # on elements, so that a wrapper of a product sees the calls (ROADMAP item 1)
         "rbr.on.prec": rbr_sides(_through_elements(ds.prec, algebra), R_terms, 1),
         "rbr.on.succ": rbr_sides(_through_elements(ds.succ, algebra), R_terms, 1),
-    }, key=key)
+    })
     return [sweep_identity(axiom_id, algebra, ds.provenance, Fraction(1), dom, shared,
                            notes=tuple(notes))
             for axiom_id in ("rbr.on.prec", "rbr.on.succ")]

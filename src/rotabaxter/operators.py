@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     InvalidDimensionError,
     OperatorDomainError,
+    ZeroDenominatorError,
 )
 from .rationals import as_rational, div, format_rational
 
@@ -329,8 +330,11 @@ def operator_matrix_from_json(data, algebra: FiniteAlgebra) -> WeightedOperator:
     if (not isinstance(rows, list) or len(rows) != dim
             or any(not isinstance(r, list) or len(r) != dim for r in rows)):
         raise FormatError("field 'matrix' must be a dim x dim array")
-    return matrix_operator(algebra, rows, label="matrix-file",
-                           note="operator matrix from file")
+    try:
+        return matrix_operator(algebra, rows, label="matrix-file",
+                               note="operator matrix from file")
+    except (FormatError, ZeroDenominatorError) as exc:
+        raise type(exc)(f"field 'matrix': {exc}") from exc
 
 
 def operator_matrix_to_json(algebra: FiniteAlgebra, op: WeightedOperator) -> dict:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, Element, Primitive, format_signed_terms
 from .algebras import FiniteAlgebra
-from .errors import FormatError, UnsupportedDomainError
+from .errors import FormatError, UnsupportedDomainError, ZeroDenominatorError
 from .operators import WeightedOperator
 from .rationals import as_rational, format_rational
 from .report import CheckReport, Witness
@@ -160,8 +160,13 @@ def tensor2_from_json(data, algebra: FiniteAlgebra) -> Element:
         i, j = entry["i"], entry["j"]
         if type(i) is not int or type(j) is not int:
             raise FormatError(f"field 'terms'[{k}]: indices must be integers")
-        key = (i, j)
-        terms[key] = terms.get(key, 0) + as_rational(entry["coeff"])
+        try:
+            algebra.validate_key(i)
+            algebra.validate_key(j)
+            coeff = as_rational(entry["coeff"])
+        except (FormatError, ZeroDenominatorError) as exc:
+            raise type(exc)(f"field 'terms'[{k}]: {exc}") from exc
+        terms[i, j] = terms.get((i, j), 0) + coeff
     return tensor2(algebra, terms)
 
 

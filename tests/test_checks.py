@@ -1,6 +1,7 @@
 """Identity checkers: positives, refutations, witness soundness."""
 
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -14,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotabaxter import checks
-from rotabaxter.algebra import DomainSpec, Element, apply_operator, clean_terms, lie_bracket
+from rotabaxter.algebra import (
+    DomainSpec,
+    Element,
+    RandomTuples,
+    apply_operator,
+    clean_terms,
+    lie_bracket,
+)
 from rotabaxter.algebras import (
-    LaurentAlgebra,
     laurent,
     make_componentwise,
     make_matrix_algebra,
@@ -632,11 +639,15 @@ def truncation_ops(depth: int):
                      st.builds(compose_operator, inner, inner))
 
 
+def every_tuple(algebra, cuts, arity, keys, transposable, seen=None):
+    """``checks._first_of_keys`` with no key: every tuple of the window."""
+    return enumerate(itertools.product(range(len(keys)), repeat=arity), 1)
+
+
 def full_sweep(fn, *args):
     """``fn(*args)`` with no sign-pattern key and no transposition key, so
     every tuple is evaluated."""
-    with mock.patch.object(checks, "_basis_key", lambda *args: None), \
-            mock.patch.object(LaurentAlgebra, "commutative", False):
+    with mock.patch.object(checks, "_first_of_keys", every_tuple):
         return fn(*args)
 
 
@@ -695,6 +706,49 @@ def test_sign_pattern_axiom_passes_match_full_passes():
 
     one_case()
     assert statuses == {"pass", "fail"}
+
+
+def first_of_each_key(algebra, cuts, arity, windows, transposable):
+    """The first tuple of each ``checks._basis_key`` key among all the
+    tuples of ``windows``, swept one after another with one set of keys, as
+    ``(index, positions)`` with the index counted over all the windows."""
+    found, seen, offset = [], set(), 0
+    for keys in windows:
+        key = checks._basis_key(algebra, cuts, arity, keys[0], keys[-1], transposable)
+        for index, positions in every_tuple(algebra, cuts, arity, keys, transposable):
+            k = None if key is None else key(*[keys[p] for p in positions])
+            if k is None or k not in seen:
+                seen.add(k)
+                found.append((offset + index, positions))
+        offset += len(keys) ** arity
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_of_keys_visits_the_first_tuple_of_each_key(data):
+    """The enumerator yields, in sweep order, what the first-of-key filter
+    of ``itertools.product`` over the whole window keeps: on a window of
+    [-8, 8], or on the expanding windows of a violation search, which share
+    one set of keys."""
+    algebra = data.draw(st.sampled_from([L, P]))
+    cuts = data.draw(st.one_of(st.none(), st.frozensets(st.integers(-6, 6), max_size=3)))
+    arity = data.draw(st.sampled_from([2, 3]))
+    transposable = arity == 2 and data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(-8, 8))
+        windows = [algebra.basis_keys(lo, data.draw(st.integers(max(lo, 0), 8)))]
+    else:
+        windows = []
+        for k in range(data.draw(st.integers(0, 8)) + 1):
+            if not windows or algebra.basis_keys(-k, k) != windows[-1]:
+                windows.append(algebra.basis_keys(-k, k))
+    found, seen, offset = [], set(), 0
+    for keys in windows:
+        found += [(offset + index, positions) for index, positions in
+                  checks._first_of_keys(algebra, cuts, arity, keys, transposable, seen)]
+        offset += len(keys) ** arity
+    assert found == first_of_each_key(algebra, cuts, arity, windows, transposable)
 
 
 @pytest.mark.parametrize("op", [make_rms(), make_rms_opposite()]
@@ -809,8 +863,8 @@ def decided(monkeypatch):
 
         return evaluate
 
-    def counting_init(self, tuples, identities, prepare=None, key=None):
-        init(self, tuples, {i: counted(i, s) for i, s in identities.items()}, prepare, key)
+    def counting_init(self, indexed, total, identities, prepare=None):
+        init(self, indexed, total, {i: counted(i, s) for i, s in identities.items()}, prepare)
 
     monkeypatch.setattr(checks.SharedPass, "__init__", counting_init)
     return calls
@@ -907,18 +961,30 @@ def test_commutative_is_read_off_the_product(tmp_path):
 
 
 def keyed_passes(sweep):
-    """Run ``sweep()``; return the stream, sides, ``prepare`` and key of
-    each keyed SharedPass it made, the stream as a list."""
-    passes = []
+    """Run ``sweep()`` with every tuple of each window swept; return, for
+    each keyed SharedPass it made, its items, the key of each item
+    (``checks._basis_key``), its sides and its ``prepare``."""
+    passes, met = [], []  # met: the key of each tuple enumerated since the last pass
     init = checks.SharedPass.__init__
 
-    def recording_init(self, tuples, identities, prepare=None, key=None):
-        tuples = list(tuples)
-        if key is not None:
-            passes.append((tuples, identities, prepare, key))
-        init(self, tuples, identities, prepare, key)
+    def keyed_every_tuple(algebra, cuts, arity, keys, transposable, seen=None):
+        key = checks._basis_key(algebra, cuts, arity, min(keys, default=0),
+                                max(keys, default=0), transposable)
+        met.extend(None if key is None else key(*[keys[p] for p in positions])
+                   for _, positions in every_tuple(algebra, cuts, arity, keys, transposable))
+        return every_tuple(algebra, cuts, arity, keys, transposable)
 
-    with mock.patch.object(checks.SharedPass, "__init__", recording_init):
+    def recording_init(self, indexed, total, identities, prepare=None):
+        if not isinstance(indexed, RandomTuples):
+            indexed = list(indexed)
+            if met and met[0] is not None:
+                assert len(met) == len(indexed) == (total() if callable(total) else total)
+                passes.append(([item for _, item in indexed], list(met), identities, prepare))
+            met.clear()
+        init(self, indexed, total, identities, prepare)
+
+    with mock.patch.object(checks, "_first_of_keys", keyed_every_tuple), \
+            mock.patch.object(checks.SharedPass, "__init__", recording_init):
         sweep()
     return passes
 
@@ -927,13 +993,13 @@ def assert_one_verdict_per_key(sweeps):
     """Every item of a keyed pass of ``sweeps`` has, under each identity of
     the pass, the verdict of every other item of its key."""
     for sweep in sweeps:
-        for items, identities, prepare, key in keyed_passes(sweep):
+        for items, keys, identities, prepare in keyed_passes(sweep):
             verdicts = {}
-            for item in items:
+            for item, key in zip(items, keys):
                 tup, args = (item, [x.terms for x in item]) if prepare is None else prepare(item)
                 verdict = tuple(clean_terms(lhs) == clean_terms(rhs)
                                 for lhs, rhs in (sides(*args) for sides in identities.values()))
-                assert verdicts.setdefault(key(item), verdict) == verdict, tup
+                assert verdicts.setdefault(key, verdict) == verdict, tup
 
 
 WEIGHTS = [Fraction(0), ONE, Fraction(-1), Fraction(1, 2)]

@@ -227,7 +227,9 @@ def test_a_malformed_structure_constants_file_names_the_field(data, message, tmp
      "field 'matrix' must be a dim x dim array"),
     ("laurent", {"dim": 2, "matrix": [[1, 0], [0, 1]]},
      "operator-matrix files need a finite-dimensional algebra"),
-], ids=["non-object", "dim", "dim-bool", "non-square", "laurent"])
+    ("componentwise:2", {"dim": 2, "matrix": [[True, 0], [0, 1]]},
+     "field 'matrix': not a rational: True"),
+], ids=["non-object", "dim", "dim-bool", "non-square", "laurent", "entry-bool"])
 def test_a_malformed_operator_matrix_file_names_the_field(algebra, data, message, tmp_path,
                                                           capsys):
     path = tmp_path / "operator.json"
@@ -249,7 +251,12 @@ def test_a_malformed_operator_matrix_file_names_the_field(algebra, data, message
     ({"algebra": "laurent", "terms": []},
      "field 'algebra' must name a finite-dimensional algebra, got 'laurent'"),
     ({"algebra": 5, "terms": []}, "field 'algebra' must be a string, got 5"),
-], ids=["non-object", "terms", "keys", "indices", "indices-bool", "laurent", "algebra"])
+    ({"algebra": "matrix:2", "terms": [{"i": 0, "j": 1, "coeff": True}]},
+     "error: field 'terms'[0]: not a rational: True"),
+    ({"algebra": "matrix:2", "terms": [{"i": 5, "j": 1, "coeff": "1"}]},
+     "error: field 'terms'[0]: basis index 5 outside 0..3"),
+], ids=["non-object", "terms", "keys", "indices", "indices-bool", "laurent", "algebra",
+        "coeff-bool", "index-range"])
 def test_a_malformed_tensor_file_names_the_field(data, message, tmp_path, capsys):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(data))

@@ -561,8 +561,8 @@ def evaluated(monkeypatch):
         return sides_counted
 
     class CountingPass(dendriform.SharedPass):
-        def __init__(self, tuples, identities, *args, **kwargs):
-            super().__init__(tuples, {i: counted(i, s) for i, s in identities.items()},
+        def __init__(self, indexed, total, identities, *args, **kwargs):
+            super().__init__(indexed, total, {i: counted(i, s) for i, s in identities.items()},
                              *args, **kwargs)
 
     monkeypatch.setattr(dendriform, "SharedPass", CountingPass)
