@@ -280,7 +280,8 @@ class RandomSample(DomainSpec):
     sweep refuses a bound that makes every draw zero.  By the
     same multilinearity, a sweep evaluates each drawn tuple as its
     denominator-cleared multiple, which has ``int`` coefficients, and its
-    witness is the tuple as drawn (see :mod:`rotabaxter.checks`).  Only
+    witness is the tuple as drawn: the stream of a sweep
+    (``checks._stream``) prepares each tuple with ``checks._cleared``.  Only
     the inputs are cleared: an operator with non-integer matrix entries
     still computes with ``Fraction`` values.
     """
@@ -297,14 +298,14 @@ class RandomSample(DomainSpec):
         self.samples, self.coeff_bound = samples, coeff_bound
         self.support_bound, self.seed = support_bound, seed
 
-    def tuples(self, algebra: Algebra, arity: int) -> "RandomTuples":
+    def tuples(self, algebra: Algebra, arity: int):
         self._keys(algebra)  # a window with no key would draw only zeros
         for name in ("coeff_bound",) + (("support_bound",) if algebra.dimension is None else ()):
             if getattr(self, name) == 0:
                 raise InvalidDomainError(f"random mode with {name} 0 draws only zeros")
         rng = random.Random(self.seed)
-        return RandomTuples(tuple(algebra.random_element(self, rng) for _ in range(arity))
-                            for _ in range(self.samples))
+        return (tuple(algebra.random_element(self, rng) for _ in range(arity))
+                for _ in range(self.samples))
 
     def describe(self, algebra: Algebra | None = None) -> dict:
         """A finite-dimensional draw reads no lo, hi or support_bound: they are left out."""
@@ -312,17 +313,6 @@ class RandomSample(DomainSpec):
         fields = (("samples", "coeff_bound", "seed") if finite
                   else ("lo", "hi", "samples", "coeff_bound", "support_bound", "seed"))
         return {"mode": "random", **{name: getattr(self, name) for name in fields}}
-
-
-class RandomTuples:
-    """One pass over the tuples of a :class:`RandomSample`, as drawn; a
-    :class:`~rotabaxter.checks.SharedPass` sweeps their denominator-cleared multiples."""
-
-    def __init__(self, draws):
-        self._draws = draws
-
-    def __iter__(self):
-        return self._draws
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +494,7 @@ def linear_extension(fn: Callable[[Element], Element]) -> Callable[[Element], El
     Each fn(e_k) is computed once per algebra.  The zero element goes to
     ``fn`` itself, so a map undefined on its algebra raises for it too.
     Denominators are not cleared here: a random sweep clears its tuples
-    once (``checks.SharedPass``), so its sums run on ``int`` coefficients.
+    once (``checks._cleared``), so its sums run on ``int`` coefficients.
 
     ``apply.on_terms(algebra)`` is the map on term dicts of ``algebra``,
     whose images hold no zero coefficients; an empty dict goes to ``fn``.

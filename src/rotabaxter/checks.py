@@ -23,13 +23,13 @@ every intermediate of its two sides (R(x), xy, R(x)y + xR(y), a ≺ b,
 sides at (d_1·x_1, ..., d_n·x_n) are those at (x_1, ..., x_n) times
 d_1···d_n: the verdict is the same, and so is the support of every
 intermediate, hence every error.  A random tuple is therefore swept as
-its denominator-cleared multiple, each element x with a non-integer
-coefficient replaced by d·x for d the lcm of its denominators, so its
-products and operator images run on ``int`` coefficients.  A witness
-is still the tuple as drawn: its sides are the cleared ones divided by
-d_1···d_n, exactly.  Only the inputs are cleared: an operator with
-non-integer matrix entries, or a rational weight, still brings
-``Fraction`` arithmetic into a sweep.
+its denominator-cleared multiple (:func:`_cleared`), each element x with
+a non-integer coefficient replaced by d·x for d the lcm of its
+denominators, so its products and operator images run on ``int``
+coefficients.  A witness is still the tuple as drawn: its sides are the
+cleared ones divided by d_1···d_n, exactly.  Only the inputs are
+cleared: an operator with non-integer matrix entries, or a rational
+weight, still brings ``Fraction`` arithmetic into a sweep.
 
 A basis sweep visits and evaluates only the first tuple of each verdict
 key (:func:`_basis_key`), and takes each tuple's count from its place in
@@ -92,7 +92,6 @@ from .algebra import (
     DomainSpec,
     Element,
     RandomSample,
-    RandomTuples,
     add_terms,
     clean_terms,
     scale_terms,
@@ -114,46 +113,26 @@ class SharedPass:
 
     ``indexed`` yields ``(index, item)`` pairs in sweep order, the index
     counting the tuples of the sweep up to and including the item's, and
-    ``total`` is the number of tuples of the whole sweep, or a function
-    that gives it once ``indexed`` is exhausted.  A basis sweep
-    yields only the first tuple of each verdict key (:func:`_first_of_keys`),
-    so its indices skip the others; an unkeyed stream is
-    ``enumerate(tuples, 1)``, and a :class:`RandomTuples` stream is numbered
-    so by the pass itself.  ``identities`` maps an id to its
-    ``sides(*args) -> (lhs, rhs)``, two term dicts of the tuple's algebra;
-    without ``prepare``, an item is a tuple of elements and ``args`` their
-    term dicts.  With ``prepare``, an item may be anything that names a
-    tuple, such as its positions in a basis, and ``prepare(item)`` returns
-    ``(tuple, args)``: ``args`` is the work the identities of a tuple
-    share, done once per tuple.  The sides agree when they are the same
-    object or compare equal; two differing dicts are compared again as
-    elements, which drops their zeros, and only a witness builds elements
-    from them.  An identity is decided at its first witness, with the
-    index of its tuple as its count, or with ``total`` at the end of the
-    stream, and then drops out of the pass.
+    ``total`` is the number of tuples of the whole sweep (:func:`_stream`
+    makes both, and ``prepare``, for a domain).  ``prepare(item)`` returns
+    ``(tuple, args, d)``: the tuple of elements the item names, the work
+    the identities of the tuple share, done once per tuple, and the factor
+    that a witness's sides are divided by.  ``identities`` maps an id to
+    its ``sides(*args) -> (lhs, rhs)``, two term dicts of the tuple's
+    algebra.  The sides agree when they are the same object or compare
+    equal; two differing dicts are compared again as elements, which
+    drops their zeros, and only a witness builds elements from them.  An
+    identity is decided at its first witness, with the index of its tuple
+    as its count, or with ``total`` at the end of the stream, and then
+    drops out of the pass.
 
     :meth:`outcome` advances the pass only until the identity asked for is
     decided; the identities decided on the way keep their witness and
     tuple count for their own calls.  So each identity gets the outcome of
     a sweep of its own, while the shared work of a tuple is done once.
-    ``prepare`` may keep work between tuples too: the dendriform passes
-    in basis mode number their values and keep each product's value on a
-    pair of numbers.
-
-    Over :class:`RandomTuples`, the sides and ``prepare`` see the cleared
-    numerators ``integral(x.terms)[0]`` of each tuple's elements, and a
-    witness is divided back onto the tuple as drawn.
     """
 
-    def __init__(self, indexed, total: int, identities: dict, prepare=None):
-        self._cleared = isinstance(indexed, RandomTuples)
-        if self._cleared:
-            indexed = enumerate(indexed, 1)
-            on_cleared = prepare
-
-            def prepare(tup):
-                swept = tuple(integral(x.terms)[0] for x in tup)
-                return tup, swept if on_cleared is None else on_cleared(swept)[1]
+    def __init__(self, indexed, total: int, prepare, identities: dict):
         self._indexed = iter(indexed)
         self._total = total
         self._prepare = prepare
@@ -168,15 +147,11 @@ class SharedPass:
             return decided[check_id]
         prepare, open_sides = self._prepare, self._open
         for count, item in self._indexed:
-            if prepare is None:
-                tup, args = item, [x.terms for x in item]
-            else:
-                tup, args = prepare(item)
+            tup, args, d = prepare(item)
             for i, sides in open_sides:
                 lhs, rhs = sides(*args)
                 if lhs is not rhs and lhs != rhs:
                     algebra = tup[0].algebra
-                    d = prod(integral(x.terms)[1] for x in tup) if self._cleared else 1
                     lhs, rhs = _element(algebra, lhs, d), _element(algebra, rhs, d)
                     if lhs == rhs:
                         continue
@@ -186,8 +161,7 @@ class SharedPass:
             if check_id in decided:
                 break
         else:
-            total = self._total() if callable(self._total) else self._total
-            decided.update((i, (None, total)) for i, _ in open_sides)
+            decided.update((i, (None, self._total)) for i, _ in open_sides)
             open_sides = []
         self._open = open_sides
         return decided[check_id]
@@ -379,18 +353,37 @@ def _least_members(cuts: list, arity: int, lo: int, hi: int) -> list:
     return least
 
 
-def _indexed_tuples(algebra: Algebra, dom: DomainSpec, arity: int, cuts=None,
-                    transposable: bool = False) -> tuple:
-    """The stream of a :class:`SharedPass` over the ``arity``-tuples of
-    ``dom``, and their number: over a basis window, the first tuple of each
-    verdict key (:func:`_first_of_keys`), as basis elements."""
+def _on_positions(basis: list):
+    """``prepare`` of a :class:`SharedPass` whose items are positions in
+    ``basis``: the basis elements, their term dicts, and 1."""
+    def prepare(positions):
+        tup = tuple(basis[p] for p in positions)
+        return tup, [x.terms for x in tup], 1
+
+    return prepare
+
+
+def _cleared(tup: tuple) -> tuple:
+    """``prepare`` of a :class:`SharedPass` over random tuples: the tuple
+    as drawn, its elements' cleared numerators (``integral(x.terms)[0]``)
+    and the product of their denominators (see the module docstring)."""
+    cleared = [integral(x.terms) for x in tup]
+    return tup, [terms for terms, _ in cleared], prod(d for _, d in cleared)
+
+
+def _stream(algebra: Algebra, dom: DomainSpec, arity: int, cuts=None,
+            transposable: bool = False) -> tuple:
+    """``(indexed, total, prepare)`` of a :class:`SharedPass` over the
+    ``arity``-tuples of ``dom``: over a basis window, the first tuple of
+    each verdict key (:func:`_first_of_keys`), as positions in the
+    window's basis; over a random sample, every tuple as drawn, swept
+    denominator-cleared."""
     if isinstance(dom, RandomSample):
-        return dom.tuples(algebra, arity), dom.samples
+        return enumerate(dom.tuples(algebra, arity), 1), dom.samples, _cleared
     basis = dom.basis(algebra)
-    firsts = _first_of_keys(algebra, cuts, arity, [k for x in basis for k in x.terms],
-                            transposable)
-    return ((i, tuple(basis[p] for p in positions)) for i, positions in firsts), \
-        len(basis) ** arity
+    return (_first_of_keys(algebra, cuts, arity, [k for x in basis for k in x.terms],
+                           transposable),
+            len(basis) ** arity, _on_positions(basis))
 
 
 def _term_sides(identity: str, algebra: Algebra, op: WeightedOperator, lam):
@@ -410,7 +403,7 @@ def check(identity: str, algebra: Algebra, op: WeightedOperator, lam: Fraction,
     a basis window visits one pair per verdict key (see the module
     docstring)."""
     sides = _term_sides(identity, algebra, op, lam)
-    shared = SharedPass(*_indexed_tuples(algebra, dom, 2, thresholds(op.expr), True),
+    shared = SharedPass(*_stream(algebra, dom, 2, thresholds(op.expr), True),
                         {identity: sides})
     return sweep_identity(identity, algebra, op.describe(), lam, dom, shared)
 
@@ -443,7 +436,7 @@ def check_idempotent(algebra: Algebra, op: WeightedOperator,
         rx = R(x)
         return R(rx), rx
 
-    shared = SharedPass(*_indexed_tuples(algebra, dom, 1), {"idempotent": sides})
+    shared = SharedPass(*_stream(algebra, dom, 1), {"idempotent": sides})
     return sweep_identity("idempotent", algebra, op.describe(), None, dom, shared)
 
 
@@ -558,13 +551,10 @@ def check_image_closure(algebra: Algebra, op: WeightedOperator,
     total = 0
     notes = []
     for tag, (basis, sides, rank) in zip(("im(R)", "im(opposite)"), images):
-        def prepare(ij, basis=basis):
-            pair = basis[ij[0]], basis[ij[1]]
-            return pair, [x.terms for x in pair]
-
         n = len(basis)
         firsts = _first_of_keys(algebra, None, 2, list(range(n)), True)
-        witness, count = SharedPass(firsts, n * n, {tag: sides}, prepare).outcome(tag)
+        witness, count = SharedPass(firsts, n * n, _on_positions(basis),
+                                    {tag: sides}).outcome(tag)
         total += count
         notes.append(f"{tag} {rank}")
         if witness is not None:
@@ -605,33 +595,17 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     if max_range < 0:
         raise InvalidDomainError(f"negative search range {max_range}")
     sides = _term_sides(identity, algebra, op, lam)
-
     cuts, seen = thresholds(op.expr), set()
-
-    def windows():
-        # the keys of each distinct window, made when the sweep reaches it,
-        # so a witness in a small window is found without the large ones;
-        # windows are nested, so a window with the keys of an earlier one
-        # comes right after it
-        last = None
-        for k in range(max_range + 1):
-            keys = algebra.basis_keys(-k, k)
-            if keys != last:
-                last = keys
-                yield keys
-
-    swept = 0  # the pairs of the windows swept so far
-
-    def indexed():
-        nonlocal swept
-        for keys in windows():
-            basis = [algebra.basis_element(e) for e in keys]
-            for i, (p, q) in _first_of_keys(algebra, cuts, 2, keys, True, seen):
-                yield swept + i, (basis[p], basis[q])
-            swept += len(keys) ** 2
-
-    witness, count = SharedPass(indexed(), lambda: swept,
-                                {identity: sides}).outcome(identity)
+    witness, swept = None, 0
+    # windows are nested, so the windows with one set of keys are consecutive
+    for keys, _ in itertools.groupby(algebra.basis_keys(-k, k) for k in range(max_range + 1)):
+        basis = [algebra.basis_element(e) for e in keys]
+        witness, count = SharedPass(_first_of_keys(algebra, cuts, 2, keys, True, seen),
+                                    len(keys) ** 2, _on_positions(basis),
+                                    {identity: sides}).outcome(identity)
+        swept += count
+        if witness is not None:
+            break
     domain = {"mode": "expanding-search", "max_range": max_range,
               "samples": 0, "seed": 0}
     note = ("witness found by expanding search",) if witness is not None \
@@ -639,4 +613,4 @@ def violation_report(algebra: Algebra, identity: str, op: WeightedOperator,
     return CheckReport(
         check=f"violate({identity})", algebra=algebra.describe(),
         operator=op.describe(), weight=lam, domain=domain,
-        tuples=count, witness=witness, notes=note)
+        tuples=swept, witness=witness, notes=note)

@@ -256,7 +256,8 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
     ``Fraction`` terms, whose hashes are not salted, never an ``Element``;
     so the work, and the traced counts, do not depend on
     ``PYTHONHASHSEED``.  Random tuples seldom share an operand, so their
-    products are computed per tuple."""
+    products are computed per tuple, on the cleared terms that the random
+    stream's ``prepare`` (``checks._cleared``) gives."""
     algebra = ds.algebra
     if isinstance(dom, BasisWindow):
         basis = dom.basis(algebra)
@@ -296,18 +297,18 @@ def _axiom_reports(ds: DendriformStructure, dom: DomainSpec, make_axioms, muls, 
         def prepare(positions):
             p, q, r = positions
             return ((basis[p], basis[q], basis[r]),
-                    (operands[p], operands[r], pair(p, q), pair(q, r)))
+                    (operands[p], operands[r], pair(p, q), pair(q, r)), 1)
 
         exponents = [e for x in basis for e in x.terms]
-        tuples = checks._first_of_keys(algebra, cuts, 3, exponents, False), len(basis) ** 3
+        indexed, total = checks._first_of_keys(algebra, cuts, 3, exponents, False), len(basis) ** 3
     else:
-        def prepare(terms):
-            a, b, c = terms
-            return terms, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c))
+        indexed, total, cleared = checks._stream(algebra, dom, 3)
 
-        tuples = dom.tuples(algebra, 3), dom.samples
+        def prepare(drawn):
+            tup, (a, b, c), d = cleared(drawn)
+            return tup, (a, c, _pair_products(muls, a, b), _pair_products(muls, b, c)), d
     axioms = make_axioms(*muls)
-    shared = SharedPass(*tuples, axioms, prepare)
+    shared = SharedPass(indexed, total, prepare, axioms)
     return [sweep_identity(axiom_id, algebra, ds.provenance, ds.weight, dom, shared)
             for axiom_id in axioms]
 
@@ -373,7 +374,7 @@ def check_rbr_on_compositions(ds: DendriformStructure, R: WeightedOperator,
     R_terms = R.on_terms(algebra)
     cuts = _union([getattr(ds.prec, "cuts", None), getattr(ds.succ, "cuts", None),
                    thresholds(R.expr)])
-    shared = SharedPass(*checks._indexed_tuples(algebra, dom, 2, cuts), {
+    shared = SharedPass(*checks._stream(algebra, dom, 2, cuts), {
         # on elements, so that a wrapper of a product sees the calls (ROADMAP item 1)
         "rbr.on.prec": rbr_sides(_through_elements(ds.prec, algebra), R_terms, 1),
         "rbr.on.succ": rbr_sides(_through_elements(ds.succ, algebra), R_terms, 1),

@@ -25,7 +25,8 @@ an operand holds its integral values as ``int`` values.
 division of coefficients in the package.  A random sweep clears its
 tuples once, to the integer numerators that :func:`integral` gives, so
 its products and operator images run at ``int`` speed, and divides only
-a witness back (``checks.SharedPass``).
+a witness back (``checks._cleared``, the ``prepare`` of a random
+``checks._stream``).
 
 This module adds the strict textual form "p/q" (or "p" for integers)
 used by all file formats and element literals.

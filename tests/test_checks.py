@@ -18,7 +18,6 @@ from rotabaxter import checks
 from rotabaxter.algebra import (
     DomainSpec,
     Element,
-    RandomTuples,
     apply_operator,
     clean_terms,
     lie_bracket,
@@ -863,8 +862,8 @@ def decided(monkeypatch):
 
         return evaluate
 
-    def counting_init(self, indexed, total, identities, prepare=None):
-        init(self, indexed, total, {i: counted(i, s) for i, s in identities.items()}, prepare)
+    def counting_init(self, indexed, total, prepare, identities):
+        init(self, indexed, total, prepare, {i: counted(i, s) for i, s in identities.items()})
 
     monkeypatch.setattr(checks.SharedPass, "__init__", counting_init)
     return calls
@@ -957,6 +956,48 @@ def test_commutative_is_read_off_the_product(tmp_path):
     assert not TensorAlgebra(C3, 2).commutative
 
 
+# --- the stream of a pass --------------------------------------------------------
+
+
+def test_a_basis_pass_never_divides_its_witness():
+    """An image-closure basis is made of ``_rref`` rows, which can hold
+    ``Fraction``s, but only a random stream clears its tuples: the witness
+    of a basis pass holds its sides as computed, not divided by the
+    denominators of its inputs (lhs = x·y, not x·y/4)."""
+    op = matrix_operator(C3, [[0, 0, 0], [0, 2, 0], [0, 1, 0]])
+    report = check_image_closure(C3, op)
+    assert (report.status, report.tuples) == ("fail", 1)
+    assert report.witness.to_json() == {"inputs": ["[0, 1, 1/2]", "[0, 1, 1/2]"],
+                                        "lhs": "[0, 1, 1/4]", "rhs": "[0, 1, 1/2]",
+                                        "diff": "[0, 0, -1/4]"}
+    x, y = report.witness.inputs
+    assert report.witness.lhs == x * y
+
+
+SIZE_DOMAINS = {
+    "laurent": (L, DomainSpec.basis(-3, 2)),
+    "polynomial": (P, DomainSpec.basis(-2, 4)),
+    "finite": (MILLER.algebra, DomainSpec.basis(0, 0)),
+    "random": (L, DomainSpec.random(7, seed=1)),
+    "random-finite": (MILLER.algebra, DomainSpec.random(5, seed=1)),
+}
+
+
+@pytest.mark.parametrize("algebra, dom", SIZE_DOMAINS.values(), ids=SIZE_DOMAINS)
+def test_a_stream_counts_every_tuple_of_its_domain(algebra, dom):
+    """The ``total`` of a stream, keyed or not, is the number of tuples the
+    domain makes, and a passing sweep of each arity reports it."""
+    sizes = [sum(1 for _ in dom.tuples(algebra, arity)) for arity in (1, 2, 3)]
+    assert [checks._stream(algebra, dom, arity)[1] for arity in (1, 2, 3)] == sizes
+    assert [checks._stream(algebra, dom, arity, frozenset({0}), arity == 2)[1]
+            for arity in (2, 3)] == sizes[1:]
+    ident = make_identity_operator(algebra)
+    reports = [check_idempotent(algebra, ident, dom), check_rbr(algebra, ident, ONE, dom),
+               *check_trialgebra(build_tri_from_rbo(ident, ONE), dom)]
+    assert {r.status for r in reports} == {"pass"}
+    assert [r.tuples for r in reports] == sizes[:2] + sizes[2:] * 7
+
+
 # --- the premise of the verdict key: equal keys, equal verdicts ------------------
 
 
@@ -974,14 +1015,13 @@ def keyed_passes(sweep):
                    for _, positions in every_tuple(algebra, cuts, arity, keys, transposable))
         return every_tuple(algebra, cuts, arity, keys, transposable)
 
-    def recording_init(self, indexed, total, identities, prepare=None):
-        if not isinstance(indexed, RandomTuples):
-            indexed = list(indexed)
-            if met and met[0] is not None:
-                assert len(met) == len(indexed) == (total() if callable(total) else total)
-                passes.append(([item for _, item in indexed], list(met), identities, prepare))
-            met.clear()
-        init(self, indexed, total, identities, prepare)
+    def recording_init(self, indexed, total, prepare, identities):
+        indexed = list(indexed)
+        if met and met[0] is not None:
+            assert len(met) == len(indexed) == total
+            passes.append(([item for _, item in indexed], list(met), identities, prepare))
+        met.clear()
+        init(self, indexed, total, prepare, identities)
 
     with mock.patch.object(checks, "_first_of_keys", keyed_every_tuple), \
             mock.patch.object(checks.SharedPass, "__init__", recording_init):
@@ -996,7 +1036,7 @@ def assert_one_verdict_per_key(sweeps):
         for items, keys, identities, prepare in keyed_passes(sweep):
             verdicts = {}
             for item, key in zip(items, keys):
-                tup, args = (item, [x.terms for x in item]) if prepare is None else prepare(item)
+                tup, args, _ = prepare(item)
                 verdict = tuple(clean_terms(lhs) == clean_terms(rhs)
                                 for lhs, rhs in (sides(*args) for sides in identities.values()))
                 assert verdicts.setdefault(key, verdict) == verdict, tup

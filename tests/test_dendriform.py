@@ -561,9 +561,9 @@ def evaluated(monkeypatch):
         return sides_counted
 
     class CountingPass(dendriform.SharedPass):
-        def __init__(self, indexed, total, identities, *args, **kwargs):
-            super().__init__(indexed, total, {i: counted(i, s) for i, s in identities.items()},
-                             *args, **kwargs)
+        def __init__(self, indexed, total, prepare, identities):
+            super().__init__(indexed, total, prepare,
+                             {i: counted(i, s) for i, s in identities.items()})
 
     monkeypatch.setattr(dendriform, "SharedPass", CountingPass)
     return counts
