@@ -17,6 +17,7 @@ extends from them, which is how operators are evaluated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -208,10 +209,20 @@ class Algebra:
         return f"<algebra {self.describe()}>"
 
 
+# normalize(p, q) of recent draws: a draw with a small bound meets few
+# distinct (p, q), so most coefficients are found here, not built again;
+# the fixed size keeps a huge bound from growing it
+_coefficient = functools.lru_cache(maxsize=4096)(normalize)
+
+
 def _random_coeff(rng, bound: int):
-    num = rng.randint(-bound, bound) if bound > 0 else 0
-    den = rng.randint(1, bound) if bound > 0 else 1
-    return normalize(num, den)
+    """p/q with p drawn from [-bound, bound], then q from [1, bound], by
+    ``rng.randint``; 0, with nothing drawn, for a bound of 0.  The value is
+    canonical (an ``int`` when integral) and shared between draws of the
+    same (p, q)."""
+    if bound <= 0:
+        return 0
+    return _coefficient(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 class DomainSpec:
@@ -274,11 +285,14 @@ class RandomSample(DomainSpec):
     """``samples`` reproducible random tuples: same seed, same sequence.
 
     Coefficients are p/q with |p| ≤ ``coeff_bound`` and
-    1 ≤ q ≤ ``coeff_bound``; a Laurent-type element has at most
-    ``support_bound`` terms in the window, and a finite-dimensional one
-    fills every coordinate.  Both bounds must be non-negative, and a
-    sweep refuses a bound that makes every draw zero.  By the
-    same multilinearity, a sweep evaluates each drawn tuple as its
+    1 ≤ q ≤ ``coeff_bound``, drawn by :func:`_random_coeff`: two
+    ``randint`` calls, p then q, with p/q taken from a bounded memo.  Each
+    element is built with ``Element._trusted``, since its keys come from
+    the basis and its coefficients are canonical.  A Laurent-type element
+    has at most ``support_bound`` terms in the window, and a
+    finite-dimensional one fills every coordinate.  Both bounds must be
+    non-negative, and a sweep refuses a bound that makes every draw zero.
+    By the same multilinearity, a sweep evaluates each drawn tuple as its
     denominator-cleared multiple, which has ``int`` coefficients, and its
     witness is the tuple as drawn: the stream of a sweep
     (``checks._stream``) prepares each tuple with ``checks._cleared``.  Only

@@ -14,6 +14,7 @@ from .algebra import (
     RandomSample,
     _ONE,
     _random_coeff,
+    accumulate,
     clean_terms,
     format_laurent_literal,
     format_vector_literal,
@@ -74,7 +75,7 @@ class LaurentAlgebra(Algebra):
         exponents = self.basis_keys(spec.lo, spec.hi)
         size = rng.randint(0, min(spec.support_bound, len(exponents)))
         chosen = rng.sample(exponents, size)
-        return self.element({e: _random_coeff(rng, spec.coeff_bound) for e in chosen})
+        return Element._trusted(self, {e: _random_coeff(rng, spec.coeff_bound) for e in chosen})
 
     def format_element(self, x: Element) -> str:
         return format_laurent_literal(self, x)
@@ -210,8 +211,8 @@ class FiniteAlgebra(Algebra):
         return list(range(self.dimension))
 
     def random_element(self, spec: RandomSample, rng) -> Element:
-        return self.element(
-            {i: _random_coeff(rng, spec.coeff_bound) for i in range(self.dimension)})
+        return Element._trusted(
+            self, {i: _random_coeff(rng, spec.coeff_bound) for i in range(self.dimension)})
 
     def format_element(self, x: Element) -> str:
         return format_vector_literal(self, x)
@@ -273,27 +274,45 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
 def verify_associativity(constants: StructureConstants) -> CheckReport:
     """Exhaustively test (e_i e_j) e_k = e_i (e_j e_k) on all basis triples.
 
-    This is the quartic structure-constant identity, compared on the term
-    dicts of both sides; the first violating (i, j, k) is reported as a
-    witness, and only its sides are built as elements.
+    This is the quartic structure-constant identity.  For each basis pair
+    (i, j), both sides are built for every k at once from the table's
+    sparse rows, as maps from k to the side's term dict without zeros,
+    and the two maps are compared.  Only a pair whose maps differ is
+    scanned in k order: its first differing k gives the witness, and the
+    count is that of a triple-by-triple sweep, (i·dim + j)·dim + k + 1.
+    Only the witness's sides are built as elements.
     """
     alg = FiniteAlgebra(constants)
-    dim = constants.dim
-    mul = alg.multiply_terms
-    products = [[alg.basis_product(i, j) for j in range(dim)] for i in range(dim)]
-    witness, notes, count = None, (), 0
-    for count, (i, j, k) in enumerate(itertools.product(range(dim), repeat=3), 1):
-        lhs = mul(products[i][j], {k: 1})
-        rhs = mul({i: 1}, products[j][k])
+    dim, rows = constants.dim, alg._rows
+    witness, notes, count = None, (), dim ** 3
+    for i, j in itertools.product(range(dim), repeat=2):
+        row_i, lhs, rhs = rows[i], {}, {}
+        # (e_i e_j) e_k = Σ_l c_ij^l e_l e_k
+        for l, c in row_i.get(j, {}).items():
+            for k, product in rows[l].items():
+                accumulate(lhs.setdefault(k, {}), c, product)
+        # e_i (e_j e_k) = Σ_m c_jk^m e_i e_m
+        for k, jk in rows[j].items():
+            for m, c in jk.items():
+                if m in row_i:
+                    accumulate(rhs.setdefault(k, {}), c, row_i[m])
+        lhs, rhs = _nonzero_sides(lhs), _nonzero_sides(rhs)
         if lhs != rhs:
-            lhs, rhs = Element._trusted(alg, lhs), Element._trusted(alg, rhs)
-            witness = Witness(tuple(map(alg.basis_element, (i, j, k))), lhs, rhs, lhs - rhs)
+            k = next(k for k in range(dim) if lhs.get(k) != rhs.get(k))
+            count = (i * dim + j) * dim + k + 1
+            left, right = (Element._trusted(alg, side.get(k, {})) for side in (lhs, rhs))
+            witness = Witness(tuple(map(alg.basis_element, (i, j, k))), left, right, left - right)
             notes = (f"violating basis triple (i,j,k)=({i},{j},{k})",)
             break
     return CheckReport(
         check="associativity", algebra=alg.describe(), operator="product",
         weight=None, domain={"mode": "basis-triples", "dim": dim},
         tuples=count, witness=witness, notes=notes)
+
+
+def _nonzero_sides(sides: dict) -> dict:
+    """``sides`` with each term dict cleaned and the zero ones left out."""
+    return {k: terms for k, side in sides.items() if (terms := clean_terms(side))}
 
 
 # ---------------------------------------------------------------------------

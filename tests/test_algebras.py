@@ -292,7 +292,7 @@ sparse_coefficients = st.one_of(st.just(0), st.just(0), st.just(0), coefficients
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_verify_associativity_keeps_its_first_witness_and_tuple_count(data):
-    dim = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(1, 4))
     entries = [[[data.draw(sparse_coefficients) for _ in range(dim)] for _ in range(dim)]
                for _ in range(dim)]
     sc = StructureConstants.build(dim, entries)
@@ -321,6 +321,33 @@ def test_verify_associativity_witness_past_empty_operands():
     assert report.notes == ("violating basis triple (i,j,k)=(1,1,2)",)
     assert str(report.witness.lhs) == "[0, 3/2, 0]"
     assert report.witness.rhs.is_zero
+
+
+def test_verify_associativity_cleans_a_side_that_cancels():
+    """e0e0 = e1 - e2 and e1e0 = e2e0 = e3: (e0e0)e0 = e3 - e3 sums two
+    products, through l = 1 and l = 2, to zero, as e0(e0e0) is; the table
+    is associative."""
+    entries = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    entries[0][0][1], entries[0][0][2] = 1, -1
+    entries[1][0][3] = entries[2][0][3] = 1
+    sc = StructureConstants.build(4, entries)
+    assert first_associativity_violation(sc.table, 4) == (None, None, None, 64)
+    report = verify_associativity(sc)
+    assert (report.status, report.tuples, report.witness, report.notes) == ("pass", 64, None, ())
+
+
+def test_verify_associativity_reports_the_first_k_of_a_pair():
+    """e0e0 = e1 + e2, e1e2 = e1, e2e1 = e2: the pair (0, 0) differs at k = 2,
+    reached first through l = 1, and at k = 1; the witness is k = 1."""
+    entries = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    entries[0][0][1] = entries[0][0][2] = 1
+    entries[1][2][1] = entries[2][1][2] = 1
+    sc = StructureConstants.build(3, entries)
+    assert first_associativity_violation(sc.table, 3)[0] == (0, 0, 1)
+    report = verify_associativity(sc)
+    assert (report.status, report.tuples) == ("fail", 2)
+    assert report.notes == ("violating basis triple (i,j,k)=(0,0,1)",)
+    assert (str(report.witness.lhs), str(report.witness.rhs)) == ("[0, 0, 1]", "[0, 0, 0]")
 
 
 @pytest.mark.parametrize("call, error, message", [

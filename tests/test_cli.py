@@ -148,7 +148,7 @@ def test_structure_constants_file_flow(tmp_path):
                    "--weight", "1") == 0
 
 
-def test_non_associative_file_rejected(tmp_path):
+def test_non_associative_file_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
         "dim": 2,
@@ -156,6 +156,7 @@ def test_non_associative_file_rejected(tmp_path):
     }))
     assert run_cli("check-rbr", "--algebra", f"file:{path}", "--operator", "id",
                    "--weight", "1") == 2
+    assert "violating basis triple (i,j,k)=(0,0,0)" in capsys.readouterr().err
 
 
 def test_zero_denominator_file_rejected(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotabaxter.algebra import DomainSpec
+from rotabaxter.algebra import DomainSpec, _coefficient, _random_coeff
 from rotabaxter.algebras import (
     laurent,
     make_componentwise,
@@ -37,6 +37,7 @@ from rotabaxter.operators import (
     nijenhuis_family,
     scale_operator,
 )
+from rotabaxter.rationals import normalize
 from rotabaxter.report import CheckReport, Witness, dumps_reports
 from rotabaxter.suite import borel_projector_m2
 from test_checks import ELEMENT_FORMULAS
@@ -95,6 +96,54 @@ RBR_PINS = {
         3: "aeedd4bb4165eda1778bdae94c8990b1d144a2a98c82f263d277da795f7631fe",
     },
 }
+
+
+def unmemoised_draw(algebra, dom, rng):
+    """A random element drawn the plain way: every coefficient a new
+    normalize(p, q) of two ``randint`` calls, after the support size and
+    ``rng.sample`` on a Laurent-type algebra, and the element built and
+    validated by ``Algebra.element``."""
+    bound = dom.coeff_bound
+    coeff = lambda: normalize(rng.randint(-bound, bound), rng.randint(1, bound))
+    if algebra.dimension is not None:
+        return algebra.element({i: coeff() for i in range(algebra.dimension)})
+    exponents = algebra.basis_keys(dom.lo, dom.hi)
+    chosen = rng.sample(exponents, rng.randint(0, min(dom.support_bound, len(exponents))))
+    return algebra.element({e: coeff() for e in chosen})
+
+
+DRAW_ALGEBRAS = {"laurent": laurent(), "polynomial": polynomial(),
+                 "matrix:3": make_matrix_algebra(3), "componentwise:4": make_componentwise(4)}
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 7])
+@pytest.mark.parametrize("name", sorted(DRAW_ALGEBRAS))
+def test_random_elements_are_the_plain_draws(name, bound):
+    """Memoised coefficients and trusted construction draw the same stream:
+    the same elements, terms in the same order, every coefficient canonical
+    (an int when integral, never zero), and the generator left in the same
+    state."""
+    algebra = DRAW_ALGEBRAS[name]
+    dom = DomainSpec.random(1, coeff_bound=bound, seed=bound)
+    rng, twin = random.Random(bound), random.Random(bound)
+    for _ in range(60):
+        x, plain = algebra.random_element(dom, rng), unmemoised_draw(algebra, dom, twin)
+        assert x == plain and list(x.terms.items()) == list(plain.terms.items())
+        assert all(c != 0 and (type(c) is int or c.denominator != 1) for c in x.terms.values())
+    assert rng.getstate() == twin.getstate()
+
+
+def test_a_huge_coefficient_bound_draws_in_bounded_memory():
+    """A bound of 10**9 has about 2·10**18 coefficients p/q: the sweep
+    finishes because only recent draws are remembered, never a table of them."""
+    miller = make_miller(2, 2)
+    dom = DomainSpec.random(200, coeff_bound=10**9, seed=4)
+    assert check_rbr(miller.algebra, miller, 1, dom).status == "pass"
+    rng = random.Random(4)
+    for _ in range(5000):
+        _random_coeff(rng, 10**9)
+    info = _coefficient.cache_info()
+    assert info.currsize <= info.maxsize < 5000
 
 
 @pytest.mark.parametrize("op", [scale_operator(2, upper_projector(3)),
